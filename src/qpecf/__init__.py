@@ -24,10 +24,8 @@ from .fitting import (
     FitBounds,
     FitResult,
     argmax_guess,
-    bounded_nls,
     fit_multi,
     fit_single,
-    residual_variance,
 )
 from .model import OutcomeDistribution, PhaseComponent, PhaseModel, RegisterSpec
 from .pmf import (
@@ -35,11 +33,9 @@ from .pmf import (
     circuit_depth_units,
     crlb_mse,
     fisher_information,
-    pmf_multi,
     pmf_single,
     pmf_vector,
     score,
-    total_fisher,
 )
 from .simulate import (
     ShotHistogram,
@@ -75,7 +71,6 @@ __all__ = [
     "analytic_distribution",
     "apply_inverse_fourier",
     "argmax_guess",
-    "bounded_nls",
     "cell_estimates",
     "circuit_depth_units",
     "circular_error",
@@ -87,17 +82,14 @@ __all__ = [
     "histogram_to_probs",
     "kickback_state",
     "least_squares_box",
-    "pmf_multi",
     "pmf_single",
     "pmf_vector",
     "records_to_csv",
-    "residual_variance",
     "run_cell",
     "run_grid",
     "sample_shots",
     "scaling_to_json",
     "score",
     "simulate_distribution",
-    "total_fisher",
     "trial_seed",
 ]

@@ -1,11 +1,11 @@
 """Phase recovery: bounded least-squares fits of the analytic outcome model.
 
-The single-phase fit follows the post-processing recipe exactly: take the
-highest-probability bin as the coarse guess, constrain the phase to half a
-bin either side of it, run the bounded solver from each end of that
-interval (nudged strictly inside), and keep the attempt with the lower
-residual variance. The multi-phase fit generalizes the two-start rationale
-to the 2**J corner combinations of the per-phase intervals.
+Every fit follows the post-processing recipe: take the J highest-probability
+bins as coarse guesses, constrain each phase to half a bin either side of
+its bin, run the bounded solver from the corners of that box (nudged
+strictly inside), and keep the solve with the lowest sum of squared
+residuals (SSR); an exact tie goes to the later start. The single-phase fit
+is the J = 1 case, started from the left and the right end of its interval.
 """
 
 from __future__ import annotations
@@ -75,146 +75,23 @@ def argmax_guess(dist: OutcomeDistribution) -> int:
     return int(np.argmax(dist.probs))
 
 
-def residual_variance(ssr: float, m: int, p: int) -> float:
-    """Sample variance of the fit residuals: SSR / (m - p) for p free parameters."""
-    return ssr / max(m - p, 1)
+def _top_bins(probs: np.ndarray, J: int) -> np.ndarray:
+    """The J most probable outcomes in descending order, ties to the lower index."""
+    rest = probs.copy()
+    bins = []
+    for _ in range(J):
+        bins.append(int(np.argmax(rest)))
+        rest[bins[-1]] = -np.inf
+    return np.array(bins, dtype=float)
 
 
-def _as_interval(bound) -> tuple[float, float]:
-    """One parameter's box as (lower, upper) with upper > lower.
+def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
+    """Residual, Jacobian and weights over [theta_1..theta_J, w_1..w_{J-1}].
 
-    A wrapped FitBounds is unrolled past 1, so the solver sees an ordinary
-    interval; callers working in that coordinate reduce results mod 1.
-    """
-    if isinstance(bound, FitBounds):
-        width = bound.width
-        if width == 0.0:
-            raise DomainError("bounds must have positive width")
-        return float(bound.lower), float(bound.lower) + width
-    lower, upper = (float(v) for v in bound)
-    return lower, upper
-
-
-def bounded_nls(model, start, bounds, data=None, jacobian=None):
-    """Box-constrained nonlinear least squares.
-
-    ``model(params, data)`` returns the residual vector to be squared and
-    summed; ``bounds`` holds one FitBounds or (lower, upper) pair per
-    parameter, and ``start`` must be strictly inside the box. ``jacobian``,
-    if given, is called the same way and must return the m x p residual
-    Jacobian; otherwise forward differences are used.
-
-    Returns (parameters, residual_variance, diagnostics). The variance is
-    SSR / (m - p); diagnostics carries iterations, convergence, the
-    termination status, and the raw SSR.
-    """
-    start = np.atleast_1d(np.asarray(start, dtype=float))
-    intervals = [_as_interval(b) for b in bounds]
-    lower = np.array([iv[0] for iv in intervals])
-    upper = np.array([iv[1] for iv in intervals])
-
-    def residual(params: np.ndarray) -> np.ndarray:
-        return np.asarray(model(params, data), dtype=float).ravel()
-
-    if jacobian is None:
-
-        def jac(params: np.ndarray) -> np.ndarray:
-            r0 = residual(params)
-            out = np.empty((r0.size, params.size))
-            for i in range(params.size):
-                step = 1e-8 * max(1.0, abs(params[i]))
-                shifted = params.copy()
-                shifted[i] += step
-                out[:, i] = (residual(shifted) - r0) / step
-            return out
-
-    else:
-
-        def jac(params: np.ndarray) -> np.ndarray:
-            return np.asarray(jacobian(params, data), dtype=float)
-
-    result = least_squares_box(residual, jac, start, lower, upper)
-    m = residual(result.x).size
-    variance = residual_variance(result.ssr, m, start.size)
-    diagnostics = {
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "status": result.status,
-        "ssr": result.ssr,
-    }
-    return result.x, variance, diagnostics
-
-
-def _single_problem(reg: RegisterSpec):
-    """Residual and Jacobian in the unwrapped local phase coordinate."""
-    M = reg.M
-    y = np.arange(M, dtype=float)
-
-    def model(params: np.ndarray, probs: np.ndarray) -> np.ndarray:
-        return _pmf_kernel(y - params[0] * M, M) - probs
-
-    def jacobian(params: np.ndarray, probs: np.ndarray) -> np.ndarray:
-        return _pmf_grad_kernel(y - params[0] * M, M).reshape(M, 1)
-
-    return model, jacobian
-
-
-def fit_single(dist: OutcomeDistribution) -> FitResult:
-    """Recover one phase from an observed distribution.
-
-    Runs the bounded solver from both ends of the half-bin interval around
-    the argmax bin and keeps the attempt with the lower residual variance;
-    an exact tie goes to the right start.
-    """
-    reg = dist.reg
-    M = reg.M
-    probs = dist.probs
-    guess = argmax_guess(dist)
-    lo = (guess - 0.5) / M
-    hi = (guess + 0.5) / M
-    nudge = NUDGE / M
-    model, jacobian = _single_problem(reg)
-
-    attempts: list[tuple | None] = []
-    failures: list[str] = []
-    for s0 in (lo + nudge, hi - nudge):
-        try:
-            attempts.append(
-                bounded_nls(model, np.array([s0]), [(lo, hi)], data=probs, jacobian=jacobian)
-            )
-        except FitError as exc:
-            attempts.append(None)
-            failures.append(str(exc))
-    left, right = attempts
-    if left is None and right is None:
-        raise FitError("both starts failed: " + "; ".join(failures))
-
-    if left is None:
-        winner, start_used = right, "right"
-    elif right is None:
-        winner, start_used = left, "left"
-    elif left[1] < right[1]:
-        winner, start_used = left, "left"
-    else:
-        winner, start_used = right, "right"
-
-    params, variance, diag = winner
-    return FitResult(
-        phases=(float(params[0]) % 1.0,),
-        weights=(1.0,),
-        residual_variance=variance,
-        start_used=start_used,
-        iterations=diag["iterations"],
-        converged=diag["converged"],
-        bounds=(FitBounds(lo % 1.0, hi % 1.0),),
-    )
-
-
-def _multi_problem(reg: RegisterSpec, J: int):
-    """Residual and Jacobian over [theta_1..theta_J, w_1..w_{J-1}].
-
-    The last weight is 1 minus the free weights, so weights sum to 1 by
-    construction. For J >= 3 that trailing weight is not box-constrained.
+    Phases are in the unwrapped local coordinate of their intervals. The
+    last weight is 1 minus the free weights, so weights sum to 1 by
+    construction; for J >= 3 that trailing weight is not box-constrained.
+    J = 1 has no free weight, and its residual is a single kernel call.
     """
     M = reg.M
     y = np.arange(M, dtype=float)
@@ -225,14 +102,24 @@ def _multi_problem(reg: RegisterSpec, J: int):
         w[J - 1] = 1.0 - params[J:].sum()
         return w
 
-    def model(params: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    if J == 1:
+
+        def residual(params: np.ndarray) -> np.ndarray:
+            return _pmf_kernel(y - params[0] * M, M) - probs
+
+        def jacobian(params: np.ndarray) -> np.ndarray:
+            return _pmf_grad_kernel(y - params[0] * M, M).reshape(M, 1)
+
+        return residual, jacobian, weights_of
+
+    def residual(params: np.ndarray) -> np.ndarray:
         w = weights_of(params)
         total = np.zeros(M)
         for j in range(J):
             total += w[j] * _pmf_kernel(y - params[j] * M, M)
         return total - probs
 
-    def jacobian(params: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    def jacobian(params: np.ndarray) -> np.ndarray:
         w = weights_of(params)
         out = np.zeros((M, 2 * J - 1))
         last = _pmf_kernel(y - params[J - 1] * M, M)
@@ -242,7 +129,73 @@ def _multi_problem(reg: RegisterSpec, J: int):
             out[:, J + j] = _pmf_kernel(y - params[j] * M, M) - last
         return out
 
-    return model, jacobian, weights_of
+    return residual, jacobian, weights_of
+
+
+def _corner_label(corner: tuple[int, ...]) -> str:
+    if len(corner) == 1:
+        return ("left", "right")[corner[0]]
+    return "corner " + "".join("LR"[c] for c in corner)
+
+
+def _fit(dist: OutcomeDistribution, J: int, starts=None) -> FitResult:
+    """Fit J phases and their weights; the solve with the lowest SSR wins.
+
+    starts, if given, is a list of (label, parameter vector) pairs;
+    otherwise the 2**J corners of the phase box are used, with uniform
+    weights. An exact SSR tie goes to the later start.
+    """
+    M = dist.reg.M
+    bins = _top_bins(dist.probs, J)
+    lo = (bins - 0.5) / M
+    hi = (bins + 0.5) / M
+    lower = np.concatenate([lo, np.zeros(J - 1)])
+    upper = np.concatenate([hi, np.ones(J - 1)])
+    if starts is None:
+        nudge = NUDGE / M
+        weights = np.full(J - 1, 1.0 / J)
+        starts = [
+            (_corner_label(c), np.concatenate([np.where(c, hi - nudge, lo + nudge), weights]))
+            for c in itertools.product((0, 1), repeat=J)
+        ]
+    residual, jacobian, weights_of = _problem(dist.reg, J, dist.probs)
+
+    best = None
+    failures: list[str] = []
+    for label, start in starts:
+        try:
+            result = least_squares_box(residual, jacobian, start, lower, upper)
+        except FitError as exc:
+            failures.append(f"{label}: {exc}")
+            continue
+        if best is None or result.ssr <= best[1].ssr:
+            best = label, result
+    if best is None:
+        raise FitError("all starts failed: " + "; ".join(failures))
+
+    label, result = best
+    thetas = np.mod(result.x[:J], 1.0)
+    weights = weights_of(result.x)
+    ascending = np.argsort(thetas, kind="stable")
+    return FitResult(
+        phases=tuple(float(thetas[j]) for j in ascending),
+        weights=tuple(float(weights[j]) for j in ascending),
+        residual_variance=result.ssr / max(M - (2 * J - 1), 1),
+        start_used=label,
+        iterations=result.iterations,
+        converged=result.converged,
+        bounds=tuple(FitBounds(float(lo[j] % 1.0), float(hi[j] % 1.0)) for j in ascending),
+    )
+
+
+def fit_single(dist: OutcomeDistribution) -> FitResult:
+    """Recover one phase from an observed distribution.
+
+    Runs the bounded solver from both ends of the half-bin interval around
+    the argmax bin and keeps the solve with the lower SSR; an exact tie
+    goes to the later, right start.
+    """
+    return _fit(dist, 1)
 
 
 def fit_multi(dist: OutcomeDistribution, J: int, starts=None) -> FitResult:
@@ -250,39 +203,23 @@ def fit_multi(dist: OutcomeDistribution, J: int, starts=None) -> FitResult:
 
     Default starts are the 2**J corner combinations of the per-phase
     half-bin intervals around the J highest-probability bins, with uniform
-    weights; the attempt with the lowest residual variance wins. Custom
-    starts, if given, replace the corner set and must be strictly interior
-    parameter vectors [theta_1..theta_J, w_1..w_{J-1}].
+    weights; the solve with the lowest SSR wins. Custom starts, if given,
+    replace the corner set and must be strictly interior parameter vectors
+    [theta_1..theta_J, w_1..w_{J-1}].
     """
     J = _check_int(J, "J")
     if J < 2:
         raise DomainError(f"multi-phase fit needs J >= 2, got {J}")
-    reg = dist.reg
-    M = reg.M
-    probs = dist.probs
+    M = dist.reg.M
     p = 2 * J - 1
     if p >= M:
         raise DomainError(f"{p} free parameters but only {M} outcome bins")
-    if int(np.count_nonzero(probs)) < J:
-        raise DomainError(
-            f"J = {J} phases but only {int(np.count_nonzero(probs))} nonzero bins"
-        )
+    nonzero = int(np.count_nonzero(dist.probs))
+    if nonzero < J:
+        raise DomainError(f"J = {J} phases but only {nonzero} nonzero bins")
 
-    order = np.argsort(-probs, kind="stable")
-    bins = [int(b) for b in order[:J]]
-    lo = np.array([(b - 0.5) / M for b in bins])
-    hi = np.array([(b + 0.5) / M for b in bins])
-    box = [(lo[j], hi[j]) for j in range(J)] + [(0.0, 1.0)] * (J - 1)
-    nudge = NUDGE / M
-    model, jacobian, weights_of = _multi_problem(reg, J)
-
-    if starts is None:
-        labeled = []
-        for corners in itertools.product((0, 1), repeat=J):
-            th0 = np.where(np.array(corners) == 0, lo + nudge, hi - nudge)
-            vec = np.concatenate([th0, np.full(J - 1, 1.0 / J)])
-            labeled.append(("corner " + "".join("LR"[c] for c in corners), vec))
-    else:
+    labeled = None
+    if starts is not None:
         labeled = []
         for i, vec in enumerate(starts):
             vec = np.asarray(vec, dtype=float)
@@ -291,32 +228,4 @@ def fit_multi(dist: OutcomeDistribution, J: int, starts=None) -> FitResult:
             labeled.append((f"start {i}", vec))
         if not labeled:
             raise DomainError("the start set must not be empty")
-
-    best: tuple | None = None
-    best_label = ""
-    failures: list[str] = []
-    for label, vec in labeled:
-        try:
-            attempt = bounded_nls(model, vec, box, data=probs, jacobian=jacobian)
-        except FitError as exc:
-            failures.append(f"{label}: {exc}")
-            continue
-        if best is None or attempt[1] < best[1]:
-            best, best_label = attempt, label
-    if best is None:
-        raise FitError("all starts failed: " + "; ".join(failures))
-
-    params, variance, diag = best
-    thetas = np.mod(params[:J], 1.0)
-    weights = weights_of(params)
-    all_bounds = [FitBounds(lo[j] % 1.0, hi[j] % 1.0) for j in range(J)]
-    ascending = np.argsort(thetas, kind="stable")
-    return FitResult(
-        phases=tuple(float(thetas[j]) for j in ascending),
-        weights=tuple(float(weights[j]) for j in ascending),
-        residual_variance=variance,
-        start_used=best_label,
-        iterations=diag["iterations"],
-        converged=diag["converged"],
-        bounds=tuple(all_bounds[j] for j in ascending),
-    )
+    return _fit(dist, J, labeled)

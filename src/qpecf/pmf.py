@@ -15,14 +15,14 @@ sin^2(pi delta) / (M^2 sin^2(pi delta / M)) with two stabilizations:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
 from .model import OutcomeDistribution, PhaseModel, RegisterSpec, _check_int
 
 SMALL_DELTA = 1e-6
-# Chunk length for whole-register reductions; keeps memory flat for large n.
-_CHUNK = 1 << 20
 
 
 def _reduce(delta: np.ndarray, M: int) -> np.ndarray:
@@ -129,14 +129,6 @@ def pmf_single(reg: RegisterSpec, theta: float, y: int) -> float:
     return float(_pmf_kernel(y - theta * reg.M, reg.M)[0])
 
 
-def pmf_multi(reg: RegisterSpec, model: PhaseModel, y: int) -> float:
-    """Probability of outcome y under a mixture of eigenphases."""
-    y = _check_y(y, reg.M)
-    return float(
-        sum(c.weight * _pmf_kernel(y - c.theta * reg.M, reg.M)[0] for c in model.components)
-    )
-
-
 def pmf_vector(reg: RegisterSpec, model: PhaseModel) -> np.ndarray:
     """Probabilities of all M outcomes under a mixture model."""
     y = np.arange(reg.M, dtype=float)
@@ -158,30 +150,20 @@ def score(reg: RegisterSpec, theta: float, y: int) -> float:
 
 
 def fisher_information(reg: RegisterSpec) -> float:
-    """Single-shot Fisher information, sum_y score(y)^2 P(y).
+    """Single-shot Fisher information, 4 pi^2 (M^2 - 1) / 3.
 
-    Evaluated at the reference phase 1/(3M), where y - theta*M is never an
-    integer; in this leakage regime the sum is independent of theta and
-    depends only on M.
+    This is the closed form of sum_y score(y)^2 P(y), which is the same for
+    every phase whose offsets y - theta*M are never integers and depends
+    only on M. M^2 - 1 is an exact integer, so the value is correct to a few
+    units in the last place for every n <= 30.
     """
     M = reg.M
-    theta = 1.0 / (3.0 * M)
-    total = 0.0
-    for start in range(0, M, _CHUNK):
-        y = np.arange(start, min(start + _CHUNK, M), dtype=float)
-        d = y - theta * M
-        total += float(np.sum(_score_kernel(d, M) ** 2 * _pmf_kernel(d, M)))
-    return total
-
-
-def total_fisher(reg: RegisterSpec, k: int) -> float:
-    """Fisher information of k independent shots."""
-    return _check_shots(k) * fisher_information(reg)
+    return 4.0 * math.pi**2 * (M * M - 1) / 3.0
 
 
 def crlb_mse(reg: RegisterSpec, k: int) -> float:
     """Lowest possible mean squared error of any unbiased estimate from k shots."""
-    return 1.0 / total_fisher(reg, k)
+    return 1.0 / (_check_shots(k) * fisher_information(reg))
 
 
 def circuit_depth_units(reg: RegisterSpec) -> int:

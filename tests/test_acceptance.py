@@ -33,7 +33,7 @@ from qpecf.bench import (
     records_to_csv,
     run_grid,
 )
-from qpecf.fitting import _single_problem, fit_multi, fit_single
+from qpecf.fitting import _problem, fit_multi, fit_single
 from qpecf.model import PhaseModel, RegisterSpec
 from qpecf.pmf import analytic_distribution, pmf_single, pmf_vector, score
 from qpecf.simulate import SimUnitary, histogram_to_probs, sample_shots, simulate_distribution
@@ -222,10 +222,10 @@ def test_score_and_jacobian_match_finite_differences():
         n = int(rng.integers(2, 7))
         reg = RegisterSpec(n)
         probs = pmf_vector(reg, PhaseModel.single(float(rng.random())))
-        model, jacobian = _single_problem(reg)
+        residual, jacobian, _ = _problem(reg, 1, probs)
         point = np.array([float(rng.uniform(1e-6, 1 - 1e-6))])
-        fd = fd_jacobian(lambda p: model(p, probs), point, h=step)
-        analytic = jacobian(point, probs)
+        fd = fd_jacobian(residual, point, h=step)
+        analytic = jacobian(point)
         denom = max(float(np.linalg.norm(analytic)), 1e-12)
         worst_jac = max(worst_jac, float(np.linalg.norm(fd - analytic)) / denom)
 

@@ -1,9 +1,11 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from test_pmf import FISHER_REFERENCE
 
 from qpecf.formatting import sig12
 from qpecf.model import PhaseModel, RegisterSpec
-from qpecf.pmf import fisher_information, pmf_multi, pmf_single
+from qpecf.pmf import fisher_information, pmf_single, pmf_vector
 
 
 def cli(*args, env_extra=None):
@@ -58,8 +60,9 @@ class TestPmfCommand:
             "pmf", "--n", "3", "--component", "1/3:0.5", "--component", "1/2:0.5"
         )
         assert proc.returncode == 0
+        probs = pmf_vector(reg, model)
         for y, row in enumerate(proc.stdout.splitlines()[1:]):
-            assert row.split(",")[1] == sig12(pmf_multi(reg, model, y))
+            assert row.split(",")[1] == sig12(probs[y])
 
     def test_out_file_matches_stdout(self, tmp_path):
         path = tmp_path / "pmf.csv"
@@ -218,6 +221,17 @@ class TestFisherCommand:
         reg = RegisterSpec(3)
         assert abs(float(fisher) - fisher_information(reg)) < 1e-6
         assert abs(float(crlb) - 1 / np.sqrt(fisher_information(reg))) < 1e-10
+
+    def test_largest_registers_are_closed_form(self):
+        started = time.perf_counter()
+        proc = cli("fisher", "--n-min", "28", "--n-max", "30")
+        elapsed = time.perf_counter() - started
+        assert proc.returncode == 0
+        assert elapsed < 1.0
+        for line, n in zip(proc.stdout.splitlines()[1:], range(28, 31), strict=True):
+            M = 2**n
+            fi = 4.0 * math.pi**2 * (M * M - 1) / 3.0
+            assert line == f"{n},{M},{sig12(fi)},{sig12(1.0 / math.sqrt(fi))}"
 
     def test_inverted_range_exits_one(self):
         proc = cli("fisher", "--n-min", "5", "--n-max", "3")

@@ -1,6 +1,7 @@
 """Closed-form model: PMF, score, Fisher information, CRLB, depth."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,11 +25,9 @@ from qpecf.pmf import (
     circuit_depth_units,
     crlb_mse,
     fisher_information,
-    pmf_multi,
     pmf_single,
     pmf_vector,
     score,
-    total_fisher,
 )
 
 # Reference single-shot Fisher information per register size.
@@ -159,12 +158,12 @@ class TestPmfMulti:
         for theta in rng.random(20):
             model = PhaseModel.from_pairs([(float(theta), 1.0)])
             for y in range(reg.M):
-                assert pmf_multi(reg, model, y) == pmf_single(reg, float(theta), y)
+                assert pmf_vector(reg, model)[y] == pmf_single(reg, float(theta), y)
 
     def test_linearity_in_weights(self):
         reg = RegisterSpec(3)
         model = PhaseModel.from_pairs([(0.5, 0.5), (1 / 3, 0.5)])
-        got = pmf_multi(reg, model, 4)
+        got = pmf_vector(reg, model)[4]
         want = 0.5 * pmf_single(reg, 0.5, 4) + 0.5 * pmf_single(reg, 1 / 3, 4)
         assert math.isclose(got, want, rel_tol=1e-15)
         # the representable component contributes exactly its weight at its bin
@@ -249,9 +248,18 @@ class TestFisher:
     def test_matches_quadratic_closed_form(self):
         # summation agrees with (4 pi^2 / 3)(M^2 - 1), itself matching the references
         for n in range(1, 9):
+            reg = RegisterSpec(n)
+            closed = (4 * math.pi**2 / 3) * (reg.M**2 - 1)
+            assert abs(fisher_summation_at(reg, 1 / (3 * reg.M)) - closed) / closed < 1e-9
+
+    def test_closed_form_is_float64_accurate_over_the_whole_domain(self):
+        # exact rational 4 pi^2 (M^2 - 1) / 3 with pi to 50 digits
+        pi = Fraction("3.14159265358979323846264338327950288419716939937510")
+        for n in range(1, 31):
             M = 2**n
-            closed = (4 * math.pi**2 / 3) * (M**2 - 1)
-            assert abs(fisher_information(RegisterSpec(n)) - closed) / closed < 1e-9
+            exact = 4 * pi**2 * (M * M - 1) / 3
+            got = Fraction(fisher_information(RegisterSpec(n)))
+            assert abs(got - exact) / exact < 4 * 2.0**-53
 
 
 class TestIdentifiabilityLimits:
@@ -296,9 +304,10 @@ class TestIdentifiabilityLimits:
 
 class TestTotalsAndDepth:
     def test_total_fisher_scales_linearly(self):
+        # k shots carry k times the single-shot information: 1 / crlb_mse
         reg = RegisterSpec(2)
-        assert abs(total_fisher(reg, 2) - 394.78417604) / 394.78417604 < 1e-8
-        assert total_fisher(reg, 10) == 10 * fisher_information(reg)
+        assert abs(1 / crlb_mse(reg, 2) - 394.78417604) / 394.78417604 < 1e-8
+        assert crlb_mse(reg, 10) == 1 / (10 * fisher_information(reg))
 
     def test_crlb_examples(self):
         rmse = math.sqrt(crlb_mse(RegisterSpec(3), 10**6))
@@ -309,8 +318,6 @@ class TestTotalsAndDepth:
 
     def test_zero_shots_rejected(self):
         reg = RegisterSpec(3)
-        with pytest.raises(DomainError):
-            total_fisher(reg, 0)
         with pytest.raises(DomainError):
             crlb_mse(reg, 0)
 

@@ -1,0 +1,45 @@
+"""Smoke runs of the scripts under scripts/, so a change to the API they use fails here."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from qpecf.bench import CSV_HEADER
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    src = str(REPO / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+def test_fit_demo_prints_a_fitted_phase():
+    proc = run_script("fit_demo.py", "--shots", "2000")
+    assert proc.returncode == 0, proc.stderr
+    fitted = [line for line in proc.stdout.splitlines() if line.startswith("fitted")]
+    assert len(fitted) == 1
+    assert 0.0 <= float(fitted[0].split()[1]) < 1.0
+
+
+def test_run_full_grid_writes_the_campaign_csv(tmp_path):
+    csv = tmp_path / "grid.csv"
+    scaling = tmp_path / "scaling.json"
+    proc = run_script(
+        "run_full_grid.py",
+        "--config", str(REPO / "configs" / "smoke_grid.json"),
+        "--threads", "1",
+        "--out-csv", str(csv),
+        "--out-scaling", str(scaling),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert csv.read_text().splitlines()[0] == CSV_HEADER
+    assert scaling.exists()

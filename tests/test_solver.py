@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpecf.errors import DomainError, FitError
-from qpecf.fitting import FitBounds, bounded_nls
 from qpecf.solver import least_squares_box
 
 
@@ -30,6 +29,7 @@ class TestLeastSquaresBox:
                 residual, jacobian, np.array([start]), np.array([0.0]), np.array([0.5])
             )
             assert abs(result.x[0] - 0.3) < 1e-12
+            assert result.ssr >= 0.0
             assert result.converged
             assert result.status in ("gtol", "xtol")
 
@@ -102,41 +102,3 @@ class TestLeastSquaresBox:
         r0 = residual(start)
         assert result.ssr <= r0 @ r0 + 1e-12
 
-
-class TestBoundedNls:
-    def test_linear_sanity_case(self):
-        for start in (0.01, 0.49):
-            params, variance, diag = bounded_nls(
-                lambda p, _data: p - 0.3, np.array([start]), [(0.0, 0.5)]
-            )
-            assert abs(params[0] - 0.3) < 1e-12
-            assert variance >= 0.0
-            assert diag["converged"]
-
-    def test_wrapped_fit_bounds_are_unrolled(self):
-        bounds = [FitBounds(0.9375, 0.0625)]
-        params, _, diag = bounded_nls(
-            lambda p, _data: np.array([p[0] - 0.99]), np.array([0.96]), bounds
-        )
-        assert abs(params[0] % 1.0 - 0.99) < 1e-10
-        assert diag["converged"]
-
-    def test_finite_difference_fallback(self):
-        params, _, diag = bounded_nls(
-            lambda p, _data: np.array([np.exp(p[0]) - 2.0]), np.array([0.1]), [(0.0, 2.0)]
-        )
-        assert abs(params[0] - np.log(2.0)) < 1e-8
-        assert diag["converged"]
-
-    def test_data_is_threaded_through(self):
-        data = np.array([0.25, 0.75])
-        params, variance, _ = bounded_nls(
-            lambda p, d: np.full(2, p[0]) - d, np.array([0.1]), [(0.0, 1.0)], data=data
-        )
-        assert abs(params[0] - 0.5) < 1e-10
-        # two residuals, one parameter: variance = SSR / 1
-        assert abs(variance - 2 * 0.25**2) < 1e-12
-
-    def test_zero_width_bounds_rejected(self):
-        with pytest.raises(DomainError):
-            bounded_nls(lambda p, _d: p, np.array([0.5]), [FitBounds(0.25, 0.25)])
