@@ -102,3 +102,22 @@ class TestLeastSquaresBox:
         r0 = residual(start)
         assert result.ssr <= r0 @ r0 + 1e-12
 
+
+
+class TestBoundedNls:
+    """Bounded least squares on a problem whose answer is known in closed form."""
+
+    def test_linear_sanity_case(self):
+        # straight-line fit: residual A x - b with a non-identity Jacobian,
+        # unconstrained minimum inside the box, reached from both corners
+        A = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+        b = np.array([0.1, 0.9, 2.2, 2.8])
+        x_ls, ssr_ls, _, _ = np.linalg.lstsq(A, b, rcond=None)
+        lower, upper = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
+        for start in (lower + 0.01, upper - 0.01):
+            result = least_squares_box(lambda x: A @ x - b, lambda x: A, start, lower, upper)
+            # damped steps stop short of the exact Gauss-Newton point; the
+            # SSR, flat at the minimum, is met to second order in that gap
+            assert np.max(np.abs(result.x - x_ls)) < 1e-8
+            assert abs(result.ssr - ssr_ls[0]) < 1e-12
+            assert result.converged
