@@ -302,9 +302,9 @@ def test_bound_ratio_window_across_grid(cache):
     # Sigma = diag(P) - P P^T, least squares picks the mirror with chance
     # Phi(-|d|^2 / (2 sqrt(d^T Sigma d / k))). At (theta=1/9, n=3, k=4000)
     # that is 1.58% (k * KL = 9.6; 1.5% measured over 1000 trials), and
-    # three flips at BASE_SEED give a full ratio of 8.68 against 0.92 for
-    # the unflipped trials (0.875-1.051 over base seeds 1-10). A
-    # multinomial-likelihood chooser (4.95) and a grid-scan MLE (4.94) do
+    # two flips at BASE_SEED give a full ratio of 7.13 against 1.01 for
+    # the unflipped trials (0.864-1.102 over base seeds 1-10). A
+    # multinomial-likelihood chooser (5.20) and a grid-scan MLE (5.19) do
     # no better, so no estimator meets the window there. The check
     # therefore splits each cell's trials by basin and asserts (i) the
     # true-basin RMSE sits in the window on every cell, (ii) each cell's
@@ -411,7 +411,7 @@ def test_two_phase_recovery(cache):
     # SSR at the truth, so that is the data's limit, not the solver's. The
     # on-bin component is therefore held to eps^2 <= z sigma_u, with z set
     # so that all 20 trials pass with probability 1 - 1e-3 (bound ~3.1e-3),
-    # while the off-bin 1/3 component keeps 1e-3 (worst 1.2e-4 against a
+    # while the off-bin 1/3 component keeps 1e-3 (worst 1.1e-4 against a
     # CRLB RMSE of 5.0e-5) and the exact-PMF fit keeps 1e-6.
     reg = RegisterSpec(3)
     exact = fit_multi(analytic_distribution(reg, TWO_PHASE_MODEL), 2)

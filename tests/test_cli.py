@@ -120,6 +120,24 @@ class TestSimulateCommand:
         assert proc.returncode == 1
         assert proc.stderr.strip()
 
+    def test_register_past_the_cap_exits_one(self):
+        proc = cli("simulate", "--n", "21", "--theta", "1/3", "--shots", "1000")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "20" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_largest_register_simulates(self, tmp_path):
+        hist = tmp_path / "hist.json"
+        proc = cli(
+            "simulate", "--n", "20", "--theta", "1/3", "--shots", "1000", "--out", str(hist)
+        )
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(hist.read_text())
+        assert data["n"] == 20 and data["shots"] == 1000
+        assert len(data["counts"]) == 1 << 20
+        assert sum(data["counts"]) == 1000
+
 
 class TestFitCommand:
     def test_single_phase_roundtrip(self, tmp_path):

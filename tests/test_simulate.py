@@ -9,8 +9,9 @@ from scipy import stats
 
 from qpecf.errors import ConfigError, DomainError
 from qpecf.model import OutcomeDistribution, PhaseModel, RegisterSpec
-from qpecf.pmf import pmf_vector
+from qpecf.pmf import analytic_distribution, pmf_vector
 from qpecf.simulate import (
+    MAX_SIM_QUBITS,
     ShotHistogram,
     SimUnitary,
     StateVector,
@@ -59,7 +60,7 @@ class TestCircuitStages:
     def test_register_size_guard(self):
         unitary = SimUnitary.from_model(PhaseModel.single(0.3))
         with pytest.raises(DomainError):
-            kickback_state(RegisterSpec(13), unitary)
+            kickback_state(RegisterSpec(MAX_SIM_QUBITS + 1), unitary)
 
     def test_fourier_dimension_mismatch(self):
         reg = RegisterSpec(3)
@@ -77,6 +78,12 @@ class TestSimMatchesAnalytic:
         probs = sim_probs(3, [(3 / 8, 1.0)])
         assert abs(probs[3] - 1.0) < 1e-12
         assert np.all(np.delete(probs, 3) < 1e-12)
+
+    def test_representable_phase_gives_indicator_widest_register(self):
+        n, y0 = MAX_SIM_QUBITS, 12345
+        probs = sim_probs(n, [(y0 / (1 << n), 1.0)])
+        assert abs(probs[y0] - 1.0) < 1e-12
+        assert np.all(np.delete(probs, y0) < 1e-12)
 
     def test_single_phase_register_sweep(self):
         rng = np.random.default_rng(30)
@@ -105,7 +112,7 @@ class TestSimMatchesAnalytic:
             sim = sim_probs(n, pairs)
             analytic = pmf_vector(RegisterSpec(n), PhaseModel.from_pairs(pairs))
             brute = oracle_pmf_vector(n, pairs)
-            assert np.max(np.abs(sim - brute)) < 1e-12
+            assert np.max(np.abs(sim - brute)) < 2e-15
             assert np.max(np.abs(analytic - brute)) < 1e-12
 
 
@@ -118,6 +125,25 @@ class TestSampling:
         assert a.counts.sum() == 50_000
         assert np.array_equal(a.counts, b.counts)
         assert not np.array_equal(a.counts, c.counts)
+
+    def test_seed_kinds_give_identical_counts(self):
+        dist = OutcomeDistribution(RegisterSpec(3), pmf_vector(RegisterSpec(3), PhaseModel.single(1 / 3)))
+        by_int = sample_shots(dist, 10_000, 7).counts
+        by_sequence = sample_shots(dist, 10_000, np.random.SeedSequence(7)).counts
+        by_generator = sample_shots(dist, 10_000, np.random.Generator(np.random.Philox(7))).counts
+        assert np.array_equal(by_int, by_sequence)
+        assert np.array_equal(by_int, by_generator)
+
+    def test_wide_register_pmf_with_sum_roundoff(self):
+        # sums to 1 + 9.6e-11, inside OutcomeDistribution's tolerance but
+        # past what multinomial accepts unnormalised
+        dist = analytic_distribution(RegisterSpec(20), PhaseModel.single(1 / 7))
+        assert int(sample_shots(dist, 10_000, 3).counts.sum()) == 10_000
+
+    def test_tolerated_negative_entry_gets_no_counts(self):
+        dist = OutcomeDistribution(RegisterSpec(2), np.array([0.5 + 1e-12, -1e-12, 0.25, 0.25]))
+        for seed in (0, 1, 12345):
+            assert sample_shots(dist, 10_000, seed).counts[1] == 0
 
     def test_zero_shots_rejected(self):
         dist = OutcomeDistribution(RegisterSpec(2), np.full(4, 0.25))
