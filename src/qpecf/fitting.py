@@ -92,6 +92,9 @@ def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
     last weight is 1 minus the free weights, so weights sum to 1 by
     construction; for J >= 3 that trailing weight is not box-constrained.
     J = 1 has no free weight, and its residual is a single kernel call.
+    For J >= 2 the components are the rows of one (J, M) offset array: the
+    residual is one kernel call summed over that axis, and the Jacobian one
+    pmf and one gradient kernel call, whatever J is.
     """
     M = reg.M
     y = np.arange(M, dtype=float)
@@ -113,20 +116,15 @@ def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
         return residual, jacobian, weights_of
 
     def residual(params: np.ndarray) -> np.ndarray:
-        w = weights_of(params)
-        total = np.zeros(M)
-        for j in range(J):
-            total += w[j] * _pmf_kernel(y - params[j] * M, M)
-        return total - probs
+        P = _pmf_kernel(y - params[:J, None] * M, M)
+        return (weights_of(params)[:, None] * P).sum(axis=0) - probs
 
     def jacobian(params: np.ndarray) -> np.ndarray:
-        w = weights_of(params)
-        out = np.zeros((M, 2 * J - 1))
-        last = _pmf_kernel(y - params[J - 1] * M, M)
-        for j in range(J):
-            out[:, j] = w[j] * _pmf_grad_kernel(y - params[j] * M, M)
-        for j in range(J - 1):
-            out[:, J + j] = _pmf_kernel(y - params[j] * M, M) - last
+        delta = y - params[:J, None] * M
+        P = _pmf_kernel(delta, M)
+        out = np.empty((M, 2 * J - 1))
+        out[:, :J] = (weights_of(params)[:, None] * _pmf_grad_kernel(delta, M)).T
+        out[:, J:] = (P[:-1] - P[-1]).T
         return out
 
     return residual, jacobian, weights_of

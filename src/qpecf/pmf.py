@@ -11,6 +11,11 @@ sin^2(pi delta) / (M^2 sin^2(pi delta / M)) with two stabilizations:
   small arguments where they are fully accurate;
 * |delta| < 1e-6 switches to a sinc-ratio series that is exact to well below
   float64 resolution there and returns exactly 1 at delta = 0.
+
+The kernels are elementwise over an offset array of any shape, so a J-phase
+mixture is one call on a (J, M) array. Each evaluates the sine form on the
+whole array, with floating-point warnings silenced because it is 0/0 at
+delta = 0, and then overwrites the |delta| < 1e-6 entries with the series.
 """
 
 from __future__ import annotations
@@ -32,9 +37,11 @@ def _reduce(delta: np.ndarray, M: int) -> np.ndarray:
 
 
 def _pmf_kernel(delta, M: int) -> np.ndarray:
-    """P as a function of delta = y - theta*M, vectorized."""
+    """P as a function of delta = y - theta*M, elementwise over any shape."""
     d = np.atleast_1d(_reduce(np.asarray(delta, dtype=float), M))
-    out = np.empty_like(d)
+    e = d - np.round(d)
+    with np.errstate(all="ignore"):
+        out = (np.sin(np.pi * e) / (M * np.sin(np.pi * d / M))) ** 2
     small = np.abs(d) < SMALL_DELTA
     if np.any(small):
         a = (np.pi * d[small]) ** 2
@@ -42,24 +49,21 @@ def _pmf_kernel(delta, M: int) -> np.ndarray:
         num = 1.0 - a / 6.0 + a * a / 120.0
         den = 1.0 - b / 6.0 + b * b / 120.0
         out[small] = (num / den) ** 2
-    big = ~small
-    if np.any(big):
-        db = d[big]
-        e = db - np.round(db)
-        num = np.sin(np.pi * e)
-        den = M * np.sin(np.pi * db / M)
-        out[big] = (num / den) ** 2
     return out
 
 
 def _score_kernel(delta, M: int) -> np.ndarray:
-    """d log P / d theta as a function of delta, vectorized.
+    """d log P / d theta as a function of delta, elementwise over any shape.
 
     Diverges (+-inf) only where delta is exactly a nonzero integer, i.e.
     where P is exactly zero; every consumer weights the score by P.
     """
     d = np.atleast_1d(_reduce(np.asarray(delta, dtype=float), M))
-    out = np.empty_like(d)
+    e = d - np.round(d)
+    with np.errstate(all="ignore"):
+        cot_e = np.cos(np.pi * e) / np.sin(np.pi * e)
+        cot_dM = np.cos(np.pi * d / M) / np.sin(np.pi * d / M)
+        out = 2.0 * np.pi * (cot_dM - M * cot_e)
     small = np.abs(d) < SMALL_DELTA
     if np.any(small):
         ds = d[small]
@@ -67,37 +71,26 @@ def _score_kernel(delta, M: int) -> np.ndarray:
             np.pi * ds * (M - 1.0 / M) / 3.0
             + (np.pi * ds) ** 3 * (M - 1.0 / M**3) / 45.0
         )
-    big = ~small
-    if np.any(big):
-        db = d[big]
-        e = db - np.round(db)
-        with np.errstate(divide="ignore"):
-            cot_e = np.cos(np.pi * e) / np.sin(np.pi * e)
-        cot_dM = np.cos(np.pi * db / M) / np.sin(np.pi * db / M)
-        out[big] = 2.0 * np.pi * (cot_dM - M * cot_e)
     return out
 
 
 def _pmf_grad_kernel(delta, M: int) -> np.ndarray:
-    """d P / d theta (the product P * score evaluated jointly), vectorized.
+    """d P / d theta (the product P * score evaluated jointly), elementwise over any shape.
 
     Finite everywhere: the sin(pi e) prefactor cancels the score's
     divergence at integer delta, giving exactly 0 there.
     """
     d = np.atleast_1d(_reduce(np.asarray(delta, dtype=float), M))
-    out = np.empty_like(d)
+    e = d - np.round(d)
+    with np.errstate(all="ignore"):
+        se = np.sin(np.pi * e)
+        ce = np.cos(np.pi * e)
+        sd = np.sin(np.pi * d / M)
+        cd = np.cos(np.pi * d / M)
+        out = 2.0 * np.pi * se * (se * cd / sd - M * ce) / (M**2 * sd**2)
     small = np.abs(d) < SMALL_DELTA
     if np.any(small):
         out[small] = _pmf_kernel(d[small], M) * _score_kernel(d[small], M)
-    big = ~small
-    if np.any(big):
-        db = d[big]
-        e = db - np.round(db)
-        se = np.sin(np.pi * e)
-        ce = np.cos(np.pi * e)
-        sd = np.sin(np.pi * db / M)
-        cd = np.cos(np.pi * db / M)
-        out[big] = 2.0 * np.pi * se * (se * cd / sd - M * ce) / (M**2 * sd**2)
     return out
 
 
@@ -131,11 +124,9 @@ def pmf_single(reg: RegisterSpec, theta: float, y: int) -> float:
 
 def pmf_vector(reg: RegisterSpec, model: PhaseModel) -> np.ndarray:
     """Probabilities of all M outcomes under a mixture model."""
-    y = np.arange(reg.M, dtype=float)
-    probs = np.zeros(reg.M)
-    for c in model.components:
-        probs += c.weight * _pmf_kernel(y - c.theta * reg.M, reg.M)
-    return probs
+    M = reg.M
+    delta = np.arange(M, dtype=float) - np.array(model.thetas)[:, None] * M
+    return (np.array(model.weights)[:, None] * _pmf_kernel(delta, M)).sum(axis=0)
 
 
 def analytic_distribution(reg: RegisterSpec, model: PhaseModel) -> OutcomeDistribution:

@@ -28,9 +28,9 @@ MAX_SIM_QUBITS = 20
 _SPLIT = float(1 << 26)
 
 
-def _phase_frac(theta: float, x: np.ndarray) -> np.ndarray:
-    """Fractional part of theta * x without the O(x * eps) product error."""
-    hi = math.floor(theta * _SPLIT) / _SPLIT
+def _phase_frac(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Fractional part of theta * x, broadcast, without the O(x * eps) product error."""
+    hi = np.floor(theta * _SPLIT) / _SPLIT
     lo = theta - hi
     return (np.mod(hi * x, 1.0) + lo * x) % 1.0
 
@@ -63,11 +63,6 @@ class SimUnitary:
     @classmethod
     def from_model(cls, model: PhaseModel) -> "SimUnitary":
         return cls(model.thetas, tuple(math.sqrt(w) for w in model.weights))
-
-    @property
-    def system_states(self) -> int:
-        """Dimension of the minimal system register, 2**ceil(log2 J)."""
-        return 1 << (len(self.eigenphases) - 1).bit_length()
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,16 +131,16 @@ class ShotHistogram:
 def kickback_state(reg: RegisterSpec, unitary: SimUnitary) -> StateVector:
     """State after the Hadamards and controlled-unitary powers.
 
-    Recording amplitude at x on system branch j carries a_j e^{2 pi i theta_j x}.
+    Recording amplitude at x on system branch j carries
+    a_j e^{2 pi i theta_j x} / sqrt(M); the (M, J) state holds one column per
+    eigenphase, built in one broadcast.
     """
     if reg.n > MAX_SIM_QUBITS:
         raise DomainError(f"simulation supports n <= {MAX_SIM_QUBITS}, got {reg.n}")
     M = reg.M
-    x = np.arange(M, dtype=float)
-    amps = np.zeros((M, unitary.system_states), dtype=complex)
-    for j, (theta, a) in enumerate(zip(unitary.eigenphases, unitary.amplitudes)):
-        amps[:, j] = a * np.exp(2j * np.pi * _phase_frac(theta, x)) / math.sqrt(M)
-    return StateVector(amps)
+    x = np.arange(M, dtype=float)[:, None]
+    kicks = np.exp(2j * np.pi * _phase_frac(np.array(unitary.eigenphases), x))
+    return StateVector(np.array(unitary.amplitudes) * kicks / math.sqrt(M))
 
 
 def apply_inverse_fourier(reg: RegisterSpec, state: StateVector) -> StateVector:

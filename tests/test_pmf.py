@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from qpecf.errors import DomainError
 from qpecf.model import OutcomeDistribution, PhaseComponent, PhaseModel, RegisterSpec
 from qpecf.pmf import (
+    _pmf_grad_kernel,
     _pmf_kernel,
+    _score_kernel,
     analytic_distribution,
     circuit_depth_units,
     crlb_mse,
@@ -149,6 +151,29 @@ class TestPmfValues:
         probs = pmf_vector(RegisterSpec(n), PhaseModel.single(theta))
         assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
         assert abs(probs.sum() - 1.0) < 1e-10
+
+
+class TestKernels:
+    @pytest.mark.parametrize("n", [1, 3, 8, 20, 30])
+    def test_component_axis_matches_row_by_row_calls(self, n):
+        # a (J, M) offset array is how mixtures reach the kernels; each row
+        # must come out exactly as its own 1-D call, including the series
+        # entries (|d| < 1e-6), the zeros of P (integer d) and the +-M/2 ties
+        M = 1 << n
+        rng = np.random.default_rng(n)
+        rows = np.array([
+            [0.0, -0.0, 3e-7, -8e-7, 1e-300, 2.0, -1.0, M / 2],
+            [-M / 2, 1e-12, -1e-12, 3.0, M - 1.0, 1.5e-6, -M / 2 + 0.25, 0.5],
+            rng.uniform(-2 * M, 2 * M, 8),
+        ])
+        for kernel in (_pmf_kernel, _score_kernel, _pmf_grad_kernel):
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                whole = kernel(rows, M)
+                by_row = [kernel(row, M) for row in rows]
+            assert whole.shape == rows.shape
+            assert not np.any(np.isnan(whole))
+            for j, row in enumerate(by_row):
+                assert np.array_equal(whole[j], row)
 
 
 class TestPmfMulti:
