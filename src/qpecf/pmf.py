@@ -31,9 +31,13 @@ SMALL_DELTA = 1e-6
 
 
 def _reduce(delta: np.ndarray, M: int) -> np.ndarray:
-    """Reduce offsets mod M to the representative in (-M/2, M/2]."""
-    d = np.mod(delta, M)
-    return np.where(d > M / 2, d - M, d)
+    """Reduce offsets mod M to the representative in (-M/2, M/2].
+
+    Subtracting the nearest multiple of M is exact, whereas np.mod would
+    round a small negative offset onto the last place of M.
+    """
+    d = delta - M * np.round(delta / M)
+    return np.where(d <= -M / 2, d + M, d)
 
 
 def _pmf_kernel(delta, M: int) -> np.ndarray:

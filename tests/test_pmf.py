@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import (
+    PI_LD,
     central_log_diff,
     mirror_flip_probability,
     mirror_phase,
@@ -106,6 +107,20 @@ class TestPmfValues:
         value = pmf_single(reg, 1 / 3, 3)
         assert abs(value - 0.6878376625896214) < 1e-12
         assert abs(value - oracle_pmf(3, 1 / 3, 3)) < 1e-12
+
+    @pytest.mark.parametrize("n", [20, 30])
+    def test_peak_bins_match_longdouble_closed_form(self, n):
+        # the peak bins have offsets below one; reducing a negative one by
+        # np.mod rounded it onto the last place of M, 1.4e-10 relative at
+        # n = 20 and 1.4e-7 at n = 30
+        reg = RegisterSpec(n)
+        M = np.longdouble(reg.M)
+        for theta in (1 / 3, 0.7, 0.123456789):
+            y0 = round(theta * reg.M)
+            for y in range(y0 - 2, y0 + 3):
+                d = np.longdouble(y) - np.longdouble(theta) * M
+                want = np.sin(PI_LD * d) ** 2 / (M**2 * np.sin(PI_LD * d / M) ** 2)
+                assert abs(pmf_single(reg, theta, y) - want) / want < 1e-15
 
     def test_matches_direct_sum_oracle(self):
         rng = np.random.default_rng(20)
