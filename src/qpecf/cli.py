@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -21,9 +20,6 @@ from .formatting import sig12
 from .model import PhaseModel, RegisterSpec
 from .pmf import fisher_information, pmf_vector
 from .simulate import ShotHistogram, SimUnitary, histogram_to_probs, sample_shots, simulate_distribution
-
-ENV_THREADS = "QPECF_THREADS"
-
 
 class _UsageError(Exception):
     pass
@@ -140,16 +136,6 @@ def _cmd_fisher(args) -> int:
     return 0
 
 
-def _default_threads() -> int:
-    value = os.environ.get(ENV_THREADS)
-    if value is None:
-        return 1
-    try:
-        return max(1, int(value))
-    except ValueError as exc:
-        raise ConfigError(f"{ENV_THREADS} must be an integer, got {value!r}") from exc
-
-
 def _cmd_bench(args) -> int:
     try:
         with open(args.config) as fh:
@@ -157,8 +143,7 @@ def _cmd_bench(args) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
     grid = BenchGrid.from_json_dict(data)
-    workers = args.threads if args.threads is not None else _default_threads()
-    records = run_grid(grid, workers=workers)
+    records = run_grid(grid, workers=args.threads)
     _write_text(args.out_csv, records_to_csv(records))
     if args.out_scaling is not None:
         try:
@@ -205,11 +190,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--config", required=True, help="grid config JSON path")
     sub.add_argument("--out-csv", required=True, help="per-cell CSV output path")
     sub.add_argument("--out-scaling", help="scaling-exponent JSON output path")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        help=f"worker process count (default: ${ENV_THREADS} or 1)",
-    )
+    sub.add_argument("--threads", type=int, default=1, help="worker process count (default 1)")
     sub.set_defaults(handler=_cmd_bench)
     return parser
 

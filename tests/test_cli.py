@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from qpecf.model import PhaseModel, RegisterSpec
 from qpecf.pmf import fisher_information, pmf_single, pmf_vector
 
 
-def cli(*args, env_extra=None):
-    env = None
-    if env_extra is not None:
-        env = {**os.environ, **env_extra}
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def cli(*args):
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC if not path else SRC + os.pathsep + path}
     return subprocess.run(
         [sys.executable, "-m", "qpecf", *args],
         capture_output=True,
@@ -301,19 +304,6 @@ class TestBenchCommand:
             assert proc.returncode == 0, proc.stderr
             outputs.append(csv_path.read_text())
         assert outputs[0] == outputs[1]
-
-    def test_threads_env_variable_is_honored(self, tmp_path):
-        config = tmp_path / "grid.json"
-        write_grid(config, shot_values=(50, 100), n_values=(2,), trials=3)
-        flag_csv = tmp_path / "flag.csv"
-        env_csv = tmp_path / "env.csv"
-        cli("bench", "--config", str(config), "--out-csv", str(flag_csv), "--threads", "2")
-        proc = cli(
-            "bench", "--config", str(config), "--out-csv", str(env_csv),
-            env_extra={"QPECF_THREADS": "2"},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert env_csv.read_text() == flag_csv.read_text()
 
     def test_malformed_config_names_the_field(self, tmp_path):
         config = tmp_path / "grid.json"
