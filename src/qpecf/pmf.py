@@ -36,18 +36,18 @@ def _reduce(delta: np.ndarray, M: int) -> np.ndarray:
     Subtracting the nearest multiple of M is exact, whereas np.mod would
     round a small negative offset onto the last place of M.
     """
-    d = delta - M * np.round(delta / M)
+    d = delta - M * np.rint(delta / M)
     return np.where(d <= -M / 2, d + M, d)
 
 
 def _pmf_kernel(delta, M: int) -> np.ndarray:
     """P as a function of delta = y - theta*M, elementwise over any shape."""
     d = np.atleast_1d(_reduce(np.asarray(delta, dtype=float), M))
-    e = d - np.round(d)
+    e = d - np.rint(d)
     with np.errstate(all="ignore"):
         out = (np.sin(np.pi * e) / (M * np.sin(np.pi * d / M))) ** 2
     small = np.abs(d) < SMALL_DELTA
-    if np.any(small):
+    if small.any():
         a = (np.pi * d[small]) ** 2
         b = a / M**2
         num = 1.0 - a / 6.0 + a * a / 120.0
@@ -63,13 +63,13 @@ def _score_kernel(delta, M: int) -> np.ndarray:
     where P is exactly zero; every consumer weights the score by P.
     """
     d = np.atleast_1d(_reduce(np.asarray(delta, dtype=float), M))
-    e = d - np.round(d)
+    e = d - np.rint(d)
     with np.errstate(all="ignore"):
         cot_e = np.cos(np.pi * e) / np.sin(np.pi * e)
         cot_dM = np.cos(np.pi * d / M) / np.sin(np.pi * d / M)
         out = 2.0 * np.pi * (cot_dM - M * cot_e)
     small = np.abs(d) < SMALL_DELTA
-    if np.any(small):
+    if small.any():
         ds = d[small]
         out[small] = 2.0 * np.pi * (
             np.pi * ds * (M - 1.0 / M) / 3.0
@@ -85,7 +85,7 @@ def _pmf_grad_kernel(delta, M: int) -> np.ndarray:
     divergence at integer delta, giving exactly 0 there.
     """
     d = np.atleast_1d(_reduce(np.asarray(delta, dtype=float), M))
-    e = d - np.round(d)
+    e = d - np.rint(d)
     with np.errstate(all="ignore"):
         se = np.sin(np.pi * e)
         ce = np.cos(np.pi * e)
@@ -93,7 +93,7 @@ def _pmf_grad_kernel(delta, M: int) -> np.ndarray:
         cd = np.cos(np.pi * d / M)
         out = 2.0 * np.pi * se * (se * cd / sd - M * ce) / (M**2 * sd**2)
     small = np.abs(d) < SMALL_DELTA
-    if np.any(small):
+    if small.any():
         out[small] = _pmf_kernel(d[small], M) * _score_kernel(d[small], M)
     return out
 
