@@ -9,6 +9,9 @@ limits that sampled data put on an estimator: the chance that least squares
 prefers the bin-mirror phase, and the error an on-bin component keeps.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 from scipy import stats
 
@@ -16,6 +19,13 @@ from qpecf.model import PhaseModel
 from qpecf.pmf import pmf_vector
 
 PI_LD = np.arccos(np.longdouble(-1.0))
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH, for subprocesses."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC if not path else SRC + os.pathsep + path}
 
 
 def oracle_pmf_vector(n: int, components) -> np.ndarray:

@@ -22,6 +22,7 @@ from conftest import (
     on_bin_error_bound,
     oracle_pmf_vector,
     random_phase_model,
+    src_env,
 )
 from test_pmf import FISHER_REFERENCE
 
@@ -149,6 +150,7 @@ def test_fisher_table_matches_references():
         [sys.executable, "-m", "qpecf", "fisher", "--n-min", "2", "--n-max", "8"],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     elapsed = time.perf_counter() - started
     assert proc.returncode == 0, proc.stderr

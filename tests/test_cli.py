@@ -2,15 +2,13 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import family_z, on_bin_error_bound
+from conftest import family_z, on_bin_error_bound, src_env
 from test_pmf import FISHER_REFERENCE
 
 from qpecf.formatting import sig12
@@ -18,17 +16,12 @@ from qpecf.model import PhaseModel, RegisterSpec
 from qpecf.pmf import fisher_information, pmf_single, pmf_vector
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
 def cli(*args):
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": SRC if not path else SRC + os.pathsep + path}
     return subprocess.run(
         [sys.executable, "-m", "qpecf", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
     )
 
 

@@ -1,9 +1,10 @@
 """Smoke runs of the scripts under scripts/, so a change to the API they use fails here."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import src_env
 
 from qpecf.bench import CSV_HEADER
 
@@ -11,14 +12,11 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def run_script(name, *args):
-    src = str(REPO / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
     return subprocess.run(
         [sys.executable, str(REPO / "scripts" / name), *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
     )
 
 
