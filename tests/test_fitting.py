@@ -2,14 +2,21 @@
 
 import numpy as np
 import pytest
-from conftest import fd_jacobian
+from conftest import fd_jacobian, random_phase_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpecf.errors import DomainError, FitError
 from qpecf.fitting import FitBounds, _problem, argmax_guess, fit_multi, fit_single
 from qpecf.model import OutcomeDistribution, PhaseModel, RegisterSpec
-from qpecf.pmf import analytic_distribution, pmf_single, pmf_vector, score
+from qpecf.pmf import (
+    _pmf_grad_kernel,
+    _pmf_kernel,
+    analytic_distribution,
+    pmf_single,
+    pmf_vector,
+    score,
+)
 from qpecf.simulate import histogram_to_probs, sample_shots
 from qpecf.solver import least_squares_box
 
@@ -254,6 +261,33 @@ class TestJacobians:
             analytic = jacobian(params)
             fd = fd_jacobian(residual, params)
             assert np.allclose(analytic, fd, rtol=1e-5, atol=1e-9)
+
+    @pytest.mark.parametrize("J", [2, 3, 4])
+    def test_multi_problem_matches_component_loop(self, J):
+        # the (J, M) evaluation must equal one kernel call per component,
+        # summed in component order, bit for bit
+        rng = np.random.default_rng(43 + J)
+        reg = RegisterSpec(4)
+        M = reg.M
+        y = np.arange(M, dtype=float)
+        probs = pmf_vector(reg, PhaseModel.from_pairs(random_phase_model(rng, J)))
+        residual, jacobian, weights_of = _problem(reg, J, probs)
+        for _ in range(10):
+            params = np.concatenate([rng.random(J), rng.dirichlet(np.ones(J))[: J - 1]])
+            w = weights_of(params)
+            P = [_pmf_kernel(y - params[j] * M, M) for j in range(J)]
+            total = np.zeros(M)
+            for j in range(J):
+                total += w[j] * P[j]
+            want = np.zeros((M, 2 * J - 1))
+            for j in range(J):
+                want[:, j] = w[j] * _pmf_grad_kernel(y - params[j] * M, M)
+            for j in range(J - 1):
+                want[:, J + j] = P[j] - P[J - 1]
+            got = jacobian(params)
+            assert np.array_equal(residual(params), total - probs)
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous
 
 
 class TestFitResultJson:

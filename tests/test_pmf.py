@@ -200,6 +200,18 @@ class TestPmfMulti:
             for y in range(reg.M):
                 assert pmf_vector(reg, model)[y] == pmf_single(reg, float(theta), y)
 
+    def test_matches_component_loop_exactly(self):
+        # one (J, M) kernel call summed over components must equal the
+        # per-component sum in component order, bit for bit
+        rng = np.random.default_rng(24)
+        for J in range(1, 6):
+            reg = RegisterSpec(4)
+            model = PhaseModel.from_pairs(random_phase_model(rng, J))
+            want = np.zeros(reg.M)
+            for c in model.components:
+                want += c.weight * np.array([pmf_single(reg, c.theta, y) for y in range(reg.M)])
+            assert np.array_equal(pmf_vector(reg, model), want)
+
     def test_linearity_in_weights(self):
         reg = RegisterSpec(3)
         model = PhaseModel.from_pairs([(0.5, 0.5), (1 / 3, 0.5)])
