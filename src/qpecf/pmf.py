@@ -41,7 +41,7 @@ def _reduce(delta: np.ndarray, M: int) -> np.ndarray:
 
 
 def _pmf_kernel(delta, M: int) -> np.ndarray:
-    """P as a function of delta = y - theta*M, elementwise over any shape."""
+    """P as a function of delta = y - theta*M, vectorized."""
     d = np.atleast_1d(_reduce(np.asarray(delta, dtype=float), M))
     e = d - np.rint(d)
     with np.errstate(all="ignore"):
@@ -57,7 +57,7 @@ def _pmf_kernel(delta, M: int) -> np.ndarray:
 
 
 def _score_kernel(delta, M: int) -> np.ndarray:
-    """d log P / d theta as a function of delta, elementwise over any shape.
+    """d log P / d theta as a function of delta, vectorized.
 
     Diverges (+-inf) only where delta is exactly a nonzero integer, i.e.
     where P is exactly zero; every consumer weights the score by P.
@@ -79,7 +79,7 @@ def _score_kernel(delta, M: int) -> np.ndarray:
 
 
 def _pmf_grad_kernel(delta, M: int) -> np.ndarray:
-    """d P / d theta (the product P * score evaluated jointly), elementwise over any shape.
+    """d P / d theta (the product P * score evaluated jointly), vectorized.
 
     Finite everywhere: the sin(pi e) prefactor cancels the score's
     divergence at integer delta, giving exactly 0 there.

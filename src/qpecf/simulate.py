@@ -20,7 +20,8 @@ from .pmf import _check_shots
 
 AMP_NORM_TOL = 1e-12
 STATE_NORM_TOL = 1e-10
-# The state costs O(M * system states) memory: a 210 MB peak at n = 20, J = 3.
+# The (M, J) state sets the memory: at n = 20, J = 3 a simulation peaks at
+# 192 MB resident (ru_maxrss), about 30 MB of it the interpreter.
 MAX_SIM_QUBITS = 20
 
 # theta is split at 26 bits so theta_hi * x is exact for x < 2**27 and the

@@ -111,8 +111,8 @@ class TestPmfValues:
     @pytest.mark.parametrize("n", [20, 30])
     def test_peak_bins_match_longdouble_closed_form(self, n):
         # the peak bins have offsets below one; reducing a negative one by
-        # np.mod rounded it onto the last place of M, 1.4e-10 relative at
-        # n = 20 and 1.4e-7 at n = 30
+        # np.mod rounded it onto the last place of M, up to 1.9e-10 relative
+        # at n = 20 and 1.7e-7 at n = 30
         reg = RegisterSpec(n)
         M = np.longdouble(reg.M)
         for theta in (1 / 3, 0.7, 0.123456789):
