@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Write one point of the performance trajectory as JSON.
+
+    python3 scripts/bench_perf.py BENCH_6.json
+
+Three parts, all single-process:
+
+1. Each north-star layer at pinned sizes, as the median wall time of 5
+   calls on inputs built outside the timed region. pmf_vector runs at
+   n = 20, not 24: at n = 24 one call peaks at 800 MB resident.
+2. configs/smoke_grid.json end to end (median of 5 runs) and
+   configs/full_grid.json once (about two minutes).
+3. The three perfbench workloads, each run as
+   ``perfbench/run.py --workload W --seed 1 --seconds 30 --trace 0``,
+   recording the reference-clocked trials_per_s, setup_s and peak_rss_mb.
+
+The point also records the CPU count and the Python and numpy versions.
+"""
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from qpecf.bench import BenchGrid, run_cell, run_grid
+from qpecf.fitting import fit_multi, fit_single
+from qpecf.model import PhaseModel, RegisterSpec
+from qpecf.pmf import analytic_distribution, fisher_information, pmf_vector
+from qpecf.simulate import SimUnitary, histogram_to_probs, sample_shots, simulate_distribution
+
+REPO = Path(__file__).resolve().parents[1]
+REPEATS = 5
+WORKLOADS = ("campaign_few", "campaign_mega", "readout_wide")
+TWO = ((1 / 3, 0.6), (0.7, 0.4))
+THREE = ((0.15, 0.5), (0.45, 0.3), (0.8, 0.2))
+
+
+def observed(n: int, pairs, k: int):
+    dist = analytic_distribution(RegisterSpec(n), PhaseModel.from_pairs(pairs))
+    return histogram_to_probs(sample_shots(dist, k, 1))
+
+
+def layer_calls():
+    """(layer, size, zero-argument call) for every timed layer."""
+    calls = []
+    for pairs in (((1 / 3, 1.0),), THREE):
+        model = PhaseModel.from_pairs(pairs)
+        calls.append(("pmf_vector", f"n=20 J={len(pairs)}",
+                      lambda m=model: pmf_vector(RegisterSpec(20), m)))
+    for n, k in ((3, 10**6), (8, 10**6)):
+        dist = analytic_distribution(RegisterSpec(n), PhaseModel.single(1 / 3))
+        calls.append(("sample_shots", f"n={n} k={k}", lambda d=dist, k=k: sample_shots(d, k, 1)))
+    for n, k in ((3, 4000), (8, 4000), (12, 10**5), (16, 10**5), (20, 10**5)):
+        dist = observed(n, ((1 / 3, 1.0),), k)
+        calls.append(("fit_single", f"n={n} k={k}", lambda d=dist: fit_single(d)))
+    for pairs, n in ((TWO, 3), (TWO, 8), (THREE, 5), (THREE, 10)):
+        dist = observed(n, pairs, 10**5)
+        J = len(pairs)
+        calls.append(("fit_multi", f"J={J} n={n} k=100000", lambda d=dist, J=J: fit_multi(d, J)))
+    for n in (12, 20):
+        unitary = SimUnitary.from_model(PhaseModel.from_pairs(THREE))
+        calls.append(("simulate_distribution", f"n={n} J=3",
+                      lambda n=n, u=unitary: simulate_distribution(RegisterSpec(n), u)))
+    calls.append(("fisher_information", "n=20", lambda: fisher_information(RegisterSpec(20))))
+    for n, k in ((3, 4000), (8, 10**6)):
+        calls.append(("run_cell", f"100 trials n={n} k={k}",
+                      lambda n=n, k=k: run_cell(1 / 3, RegisterSpec(n), k, 100, 12345)))
+    return calls
+
+
+def wall(fn) -> float:
+    started = time.perf_counter()
+    fn()
+    return time.perf_counter() - started
+
+
+def grid_run(name: str):
+    with open(REPO / "configs" / f"{name}.json") as fh:
+        grid = BenchGrid.from_json_dict(json.load(fh))
+    return lambda: run_grid(grid, workers=1)
+
+
+def perfbench(workload: str) -> dict:
+    # run.py puts the checkout's src on its workers' path itself.
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "30", "--trace", "0"],
+        cwd=REPO, capture_output=True, text=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    point = {name: metric["value"] for name, metric in result["metrics"].items()}
+    point["correct"] = result["correct"]
+    return point
+
+
+def main() -> None:
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUT.json")
+    layers = []
+    for layer, size, fn in layer_calls():
+        fn()  # warm caches and imports outside the timed calls
+        median = statistics.median(wall(fn) for _ in range(REPEATS))
+        layers.append({"layer": layer, "size": size, "median_s": median, "runs": REPEATS})
+        print(f"{layer:22s} {size:24s} {median * 1e3:10.3f} ms", flush=True)
+
+    end_to_end = []
+    for name, runs in (("smoke_grid", REPEATS), ("full_grid", 1)):
+        seconds = statistics.median(wall(grid_run(name)) for _ in range(runs))
+        end_to_end.append({"grid": f"configs/{name}.json", "wall_s": seconds, "runs": runs})
+        print(f"{name:22s} {'1 process':24s} {seconds:10.3f} s", flush=True)
+
+    workloads = {}
+    for workload in WORKLOADS:
+        workloads[workload] = perfbench(workload)
+        print(f"{workload:22s} {'perfbench':24s} {workloads[workload]}", flush=True)
+
+    point = {
+        "machine": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "layers": layers,
+        "end_to_end": end_to_end,
+        "perfbench": workloads,
+    }
+    Path(sys.argv[1]).write_text(json.dumps(point, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -8,8 +8,10 @@ resolution of the plain argmax readout.
 import argparse
 import math
 
+import numpy as np
+
 from qpecf.bench import circular_error
-from qpecf.fitting import argmax_guess, fit_single
+from qpecf.fitting import fit_single
 from qpecf.model import PhaseModel, RegisterSpec
 from qpecf.pmf import crlb_mse
 from qpecf.simulate import SimUnitary, histogram_to_probs, sample_shots, simulate_distribution
@@ -28,7 +30,7 @@ def main() -> None:
     hist = sample_shots(dist, args.shots, args.seed)
     observed = histogram_to_probs(hist)
 
-    traditional = argmax_guess(observed) / reg.M
+    traditional = int(np.argmax(observed.probs)) / reg.M
     result = fit_single(observed)
     crlb_rmse = math.sqrt(crlb_mse(reg, args.shots))
 

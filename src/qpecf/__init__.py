@@ -23,7 +23,6 @@ from .errors import ConfigError, DomainError, FitError
 from .fitting import (
     FitBounds,
     FitResult,
-    argmax_guess,
     fit_multi,
     fit_single,
 )
@@ -40,10 +39,7 @@ from .pmf import (
 from .simulate import (
     ShotHistogram,
     SimUnitary,
-    StateVector,
-    apply_inverse_fourier,
     histogram_to_probs,
-    kickback_state,
     sample_shots,
     simulate_distribution,
 )
@@ -67,10 +63,7 @@ __all__ = [
     "ShotHistogram",
     "SimUnitary",
     "SolverResult",
-    "StateVector",
     "analytic_distribution",
-    "apply_inverse_fourier",
-    "argmax_guess",
     "cell_estimates",
     "circuit_depth_units",
     "circular_error",
@@ -80,7 +73,6 @@ __all__ = [
     "fit_scaling_exponents",
     "fit_single",
     "histogram_to_probs",
-    "kickback_state",
     "least_squares_box",
     "pmf_single",
     "pmf_vector",

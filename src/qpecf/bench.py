@@ -49,6 +49,11 @@ class BenchGrid:
         shot_values = tuple(_check_int(k, "shots") for k in self.shot_values)
         if not phases or not n_values or not shot_values:
             raise DomainError("phases, n_values, and shot_values must be non-empty")
+        if 1 in n_values:
+            raise DomainError(
+                "n_values must not contain 1: at n = 1, theta and 1 - theta "
+                "give the same distribution"
+            )
         if any(k < 1 for k in shot_values):
             raise DomainError("every shot count must be >= 1")
         trials = _check_int(self.trials, "trials")

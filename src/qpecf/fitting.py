@@ -70,11 +70,6 @@ class FitResult:
         }
 
 
-def argmax_guess(dist: OutcomeDistribution) -> int:
-    """Smallest outcome index attaining the maximum probability."""
-    return int(np.argmax(dist.probs))
-
-
 def _top_bins(probs: np.ndarray, J: int) -> np.ndarray:
     """The J most probable outcomes in descending order, ties to the lower index."""
     rest = probs.copy()
@@ -136,12 +131,11 @@ def _corner_label(corner: tuple[int, ...]) -> str:
     return "corner " + "".join("LR"[c] for c in corner)
 
 
-def _fit(dist: OutcomeDistribution, J: int, starts=None) -> FitResult:
+def _fit(dist: OutcomeDistribution, J: int) -> FitResult:
     """Fit J phases and their weights; the solve with the lowest SSR wins.
 
-    starts, if given, is a list of (label, parameter vector) pairs;
-    otherwise the 2**J corners of the phase box are used, with uniform
-    weights. An exact SSR tie goes to the later start.
+    The solver runs from each of the 2**J corners of the phase box, nudged
+    inside, with uniform weights. An exact SSR tie goes to the later start.
     """
     M = dist.reg.M
     bins = _top_bins(dist.probs, J)
@@ -149,18 +143,15 @@ def _fit(dist: OutcomeDistribution, J: int, starts=None) -> FitResult:
     hi = (bins + 0.5) / M
     lower = np.concatenate([lo, np.zeros(J - 1)])
     upper = np.concatenate([hi, np.ones(J - 1)])
-    if starts is None:
-        nudge = NUDGE / M
-        weights = np.full(J - 1, 1.0 / J)
-        starts = [
-            (_corner_label(c), np.concatenate([np.where(c, hi - nudge, lo + nudge), weights]))
-            for c in itertools.product((0, 1), repeat=J)
-        ]
+    nudge = NUDGE / M
+    weights = np.full(J - 1, 1.0 / J)
     residual, jacobian, weights_of = _problem(dist.reg, J, dist.probs)
 
     best = None
     failures: list[str] = []
-    for label, start in starts:
+    for corner in itertools.product((0, 1), repeat=J):
+        label = _corner_label(corner)
+        start = np.concatenate([np.where(corner, hi - nudge, lo + nudge), weights])
         try:
             result = least_squares_box(residual, jacobian, start, lower, upper)
         except FitError as exc:
@@ -191,19 +182,19 @@ def fit_single(dist: OutcomeDistribution) -> FitResult:
 
     Runs the bounded solver from both ends of the half-bin interval around
     the argmax bin and keeps the solve with the lower SSR; an exact tie
-    goes to the later, right start.
+    goes to the later, right start. At n = 1, theta and 1 - theta give the
+    same distribution, so the fit returns one of two equal minima: the one
+    from the right start.
     """
     return _fit(dist, 1)
 
 
-def fit_multi(dist: OutcomeDistribution, J: int, starts=None) -> FitResult:
+def fit_multi(dist: OutcomeDistribution, J: int) -> FitResult:
     """Recover J phases and their weights from an observed distribution.
 
-    Default starts are the 2**J corner combinations of the per-phase
-    half-bin intervals around the J highest-probability bins, with uniform
-    weights; the solve with the lowest SSR wins. Custom starts, if given,
-    replace the corner set and must be strictly interior parameter vectors
-    [theta_1..theta_J, w_1..w_{J-1}].
+    Starts are the 2**J corner combinations of the per-phase half-bin
+    intervals around the J highest-probability bins, with uniform weights;
+    the solve with the lowest SSR wins.
     """
     J = _check_int(J, "J")
     if J < 2:
@@ -215,15 +206,4 @@ def fit_multi(dist: OutcomeDistribution, J: int, starts=None) -> FitResult:
     nonzero = int(np.count_nonzero(dist.probs))
     if nonzero < J:
         raise DomainError(f"J = {J} phases but only {nonzero} nonzero bins")
-
-    labeled = None
-    if starts is not None:
-        labeled = []
-        for i, vec in enumerate(starts):
-            vec = np.asarray(vec, dtype=float)
-            if vec.shape != (p,):
-                raise DomainError(f"start {i} must have {p} entries, got shape {vec.shape}")
-            labeled.append((f"start {i}", vec))
-        if not labeled:
-            raise DomainError("the start set must not be empty")
-    return _fit(dist, J, labeled)
+    return _fit(dist, J)

@@ -1,10 +1,11 @@
 """Statevector simulation of the phase estimation circuit, plus shot sampling.
 
-The circuit is simulated at the level of its exact state: Hadamards put the
-recording register in a uniform superposition, the controlled-unitary powers
-kick the eigenphases back onto it, and the inverse Fourier transform is
-applied as one FFT. Probabilities, not gate counts, are the product here, so
-no gate decomposition is performed.
+simulate_distribution is the simulator's one entry point. It works on the
+circuit's exact state: Hadamards put the recording register in a uniform
+superposition, the controlled-unitary powers kick the eigenphases back onto
+it, and the inverse Fourier transform is applied as one FFT. Probabilities,
+not gate counts, are the product here, so no gate decomposition is
+performed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .model import OutcomeDistribution, PhaseModel, RegisterSpec, _check_int
 from .pmf import _check_shots
 
 AMP_NORM_TOL = 1e-12
-STATE_NORM_TOL = 1e-10
 # The (M, J) state sets the memory: at n = 20, J = 3 a simulation peaks at
 # 192 MB resident (ru_maxrss), about 30 MB of it the interpreter.
 MAX_SIM_QUBITS = 20
@@ -67,26 +67,6 @@ class SimUnitary:
 
 
 @dataclass(frozen=True, eq=False)
-class StateVector:
-    """Joint state over (recording, system), amplitudes indexed [x, j]."""
-
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 2:
-            raise DomainError(f"amplitudes must be 2-d, got shape {amps.shape}")
-        if abs(self.norm - 1.0) > STATE_NORM_TOL:
-            raise DomainError(f"state norm must be 1 within {STATE_NORM_TOL}, got {self.norm!r}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(np.asarray(self.amplitudes)) ** 2)))
-
-
-@dataclass(frozen=True, eq=False)
 class ShotHistogram:
     """Observed counts per outcome state from k circuit executions."""
 
@@ -129,40 +109,25 @@ class ShotHistogram:
             raise ConfigError(f"invalid histogram JSON: {exc}") from exc
 
 
-def kickback_state(reg: RegisterSpec, unitary: SimUnitary) -> StateVector:
-    """State after the Hadamards and controlled-unitary powers.
+def simulate_distribution(reg: RegisterSpec, unitary: SimUnitary) -> OutcomeDistribution:
+    """Exact outcome distribution of the circuit: marginal over the system register.
 
-    Recording amplitude at x on system branch j carries
-    a_j e^{2 pi i theta_j x} / sqrt(M); the (M, J) state holds one column per
-    eigenphase, built in one broadcast.
+    After the Hadamards and controlled-unitary powers, the recording
+    amplitude at x on system branch j is a_j e^{2 pi i theta_j x} / sqrt(M),
+    one column per eigenphase of an (M, J) state. numpy's forward FFT
+    carries the kernel e^{-2 pi i y x / M}; scaled by 1/sqrt(M) it is the
+    unitary inverse QFT. The outcome probabilities are the row sums of the
+    squared moduli.
     """
     if reg.n > MAX_SIM_QUBITS:
         raise DomainError(f"simulation supports n <= {MAX_SIM_QUBITS}, got {reg.n}")
     M = reg.M
-    x = np.arange(M, dtype=float)[:, None]
-    kicks = np.exp(2j * np.pi * _phase_frac(np.array(unitary.eigenphases), x))
-    return StateVector(np.array(unitary.amplitudes) * kicks / math.sqrt(M))
-
-
-def apply_inverse_fourier(reg: RegisterSpec, state: StateVector) -> StateVector:
-    """Apply the inverse discrete Fourier transform to the recording register.
-
-    numpy's forward FFT carries the kernel e^{-2 pi i y x / M}; scaled by
-    1/sqrt(M) it is the unitary inverse QFT.
-    """
-    M = reg.M
-    if state.amplitudes.shape[0] != M:
-        raise DomainError(
-            f"state has {state.amplitudes.shape[0]} recording amplitudes, register has {M}"
-        )
-    return StateVector(np.fft.fft(state.amplitudes, axis=0) / math.sqrt(M))
-
-
-def simulate_distribution(reg: RegisterSpec, unitary: SimUnitary) -> OutcomeDistribution:
-    """Exact outcome distribution of the circuit: marginal over the system register."""
-    final = apply_inverse_fourier(reg, kickback_state(reg, unitary))
-    probs = np.sum(np.abs(final.amplitudes) ** 2, axis=1)
-    return OutcomeDistribution(reg, probs)
+    phases = np.array(unitary.eigenphases)
+    # Each stage rebinds state, so no array of an earlier stage outlives the next one.
+    state = np.exp(2j * np.pi * _phase_frac(phases, np.arange(M, dtype=float)[:, None]))
+    state = np.array(unitary.amplitudes) * state / math.sqrt(M)
+    state = np.fft.fft(state, axis=0) / math.sqrt(M)
+    return OutcomeDistribution(reg, np.sum(np.abs(state) ** 2, axis=1))
 
 
 def sample_shots(dist: OutcomeDistribution, k: int, seed) -> ShotHistogram:

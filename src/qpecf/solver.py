@@ -34,24 +34,15 @@ class SolverResult:
     status: str
 
 
-def least_squares_box(
-    residual,
-    jacobian,
-    start,
-    lower,
-    upper,
-    max_iter: int = MAX_ITER,
-    gtol: float = GTOL,
-    xtol: float = XTOL,
-) -> SolverResult:
+def least_squares_box(residual, jacobian, start, lower, upper) -> SolverResult:
     """Minimize sum(residual(x)**2) over the box [lower, upper].
 
     residual maps a parameter vector to a residual vector; jacobian returns
     its (m, p) derivative matrix. start must lie strictly inside the box.
-    Terminates when the normalized gradient drops below gtol (the cosine of
+    Terminates when the normalized gradient drops below GTOL (the cosine of
     the angle between the residual and the Jacobian columns, so quartically
     flat basins where the raw gradient vanishes identically are not mistaken
-    for convergence), when the step norm drops below xtol, or after max_iter
+    for convergence), when the step norm drops below XTOL, or after MAX_ITER
     iterations.
     """
     x = np.asarray(start, dtype=float).copy()
@@ -75,7 +66,7 @@ def least_squares_box(
     converged = False
     status = "maxiter"
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         if f == 0.0:
             converged = True
             status = "gtol"
@@ -84,7 +75,7 @@ def least_squares_box(
         column_norms = np.linalg.norm(J, axis=0)
         denom = column_norms * np.sqrt(f)
         cosine = np.divide(np.abs(g), denom, out=np.zeros_like(g), where=denom > 0)
-        if np.max(cosine) < gtol:
+        if np.max(cosine) < GTOL:
             converged = True
             status = "gtol"
             break
@@ -140,14 +131,14 @@ def least_squares_box(
                 J = np.asarray(jacobian(x), dtype=float)
                 lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
-                if np.linalg.norm(step) < xtol:
+                if np.linalg.norm(step) < XTOL:
                     converged = True
                     status = "xtol"
                     break
         if not accepted:
             lam *= nu
             nu *= 2.0
-            if np.linalg.norm(s) < xtol:
+            if np.linalg.norm(s) < XTOL:
                 converged = True
                 status = "xtol"
                 break

@@ -309,6 +309,14 @@ class TestGridConfig:
             with pytest.raises(ConfigError, match="invalid grid config"):
                 BenchGrid.from_json_dict({**self.GOOD, **patch})
 
+    def test_single_qubit_register_is_rejected(self):
+        # at n = 1, theta and 1 - theta give the same distribution, so a
+        # cell's RMSE would measure which of two equal minima the fit keeps
+        with pytest.raises(DomainError, match="1 - theta give the same distribution"):
+            BenchGrid((0.2,), (1, 2), (100,), 3, 7)
+        with pytest.raises(ConfigError, match="1 - theta give the same distribution"):
+            BenchGrid.from_json_dict({**self.GOOD, "n_values": [1]})
+
 
 class TestCsvRendering:
     def test_header_is_the_published_column_order(self):

@@ -326,6 +326,17 @@ class TestBenchCommand:
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 1 + 4  # the campaign itself completed
 
+    def test_single_qubit_register_exits_one(self, tmp_path):
+        config = tmp_path / "grid.json"
+        write_grid(config, shot_values=(50,), n_values=(1, 2), trials=2)
+        csv_path = tmp_path / "c.csv"
+        proc = cli("bench", "--config", str(config), "--out-csv", str(csv_path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "n = 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not csv_path.exists()
+
     def test_scaling_is_optional(self, tmp_path):
         config = tmp_path / "grid.json"
         write_grid(config, shot_values=(50, 100), n_values=(2,), trials=2)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpecf.errors import DomainError, FitError
-from qpecf.fitting import FitBounds, _problem, argmax_guess, fit_multi, fit_single
+from qpecf.fitting import FitBounds, _problem, fit_multi, fit_single
 from qpecf.model import OutcomeDistribution, PhaseModel, RegisterSpec
 from qpecf.pmf import (
     _pmf_grad_kernel,
@@ -23,17 +23,6 @@ from qpecf.solver import least_squares_box
 
 def exact_dist(n: int, pairs) -> OutcomeDistribution:
     return analytic_distribution(RegisterSpec(n), PhaseModel.from_pairs(pairs))
-
-
-class TestArgmaxGuess:
-    def test_examples(self):
-        reg = RegisterSpec(2)
-        assert argmax_guess(OutcomeDistribution(reg, np.array([0.1, 0.7, 0.1, 0.1]))) == 1
-        assert argmax_guess(OutcomeDistribution(reg, np.full(4, 0.25))) == 0
-
-    def test_leaky_phase_guess(self):
-        dist = exact_dist(3, [(1 / 3, 1.0)])
-        assert argmax_guess(dist) == 3  # traditional estimate 3/8
 
 
 class TestFitBounds:
@@ -108,7 +97,7 @@ class TestFitSingle:
             reg = RegisterSpec(n)
             probs = pmf_vector(reg, PhaseModel.single(theta))
             residual, jacobian, _ = _problem(reg, 1, probs)
-            guess = argmax_guess(OutcomeDistribution(reg, probs))
+            guess = int(np.argmax(probs))
             lo = (guess - 0.5) / reg.M
             hi = (guess + 0.5) / reg.M
             nudge = 1e-9 / reg.M
@@ -163,7 +152,7 @@ class TestFitSingle:
         dist = analytic_distribution(reg, PhaseModel.single(theta))
         observed = histogram_to_probs(sample_shots(dist, k, seed))
         result = fit_single(observed)
-        traditional = (argmax_guess(observed) / reg.M) % 1.0
+        traditional = (int(np.argmax(observed.probs)) / reg.M) % 1.0
         resid = pmf_vector(reg, PhaseModel.single(traditional)) - observed.probs
         traditional_variance = float(resid @ resid) / (reg.M - 1)
         assert result.residual_variance <= traditional_variance + 1e-15
@@ -203,16 +192,6 @@ class TestFitMulti:
         for phase, bounds in zip(result.phases, result.bounds):
             assert bounds.contains(phase)
 
-    def test_custom_start_is_used(self):
-        dist = exact_dist(3, [(1 / 3, 0.5), (0.5, 0.5)])
-        default = fit_multi(dist, 2)
-        # phase slots follow descending bin probability: bin 4 outranks bin 3
-        start = np.array([0.5 - 1e-3, 1 / 3 - 1e-3, 0.5])
-        custom = fit_multi(dist, 2, starts=[start])
-        assert custom.start_used == "start 0"
-        assert abs(custom.phases[0] - default.phases[0]) < 1e-6
-        assert abs(custom.phases[1] - default.phases[1]) < 1e-6
-
     def test_domain_errors(self):
         indicator = exact_dist(3, [(3 / 8, 1.0)])
         with pytest.raises(DomainError):
@@ -222,10 +201,6 @@ class TestFitMulti:
             fit_multi(dist, 1)
         with pytest.raises(DomainError):
             fit_multi(exact_dist(1, [(1 / 3, 0.5), (0.61, 0.5)]), 2)  # 3 params, 2 bins
-        with pytest.raises(DomainError):
-            fit_multi(dist, 2, starts=[])
-        with pytest.raises(DomainError):
-            fit_multi(dist, 2, starts=[np.zeros(4)])
 
     def test_multistart_labels(self):
         result = fit_multi(exact_dist(3, [(1 / 3, 0.5), (0.5, 0.5)]), 2)

@@ -1,5 +1,9 @@
-"""Smoke runs of the scripts under scripts/, so a change to the API they use fails here."""
+"""Smoke runs of the scripts under scripts/, so a change to the API they use fails here.
 
+Also checks that the committed performance point still has every field.
+"""
+
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +45,24 @@ def test_run_full_grid_writes_the_campaign_csv(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert csv.read_text().splitlines()[0] == CSV_HEADER
     assert scaling.exists()
+
+
+def test_committed_bench_point_names_every_layer():
+    point = json.loads((REPO / "BENCH_6.json").read_text())
+    assert set(point["machine"]) == {"cpu_count", "python", "numpy"}
+    assert {entry["layer"] for entry in point["layers"]} == {
+        "pmf_vector",
+        "sample_shots",
+        "fit_single",
+        "fit_multi",
+        "simulate_distribution",
+        "fisher_information",
+        "run_cell",
+    }
+    assert all(entry["median_s"] > 0 for entry in point["layers"])
+    assert [entry["grid"] for entry in point["end_to_end"]] == [
+        "configs/smoke_grid.json",
+        "configs/full_grid.json",
+    ]
+    assert set(point["perfbench"]) == {"campaign_few", "campaign_mega", "readout_wide"}
+    assert all(run["trials_per_s"] > 0 for run in point["perfbench"].values())
