@@ -5,9 +5,14 @@
 
 Three parts, all single-process:
 
-1. Each north-star layer at pinned sizes, as the median wall time of 5
-   calls on inputs built outside the timed region. pmf_vector runs at
-   n = 20, not 24: at n = 24 one call peaks at 800 MB resident.
+1. Each north-star layer at pinned sizes, as the median of 5 calls on
+   inputs built outside the timed region, in wall seconds and in reference
+   seconds. The reference clock is perfbench's (perfbench/refclock.py,
+   with the campaign_few kernel): each call is divided by the fixed kernel
+   timed right before and after it, so a machine that runs slower for a
+   while stretches both and two points taken apart stay comparable.
+   pmf_vector runs at n = 20, not 24: at n = 24 one call peaks at 800 MB
+   resident.
 2. configs/smoke_grid.json end to end (median of 5 runs) and
    configs/full_grid.json once (about two minutes).
 3. The three perfbench workloads, each run as
@@ -35,6 +40,8 @@ from qpecf.pmf import analytic_distribution, fisher_information, pmf_vector
 from qpecf.simulate import SimUnitary, histogram_to_probs, sample_shots, simulate_distribution
 
 REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "perfbench"))
+from refclock import KERNELS, RefClock  # noqa: E402
 REPEATS = 5
 WORKLOADS = ("campaign_few", "campaign_mega", "readout_wide")
 TWO = ((1 / 3, 0.6), (0.7, 0.4))
@@ -103,11 +110,16 @@ def main() -> None:
     if len(sys.argv) != 2:
         sys.exit(f"usage: {sys.argv[0]} OUT.json")
     layers = []
+    clock = RefClock(KERNELS["campaign_few"])
     for layer, size, fn in layer_calls():
         fn()  # warm caches and imports outside the timed calls
-        median = statistics.median(wall(fn) for _ in range(REPEATS))
-        layers.append({"layer": layer, "size": size, "median_s": median, "runs": REPEATS})
-        print(f"{layer:22s} {size:24s} {median * 1e3:10.3f} ms", flush=True)
+        runs = [clock.time(fn)[1:] for _ in range(REPEATS)]
+        median = statistics.median(wall_s for wall_s, _ in runs)
+        median_ref = statistics.median(ref_s for _, ref_s in runs)
+        layers.append({"layer": layer, "size": size, "median_s": median,
+                       "median_ref_s": median_ref, "runs": REPEATS})
+        print(f"{layer:22s} {size:24s} {median * 1e3:10.3f} ms {median_ref * 1e3:10.3f} ref ms",
+              flush=True)
 
     end_to_end = []
     for name, runs in (("smoke_grid", REPEATS), ("full_grid", 1)):

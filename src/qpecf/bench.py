@@ -20,8 +20,10 @@ import numpy as np
 from .errors import ConfigError, DomainError, FitError
 from .fitting import fit_single
 from .formatting import sig12
-from .model import PhaseModel, RegisterSpec, _check_int
-from .pmf import _check_theta, analytic_distribution, circuit_depth_units, crlb_mse
+from .model import (
+    PhaseModel, RegisterSpec, _check_fields, _check_int, _check_seed, _check_shots, _check_theta,
+)
+from .pmf import analytic_distribution, circuit_depth_units, crlb_mse
 from .simulate import histogram_to_probs, sample_shots
 
 # A cell whose exclusion rate exceeds this fraction is flagged invalid.
@@ -31,6 +33,10 @@ CSV_HEADER = (
     "theta_true,n,M,k,trials,excluded,rmse,mean_abs_error,"
     "crlb_rmse,ratio,traditional_error,depth_units"
 )
+# The JSON type of each BenchGrid field.
+_GRID_FIELDS = {
+    "phases": list, "n_values": list, "shot_values": list, "trials": int, "base_seed": int,
+}
 
 
 @dataclass(frozen=True)
@@ -46,7 +52,7 @@ class BenchGrid:
     def __post_init__(self) -> None:
         phases = tuple(_check_theta(t) for t in self.phases)
         n_values = tuple(RegisterSpec(n).n for n in self.n_values)
-        shot_values = tuple(_check_int(k, "shots") for k in self.shot_values)
+        shot_values = tuple(_check_shots(k) for k in self.shot_values)
         if not phases or not n_values or not shot_values:
             raise DomainError("phases, n_values, and shot_values must be non-empty")
         if 1 in n_values:
@@ -54,12 +60,8 @@ class BenchGrid:
                 "n_values must not contain 1: at n = 1, theta and 1 - theta "
                 "give the same distribution"
             )
-        if any(k < 1 for k in shot_values):
-            raise DomainError("every shot count must be >= 1")
-        trials = _check_int(self.trials, "trials")
-        if trials < 1:
-            raise DomainError(f"trials must be >= 1, got {trials}")
-        base_seed = _check_int(self.base_seed, "base_seed")
+        trials = _check_int(self.trials, "trials", 1)
+        base_seed = _check_seed(self.base_seed, "base_seed")
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "shot_values", shot_values)
@@ -68,29 +70,10 @@ class BenchGrid:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BenchGrid":
-        if not isinstance(data, dict):
-            raise ConfigError("grid config must be a JSON object")
-        fields = {
-            "phases": list,
-            "n_values": list,
-            "shot_values": list,
-            "trials": int,
-            "base_seed": int,
-        }
-        for name, kind in fields.items():
-            if name not in data:
-                raise ConfigError(f"config field '{name}' is missing")
-            if not isinstance(data[name], kind) or isinstance(data[name], bool):
-                raise ConfigError(f"config field '{name}' must be a {kind.__name__}")
+        _check_fields(data, _GRID_FIELDS, "grid config")
         try:
-            return cls(
-                phases=tuple(float(t) for t in data["phases"]),
-                n_values=tuple(data["n_values"]),
-                shot_values=tuple(data["shot_values"]),
-                trials=data["trials"],
-                base_seed=data["base_seed"],
-            )
-        except (DomainError, TypeError, ValueError) as exc:
+            return cls(**{name: data[name] for name in _GRID_FIELDS})
+        except (DomainError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid grid config: {exc}") from exc
 
     def to_json_dict(self) -> dict:

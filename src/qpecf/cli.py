@@ -32,45 +32,40 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def parse_phase(text: str) -> float:
-    """Parse a phase flag: decimal or exact rational 'p/q', in [0, 1).
+def _parse_number(text: str) -> float:
+    """Parse a decimal or exact rational 'p/q' flag value; PhaseComponent checks its range.
 
     '1/3' parses to the nearest representable real of one third.
     """
     try:
-        value = float(Fraction(text.strip()))
-    except (ValueError, ZeroDivisionError) as exc:
+        return float(Fraction(text.strip()))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"cannot parse {text!r} as a number") from exc
-    if not 0.0 <= value < 1.0:
-        raise ConfigError(f"phase must lie in [0, 1), got {text!r}")
-    return value
-
-
-def parse_weight(text: str) -> float:
-    try:
-        value = float(Fraction(text.strip()))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"cannot parse {text!r} as a number") from exc
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"weight must lie in [0, 1], got {text!r}")
-    return value
 
 
 def _parse_component(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
         raise ConfigError(f"component must look like 'theta:weight', got {text!r}")
-    return parse_phase(parts[0]), parse_weight(parts[1])
+    return _parse_number(parts[0]), _parse_number(parts[1])
 
 
 def _model_from_args(args) -> PhaseModel:
     if args.theta is not None and args.component:
         raise ConfigError("give either --theta or --component, not both")
     if args.theta is not None:
-        return PhaseModel.single(parse_phase(args.theta))
+        return PhaseModel.single(_parse_number(args.theta))
     if args.component:
         return PhaseModel.from_pairs(_parse_component(c) for c in args.component)
     raise ConfigError("one of --theta or --component is required")
+
+
+def _read_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, non-UTF-8 bytes, an over-long integer
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _write_text(path: str, text: str) -> None:
@@ -109,13 +104,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    try:
-        with open(args.counts) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.counts}: invalid JSON: {exc}") from exc
-    hist = ShotHistogram.from_json_dict(data)
-    dist = histogram_to_probs(hist)
+    dist = histogram_to_probs(ShotHistogram.from_json_dict(_read_json(args.counts)))
     if args.phases == 1:
         result = fit_single(dist)
     else:
@@ -137,13 +126,7 @@ def _cmd_fisher(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        with open(args.config) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
-    grid = BenchGrid.from_json_dict(data)
-    records = run_grid(grid, workers=args.threads)
+    records = run_grid(BenchGrid.from_json_dict(_read_json(args.config)), workers=args.threads)
     _write_text(args.out_csv, records_to_csv(records))
     if args.out_scaling is not None:
         try:
@@ -203,10 +186,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ConfigError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (FitError, np.linalg.LinAlgError) as exc:

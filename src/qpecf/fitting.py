@@ -196,9 +196,7 @@ def fit_multi(dist: OutcomeDistribution, J: int) -> FitResult:
     intervals around the J highest-probability bins, with uniform weights;
     the solve with the lowest SSR wins.
     """
-    J = _check_int(J, "J")
-    if J < 2:
-        raise DomainError(f"multi-phase fit needs J >= 2, got {J}")
+    J = _check_int(J, "J", 2)
     M = dist.reg.M
     p = 2 * J - 1
     if p >= M:

@@ -6,10 +6,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 # M**2 terms must stay exact in float64, so n is capped well below 2**53.
 MAX_RECORDING_QUBITS = 30
+# multinomial draws its counts as int64, so a shot count must fit in one.
+MAX_SHOTS = 2**63 - 1
 
 WEIGHT_SUM_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
@@ -17,10 +19,45 @@ PROB_SUM_TOL = 1e-10
 PROB_ENTRY_TOL = 1e-12
 
 
-def _check_int(value, name: str) -> int:
+def _check_int(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """value as an int; bools, non-integers and values outside [lo, hi] are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if lo is not None and value < lo:
+        raise DomainError(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise DomainError(f"{name} must be <= {hi}, got {value}")
+    return value
+
+
+def _check_theta(value, name: str = "theta") -> float:
+    """A phase in revolutions: a float in [0, 1). NaN and infinities fail the comparison."""
+    theta = float(value)
+    if not 0.0 <= theta < 1.0:
+        raise DomainError(f"{name} must lie in [0, 1), got {value!r}")
+    return theta
+
+
+def _check_shots(k) -> int:
+    """A shot count: 1 <= k <= MAX_SHOTS."""
+    return _check_int(k, "shots", 1, MAX_SHOTS)
+
+
+def _check_seed(seed, name: str = "seed") -> int:
+    """An integer seed: any int >= 0, as SeedSequence takes it."""
+    return _check_int(seed, name, 0)
+
+
+def _check_fields(data, fields: dict, what: str) -> None:
+    """Raise ConfigError unless data is a JSON object holding each field with its type."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    for name, kind in fields.items():
+        if name not in data:
+            raise ConfigError(f"{what} field '{name}' is missing")
+        if not isinstance(data[name], kind) or isinstance(data[name], bool):
+            raise ConfigError(f"{what} field '{name}' must be a {kind.__name__}")
 
 
 @dataclass(frozen=True)
@@ -30,10 +67,7 @@ class RegisterSpec:
     n: int
 
     def __post_init__(self) -> None:
-        n = _check_int(self.n, "n")
-        if not 1 <= n <= MAX_RECORDING_QUBITS:
-            raise DomainError(f"n must be in [1, {MAX_RECORDING_QUBITS}], got {n}")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _check_int(self.n, "n", 1, MAX_RECORDING_QUBITS))
 
     @property
     def M(self) -> int:
@@ -48,13 +82,10 @@ class PhaseComponent:
     weight: float
 
     def __post_init__(self) -> None:
-        theta = float(self.theta)
+        object.__setattr__(self, "theta", _check_theta(self.theta))
         weight = float(self.weight)
-        if not np.isfinite(theta) or not 0.0 <= theta < 1.0:
-            raise DomainError(f"theta must lie in [0, 1), got {self.theta!r}")
-        if not np.isfinite(weight) or not 0.0 <= weight <= 1.0:
+        if not 0.0 <= weight <= 1.0:
             raise DomainError(f"weight must lie in [0, 1], got {self.weight!r}")
-        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "weight", weight)
 
 

@@ -24,8 +24,9 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
-from .model import OutcomeDistribution, PhaseModel, RegisterSpec, _check_int
+from .model import (
+    OutcomeDistribution, PhaseModel, RegisterSpec, _check_int, _check_shots, _check_theta,
+)
 
 SMALL_DELTA = 1e-6
 
@@ -98,31 +99,10 @@ def _pmf_grad_kernel(delta, M: int) -> np.ndarray:
     return out
 
 
-def _check_theta(theta) -> float:
-    theta = float(theta)
-    if not np.isfinite(theta) or not 0.0 <= theta < 1.0:
-        raise DomainError(f"theta must lie in [0, 1), got {theta!r}")
-    return theta
-
-
-def _check_y(y, M: int) -> int:
-    y = _check_int(y, "y")
-    if not 0 <= y < M:
-        raise DomainError(f"y must lie in [0, {M}), got {y}")
-    return y
-
-
-def _check_shots(k) -> int:
-    k = _check_int(k, "k")
-    if k < 1:
-        raise DomainError(f"shot count must be >= 1, got {k}")
-    return k
-
-
 def pmf_single(reg: RegisterSpec, theta: float, y: int) -> float:
     """Probability of outcome y for a single eigenphase theta."""
     theta = _check_theta(theta)
-    y = _check_y(y, reg.M)
+    y = _check_int(y, "y", 0, reg.M - 1)
     return float(_pmf_kernel(y - theta * reg.M, reg.M)[0])
 
 
@@ -140,7 +120,7 @@ def analytic_distribution(reg: RegisterSpec, model: PhaseModel) -> OutcomeDistri
 def score(reg: RegisterSpec, theta: float, y: int) -> float:
     """Sensitivity d log P(y) / d theta at a single eigenphase."""
     theta = _check_theta(theta)
-    y = _check_y(y, reg.M)
+    y = _check_int(y, "y", 0, reg.M - 1)
     return float(_score_kernel(y - theta * reg.M, reg.M)[0])
 
 

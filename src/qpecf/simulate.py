@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .model import OutcomeDistribution, PhaseModel, RegisterSpec, _check_int
-from .pmf import _check_shots
+from .model import (
+    MAX_SHOTS, OutcomeDistribution, PhaseModel, RegisterSpec,
+    _check_fields, _check_int, _check_seed, _check_shots, _check_theta,
+)
 
 AMP_NORM_TOL = 1e-12
 # The (M, J) state sets the memory: at n = 20, J = 3 a simulation peaks at
@@ -44,7 +46,7 @@ class SimUnitary:
     amplitudes: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        phases = tuple(float(t) for t in self.eigenphases)
+        phases = tuple(_check_theta(t, "eigenphase") for t in self.eigenphases)
         amps = tuple(complex(a) for a in self.amplitudes)
         if not phases:
             raise DomainError("at least one eigenphase is required")
@@ -52,9 +54,6 @@ class SimUnitary:
             raise DomainError(
                 f"{len(phases)} eigenphases but {len(amps)} amplitudes"
             )
-        for t in phases:
-            if not np.isfinite(t) or not 0.0 <= t < 1.0:
-                raise DomainError(f"eigenphase must lie in [0, 1), got {t!r}")
         norm = sum(abs(a) ** 2 for a in amps)
         if abs(norm - 1.0) > AMP_NORM_TOL:
             raise DomainError(f"amplitude norm must be 1 within {AMP_NORM_TOL}, got {norm!r}")
@@ -77,13 +76,11 @@ class ShotHistogram:
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.int64)
         counts.setflags(write=False)
-        shots = _check_int(self.shots, "shots")
+        shots = _check_shots(self.shots)
         if counts.shape != (self.reg.M,):
             raise DomainError(f"counts must have shape ({self.reg.M},), got {counts.shape}")
         if counts.min(initial=0) < 0:
             raise DomainError("counts must be non-negative")
-        if shots < 1:
-            raise DomainError(f"shots must be >= 1, got {shots}")
         if int(counts.sum()) != shots:
             raise DomainError(f"counts sum to {int(counts.sum())}, expected shots = {shots}")
         object.__setattr__(self, "counts", counts)
@@ -94,17 +91,10 @@ class ShotHistogram:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ShotHistogram":
-        if not isinstance(data, dict):
-            raise ConfigError("histogram JSON must be an object")
-        for key in ("n", "shots", "counts"):
-            if key not in data:
-                raise ConfigError(f"histogram JSON is missing the '{key}' field")
+        _check_fields(data, {"n": int, "shots": int, "counts": list}, "histogram JSON")
         try:
-            reg = RegisterSpec(data["n"])
-            counts = data["counts"]
-            if not isinstance(counts, list):
-                raise DomainError("'counts' must be a list")
-            return cls(reg, np.array([_check_int(c, "count") for c in counts]), data["shots"])
+            counts = [_check_int(c, "count", 0, MAX_SHOTS) for c in data["counts"]]
+            return cls(RegisterSpec(data["n"]), np.array(counts), data["shots"])
         except DomainError as exc:
             raise ConfigError(f"invalid histogram JSON: {exc}") from exc
 
@@ -133,17 +123,21 @@ def simulate_distribution(reg: RegisterSpec, unitary: SimUnitary) -> OutcomeDist
 def sample_shots(dist: OutcomeDistribution, k: int, seed) -> ShotHistogram:
     """Draw k outcomes from dist in one multinomial draw; deterministic for a fixed seed.
 
-    seed may be an int, a numpy SeedSequence, or a ready Generator. The
-    counter-based Philox generator keeps streams reproducible regardless of
-    how calls are scheduled across processes. The tiny negative entries and
-    sum error that OutcomeDistribution tolerates are clipped and renormalised
-    away, since multinomial rejects both.
+    seed is one of three kinds: an int >= 0, a numpy SeedSequence, or a
+    ready Generator, which is drawn from as it stands. An int seed and a
+    SeedSequence built from it give the same counts. The counter-based
+    Philox generator keeps streams reproducible regardless of how calls are
+    scheduled across processes. The tiny negative entries and sum error
+    that OutcomeDistribution tolerates are clipped and renormalised away,
+    since multinomial rejects both.
     """
     k = _check_shots(k)
     if isinstance(seed, np.random.Generator):
         rng = seed
-    else:
+    elif isinstance(seed, np.random.SeedSequence):
         rng = np.random.Generator(np.random.Philox(seed))
+    else:
+        rng = np.random.Generator(np.random.Philox(_check_seed(seed)))
     p = np.clip(dist.probs, 0.0, None)
     return ShotHistogram(dist.reg, rng.multinomial(k, p / p.sum()), k)
 

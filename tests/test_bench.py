@@ -305,6 +305,9 @@ class TestGridConfig:
             {"shot_values": []},
             {"trials": 0},
             {"n_values": [0]},
+            {"base_seed": -1},
+            {"shot_values": [2**63]},
+            {"phases": [10**400]},
         ):
             with pytest.raises(ConfigError, match="invalid grid config"):
                 BenchGrid.from_json_dict({**self.GOOD, **patch})

@@ -11,6 +11,7 @@ import pytest
 from conftest import family_z, on_bin_error_bound, src_env
 from test_pmf import FISHER_REFERENCE
 
+from qpecf.bench import CSV_HEADER
 from qpecf.formatting import sig12
 from qpecf.model import PhaseModel, RegisterSpec
 from qpecf.pmf import fisher_information, pmf_single, pmf_vector
@@ -23,6 +24,13 @@ def cli(*args):
         text=True,
         env=src_env(),
     )
+
+
+def assert_exits_one(proc, context=None):
+    """Bad input: exit 1 with an 'error:' line, never a traceback."""
+    assert proc.returncode == 1, context
+    assert proc.stderr.startswith("error:"), (context, proc.stderr)
+    assert "Traceback" not in proc.stderr, context
 
 
 class TestPmfCommand:
@@ -76,10 +84,10 @@ class TestPmfCommand:
             ["pmf", "--n", "0", "--theta", "0.25"],
             ["pmf", "--n", "3", "--theta", "0.25", "--component", "1/3:1"],
             ["pmf", "--n", "3", "--component", "1/3:0.6", "--component", "1/2:0.6"],
+            ["pmf", "--n", "3", "--theta", "1e400"],
+            ["pmf", "--n", "3", "--component", "1/3:1e400"],
         ):
-            proc = cli(*argv)
-            assert proc.returncode == 1, argv
-            assert proc.stderr.strip(), argv
+            assert_exits_one(cli(*argv), argv)
 
 
 class TestSimulateCommand:
@@ -112,16 +120,19 @@ class TestSimulateCommand:
         assert counts[3] == 300
 
     def test_zero_shots_exits_one(self):
-        proc = cli("simulate", "--n", "3", "--theta", "1/3", "--shots", "0")
-        assert proc.returncode == 1
-        assert proc.stderr.strip()
+        # multinomial draws at most 2**63 - 1 shots
+        for shots in ("0", "100000000000000000000000"):
+            assert_exits_one(cli("simulate", "--n", "3", "--theta", "1/3", "--shots", shots), shots)
+
+    def test_negative_seed_exits_one(self):
+        proc = cli("simulate", "--n", "3", "--theta", "1/3", "--shots", "10", "--seed", "-1")
+        assert_exits_one(proc)
+        assert "seed" in proc.stderr
 
     def test_register_past_the_cap_exits_one(self):
         proc = cli("simulate", "--n", "21", "--theta", "1/3", "--shots", "1000")
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error:")
+        assert_exits_one(proc)
         assert "20" in proc.stderr
-        assert "Traceback" not in proc.stderr
 
     def test_largest_register_simulates(self, tmp_path):
         hist = tmp_path / "hist.json"
@@ -190,18 +201,21 @@ class TestFitCommand:
         assert out.read_text() == second.stdout
 
     def test_error_paths_exit_one(self, tmp_path):
-        missing = cli("fit", "--counts", str(tmp_path / "absent.json"))
-        assert missing.returncode == 1 and missing.stderr.strip()
+        assert_exits_one(cli("fit", "--counts", str(tmp_path / "absent.json")))
 
         garbled = tmp_path / "garbled.json"
         garbled.write_text("{not json")
-        bad = cli("fit", "--counts", str(garbled))
-        assert bad.returncode == 1 and bad.stderr.strip()
+        assert_exits_one(cli("fit", "--counts", str(garbled)))
+
+        # counts are int64, so a count must stay <= 2**63 - 1
+        for big in (2**63, 2**64):
+            huge = tmp_path / f"huge{big}.json"
+            huge.write_text(json.dumps({"n": 2, "shots": big, "counts": [big, 0, 0, 0]}))
+            assert_exits_one(cli("fit", "--counts", str(huge)), big)
 
         point_mass = tmp_path / "point.json"
         cli("simulate", "--n", "3", "--theta", "3/8", "--shots", "100", "--out", str(point_mass))
-        two = cli("fit", "--counts", str(point_mass), "--phases", "2")
-        assert two.returncode == 1 and two.stderr.strip()
+        assert_exits_one(cli("fit", "--counts", str(point_mass), "--phases", "2"))
 
 
 class TestFisherCommand:
@@ -248,13 +262,11 @@ class TestFisherCommand:
             assert line == f"{n},{M},{sig12(fi)},{sig12(1.0 / math.sqrt(fi))}"
 
     def test_inverted_range_exits_one(self):
-        proc = cli("fisher", "--n-min", "5", "--n-max", "3")
-        assert proc.returncode == 1 and proc.stderr.strip()
-        proc = cli("fisher", "--n-min", "0")
-        assert proc.returncode == 1 and proc.stderr.strip()
+        assert_exits_one(cli("fisher", "--n-min", "5", "--n-max", "3"))
+        assert_exits_one(cli("fisher", "--n-min", "0"))
 
 
-def write_grid(path, *, shot_values, n_values=(2, 3, 4), trials=4):
+def write_grid(path, *, shot_values, n_values=(2, 3, 4), trials=4, base_seed=9):
     path.write_text(
         json.dumps(
             {
@@ -262,7 +274,7 @@ def write_grid(path, *, shot_values, n_values=(2, 3, 4), trials=4):
                 "n_values": list(n_values),
                 "shot_values": list(shot_values),
                 "trials": trials,
-                "base_seed": 9,
+                "base_seed": base_seed,
             }
         )
     )
@@ -280,7 +292,7 @@ class TestBenchCommand:
         )
         assert proc.returncode == 0, proc.stderr
         lines = csv_path.read_text().splitlines()
-        assert lines[0].startswith("theta_true,")
+        assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 9
         summary = json.loads(scaling_path.read_text())
         assert set(summary) == {"slope_vs_k", "slope_vs_M", "cells_used"}
@@ -304,14 +316,26 @@ class TestBenchCommand:
             "phases": [0.2], "n_values": [3], "shot_values": [100], "base_seed": 1,
         }))
         proc = cli("bench", "--config", str(config), "--out-csv", str(tmp_path / "x.csv"))
-        assert proc.returncode == 1
+        assert_exits_one(proc)
         assert "'trials'" in proc.stderr
 
     def test_unparseable_config_exits_one(self, tmp_path):
         config = tmp_path / "grid.json"
         config.write_text("{oops")
-        proc = cli("bench", "--config", str(config), "--out-csv", str(tmp_path / "x.csv"))
-        assert proc.returncode == 1 and proc.stderr.strip()
+        assert_exits_one(
+            cli("bench", "--config", str(config), "--out-csv", str(tmp_path / "x.csv"))
+        )
+
+    @pytest.mark.parametrize(
+        "grid", [{"shot_values": (50,), "base_seed": -1}, {"shot_values": (2**63,)}],
+        ids=["negative-seed", "shots-past-int64"],
+    )
+    def test_out_of_range_values_exit_one_before_the_campaign(self, tmp_path, grid):
+        config = tmp_path / "grid.json"
+        write_grid(config, n_values=(2, 3), trials=2, **grid)
+        csv_path = tmp_path / "c.csv"
+        assert_exits_one(cli("bench", "--config", str(config), "--out-csv", str(csv_path)))
+        assert not csv_path.exists()
 
     def test_insufficient_scaling_span_exits_two_with_csv_written(self, tmp_path):
         config = tmp_path / "grid.json"
@@ -331,10 +355,8 @@ class TestBenchCommand:
         write_grid(config, shot_values=(50,), n_values=(1, 2), trials=2)
         csv_path = tmp_path / "c.csv"
         proc = cli("bench", "--config", str(config), "--out-csv", str(csv_path))
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error:")
+        assert_exits_one(proc)
         assert "n = 1" in proc.stderr
-        assert "Traceback" not in proc.stderr
         assert not csv_path.exists()
 
     def test_scaling_is_optional(self, tmp_path):
@@ -345,14 +367,18 @@ class TestBenchCommand:
 
 
 class TestTopLevelUsage:
+    # argparse's own failures carry the program name, not an 'error:' prefix
     def test_bare_invocation_exits_one(self):
         proc = cli()
         assert proc.returncode == 1 and proc.stderr.strip()
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_subcommand_exits_one(self):
         proc = cli("frobnicate")
         assert proc.returncode == 1 and proc.stderr.strip()
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_flag_exits_one(self):
         proc = cli("pmf", "--n", "3", "--theta", "1/3", "--bogus")
         assert proc.returncode == 1 and proc.stderr.strip()
+        assert "Traceback" not in proc.stderr

@@ -129,6 +129,8 @@ class TestSampling:
         by_generator = sample_shots(dist, 10_000, np.random.Generator(np.random.Philox(7))).counts
         assert np.array_equal(by_int, by_sequence)
         assert np.array_equal(by_int, by_generator)
+        with pytest.raises(DomainError, match="seed"):
+            sample_shots(dist, 10, -1)
 
     def test_wide_register_pmf_with_sum_roundoff(self):
         # sums to 1 + 9.6e-11, inside OutcomeDistribution's tolerance but
@@ -143,8 +145,9 @@ class TestSampling:
 
     def test_zero_shots_rejected(self):
         dist = OutcomeDistribution(RegisterSpec(2), np.full(4, 0.25))
-        with pytest.raises(DomainError):
-            sample_shots(dist, 0, 1)
+        for k in (0, 2**63):
+            with pytest.raises(DomainError):
+                sample_shots(dist, k, 1)
 
     def test_indicator_distribution(self):
         reg = RegisterSpec(3)
@@ -229,3 +232,7 @@ class TestHistogram:
             ShotHistogram.from_json_dict({**good, "counts": [1, 2, 3]})
         with pytest.raises(ConfigError):
             ShotHistogram.from_json_dict({**good, "shots": "10"})
+        # counts are int64, so a count must stay <= 2**63 - 1
+        for big in (2**63, 2**64):
+            with pytest.raises(ConfigError, match="count must be <="):
+                ShotHistogram.from_json_dict({"n": 2, "shots": big, "counts": [big, 0, 0, 0]})
