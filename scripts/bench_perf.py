@@ -14,7 +14,7 @@ Three parts, all single-process:
    pmf_vector runs at n = 20, not 24: at n = 24 one call peaks at 800 MB
    resident.
 2. configs/smoke_grid.json end to end (median of 5 runs) and
-   configs/full_grid.json once (about two minutes).
+   configs/full_grid.json once (10–15 s on 2 vCPUs).
 3. The three perfbench workloads, each run as
    ``perfbench/run.py --workload W --seed 1 --seconds 30 --trace 0``,
    recording the reference-clocked trials_per_s, setup_s and peak_rss_mb.

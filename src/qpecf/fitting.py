@@ -23,6 +23,10 @@ from .solver import least_squares_box
 # Starts sit this fraction of a bin width inside the bounds; the solver
 # requires strict interiority while the recipe starts exactly at the bounds.
 NUDGE = 1e-9
+# A solver call holds at most max(1, BATCH_ELEMENTS // M) problems, which
+# bounds its (problems, M) arrays: a campaign cell is one call, and n >= 16
+# registers are solved one problem at a time.
+BATCH_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -71,58 +75,65 @@ class FitResult:
 
 
 def _top_bins(probs: np.ndarray, J: int) -> np.ndarray:
-    """The J most probable outcomes in descending order, ties to the lower index."""
+    """Each row's J most probable outcomes in descending order, ties to the lower index."""
     rest = probs.copy()
-    bins = []
-    for _ in range(J):
-        bins.append(int(np.argmax(rest)))
-        rest[bins[-1]] = -np.inf
-    return np.array(bins, dtype=float)
+    rows = np.arange(len(probs))
+    bins = np.empty((len(probs), J))
+    for j in range(J):
+        bins[:, j] = np.argmax(rest, axis=1)
+        rest[rows, bins[:, j].astype(int)] = -np.inf
+    return bins
+
+
+def _weights(params: np.ndarray, J: int) -> np.ndarray:
+    """All J weights of each row of (B, p) parameters; the last is 1 minus the free ones."""
+    w = np.empty((len(params), J))
+    w[:, : J - 1] = params[:, J:]
+    w[:, J - 1] = 1.0 - params[:, J:].sum(axis=1)
+    return w
 
 
 def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
-    """Residual, Jacobian and weights over [theta_1..theta_J, w_1..w_{J-1}].
+    """Batched residual and Jacobian over [theta_1..theta_J, w_1..w_{J-1}].
 
-    Phases are in the unwrapped local coordinate of their intervals. The
-    last weight is 1 minus the free weights, so weights sum to 1 by
-    construction; for J >= 3 that trailing weight is not box-constrained.
-    J = 1 has no free weight, and its residual is a single kernel call.
-    For J >= 2 the components are the rows of one (J, M) offset array: the
-    residual is one kernel call summed over that axis, and the Jacobian one
-    pmf and one gradient kernel call, whatever J is.
+    probs holds the observed pmfs, (B, M) with one row per problem or
+    (1, M) shared by all; the residual maps (B, p) parameters to (B, M)
+    residuals and the Jacobian to (B, M, p). Phases are in the unwrapped
+    local coordinate of their intervals. The last weight is 1 minus the free
+    weights, so weights sum to 1 by construction; for J >= 3 that trailing
+    weight is not box-constrained. J = 1 has no free weight, and its
+    residual is a single kernel call. For J >= 2 the components of all
+    problems are one (B, J, M) offset array: the residual is one kernel call
+    summed over the component axis, and the Jacobian one pmf and one
+    gradient kernel call, whatever J is.
     """
     M = reg.M
     y = np.arange(M, dtype=float)
 
-    def weights_of(params: np.ndarray) -> np.ndarray:
-        w = np.empty(J)
-        w[: J - 1] = params[J:]
-        w[J - 1] = 1.0 - params[J:].sum()
-        return w
-
     if J == 1:
 
         def residual(params: np.ndarray) -> np.ndarray:
-            return _pmf_kernel(y - params[0] * M, M) - probs
+            return _pmf_kernel(y - params[:, :1] * M, M) - probs
 
         def jacobian(params: np.ndarray) -> np.ndarray:
-            return _pmf_grad_kernel(y - params[0] * M, M).reshape(M, 1)
+            return _pmf_grad_kernel(y - params[:, :1] * M, M).reshape(len(params), M, 1)
 
-        return residual, jacobian, weights_of
+        return residual, jacobian
 
     def residual(params: np.ndarray) -> np.ndarray:
-        P = _pmf_kernel(y - params[:J, None] * M, M)
-        return (weights_of(params)[:, None] * P).sum(axis=0) - probs
+        P = _pmf_kernel(y - params[:, :J, None] * M, M)
+        return (_weights(params, J)[:, :, None] * P).sum(axis=1) - probs
 
     def jacobian(params: np.ndarray) -> np.ndarray:
-        delta = y - params[:J, None] * M
+        delta = y - params[:, :J, None] * M
         P = _pmf_kernel(delta, M)
-        out = np.empty((M, 2 * J - 1))
-        out[:, :J] = (weights_of(params)[:, None] * _pmf_grad_kernel(delta, M)).T
-        out[:, J:] = (P[:-1] - P[-1]).T
+        out = np.empty((len(params), M, 2 * J - 1))
+        grad = _weights(params, J)[:, :, None] * _pmf_grad_kernel(delta, M)
+        out[:, :, :J] = grad.transpose(0, 2, 1)
+        out[:, :, J:] = (P[:, :-1] - P[:, -1:]).transpose(0, 2, 1)
         return out
 
-    return residual, jacobian, weights_of
+    return residual, jacobian
 
 
 def _corner_label(corner: tuple[int, ...]) -> str:
@@ -131,50 +142,90 @@ def _corner_label(corner: tuple[int, ...]) -> str:
     return "corner " + "".join("LR"[c] for c in corner)
 
 
-def _fit(dist: OutcomeDistribution, J: int) -> FitResult:
-    """Fit J phases and their weights; the solve with the lowest SSR wins.
+def _fit(reg: RegisterSpec, probs: np.ndarray, J: int) -> list:
+    """Fit J phases and their weights to each row of a (T, M) array of pmfs.
 
-    The solver runs from each of the 2**J corners of the phase box, nudged
-    inside, with uniform weights. An exact SSR tie goes to the later start.
+    Each trial's solver runs from the 2**J corners of its phase box, nudged
+    inside, with uniform weights; the solve with the lowest SSR wins, and an
+    exact SSR tie goes to the later start. The T * 2**J solves go to the
+    solver in batches of at most max(1, BATCH_ELEMENTS // M) problems, so one
+    call serves every trial of a small register. Returns one FitResult per
+    trial, or a FitError naming each start's failure when all of them failed.
     """
-    M = dist.reg.M
-    bins = _top_bins(dist.probs, J)
+    M = reg.M
+    T = len(probs)
+    bins = _top_bins(probs, J)
     lo = (bins - 0.5) / M
     hi = (bins + 0.5) / M
-    lower = np.concatenate([lo, np.zeros(J - 1)])
-    upper = np.concatenate([hi, np.ones(J - 1)])
     nudge = NUDGE / M
-    weights = np.full(J - 1, 1.0 / J)
-    residual, jacobian, weights_of = _problem(dist.reg, J, dist.probs)
-
-    best = None
-    failures: list[str] = []
-    for corner in itertools.product((0, 1), repeat=J):
-        label = _corner_label(corner)
-        start = np.concatenate([np.where(corner, hi - nudge, lo + nudge), weights])
-        try:
-            result = least_squares_box(residual, jacobian, start, lower, upper)
-        except FitError as exc:
-            failures.append(f"{label}: {exc}")
-            continue
-        if best is None or result.ssr <= best[1].ssr:
-            best = label, result
-    if best is None:
-        raise FitError("all starts failed: " + "; ".join(failures))
-
-    label, result = best
-    thetas = np.mod(result.x[:J], 1.0)
-    weights = weights_of(result.x)
-    ascending = np.argsort(thetas, kind="stable")
-    return FitResult(
-        phases=tuple(float(thetas[j]) for j in ascending),
-        weights=tuple(float(weights[j]) for j in ascending),
-        residual_variance=result.ssr / max(M - (2 * J - 1), 1),
-        start_used=label,
-        iterations=result.iterations,
-        converged=result.converged,
-        bounds=tuple(FitBounds(float(lo[j] % 1.0), float(hi[j] % 1.0)) for j in ascending),
+    corners = list(itertools.product((0, 1), repeat=J))
+    S = len(corners)
+    # Problem t * S + c starts trial t from corner c.
+    phase_start = np.where(
+        np.array(corners, dtype=bool)[None], hi[:, None] - nudge, lo[:, None] + nudge
     )
+    start = np.concatenate(
+        [phase_start.reshape(T * S, J), np.full((T * S, J - 1), 1.0 / J)], axis=1
+    )
+    lower = np.repeat(np.concatenate([lo, np.zeros((T, J - 1))], axis=1), S, axis=0)
+    upper = np.repeat(np.concatenate([hi, np.ones((T, J - 1))], axis=1), S, axis=0)
+
+    x = np.empty_like(start)
+    ssr = np.empty(T * S)
+    iterations = np.empty(T * S, dtype=int)
+    converged = np.empty(T * S, dtype=bool)
+    status = np.empty(T * S, dtype=object)
+    size = max(1, BATCH_ELEMENTS // M)
+    for first in range(0, T * S, size):
+        batch = slice(first, first + size)
+        # A lone trial's pmf broadcasts over its starts; several are spelled out per problem.
+        observed = probs if T == 1 else probs[np.arange(T * S)[batch] // S]
+        residual, jacobian = _problem(reg, J, observed)
+        result = least_squares_box(residual, jacobian, start[batch], lower[batch], upper[batch])
+        x[batch], ssr[batch] = result.x, result.ssr
+        iterations[batch], converged[batch], status[batch] = (
+            result.iterations, result.converged, result.status
+        )
+
+    weights = _weights(x, J)
+    thetas = np.mod(x[:, :J], 1.0)
+    fits = []
+    for t in range(T):
+        best = None
+        failures = []
+        for c in range(S):
+            i = t * S + c
+            if status[i] == "nonfinite":
+                failures.append(
+                    f"{_corner_label(corners[c])}: non-finite residual at the starting point"
+                )
+            elif best is None or ssr[i] <= ssr[best]:
+                best, label = i, _corner_label(corners[c])
+        if best is None:
+            fits.append(FitError("all starts failed: " + "; ".join(failures)))
+            continue
+        ascending = np.argsort(thetas[best], kind="stable")
+        fits.append(
+            FitResult(
+                phases=tuple(float(thetas[best, j]) for j in ascending),
+                weights=tuple(float(weights[best, j]) for j in ascending),
+                residual_variance=float(ssr[best]) / max(M - (2 * J - 1), 1),
+                start_used=label,
+                iterations=int(iterations[best]),
+                converged=bool(converged[best]),
+                bounds=tuple(
+                    FitBounds(float(lo[t, j] % 1.0), float(hi[t, j] % 1.0)) for j in ascending
+                ),
+            )
+        )
+    return fits
+
+
+def _fit_one(dist: OutcomeDistribution, J: int) -> FitResult:
+    (result,) = _fit(dist.reg, dist.probs[np.newaxis], J)
+    if isinstance(result, FitError):
+        raise result
+    return result
 
 
 def fit_single(dist: OutcomeDistribution) -> FitResult:
@@ -186,7 +237,7 @@ def fit_single(dist: OutcomeDistribution) -> FitResult:
     same distribution, so the fit returns one of two equal minima: the one
     from the right start.
     """
-    return _fit(dist, 1)
+    return _fit_one(dist, 1)
 
 
 def fit_multi(dist: OutcomeDistribution, J: int) -> FitResult:
@@ -204,4 +255,4 @@ def fit_multi(dist: OutcomeDistribution, J: int) -> FitResult:
     nonzero = int(np.count_nonzero(dist.probs))
     if nonzero < J:
         raise DomainError(f"J = {J} phases but only {nonzero} nonzero bins")
-    return _fit(dist, J)
+    return _fit_one(dist, J)

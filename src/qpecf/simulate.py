@@ -94,7 +94,11 @@ class ShotHistogram:
         _check_fields(data, {"n": int, "shots": int, "counts": list}, "histogram JSON")
         try:
             counts = [_check_int(c, "count", 0, MAX_SHOTS) for c in data["counts"]]
-            return cls(RegisterSpec(data["n"]), np.array(counts), data["shots"])
+            hist = cls(RegisterSpec(data["n"]), np.array(counts), data["shots"])
+            # The int64 sum that __post_init__ compares wraps at 2**64; this one is exact.
+            if sum(counts) != hist.shots:
+                raise DomainError(f"counts sum to {sum(counts)}, expected shots = {hist.shots}")
+            return hist
         except DomainError as exc:
             raise ConfigError(f"invalid histogram JSON: {exc}") from exc
 

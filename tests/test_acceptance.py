@@ -224,10 +224,10 @@ def test_score_and_jacobian_match_finite_differences():
         n = int(rng.integers(2, 7))
         reg = RegisterSpec(n)
         probs = pmf_vector(reg, PhaseModel.single(float(rng.random())))
-        residual, jacobian, _ = _problem(reg, 1, probs)
+        residual, jacobian = _problem(reg, 1, probs[np.newaxis])
         point = np.array([float(rng.uniform(1e-6, 1 - 1e-6))])
-        fd = fd_jacobian(residual, point, h=step)
-        analytic = jacobian(point)
+        fd = fd_jacobian(lambda q: residual(q[np.newaxis])[0], point, h=step)
+        analytic = jacobian(point[np.newaxis])[0]
         denom = max(float(np.linalg.norm(analytic)), 1e-12)
         worst_jac = max(worst_jac, float(np.linalg.norm(fd - analytic)) / denom)
 

@@ -213,6 +213,13 @@ class TestFitCommand:
             huge.write_text(json.dumps({"n": 2, "shots": big, "counts": [big, 0, 0, 0]}))
             assert_exits_one(cli("fit", "--counts", str(huge)), big)
 
+        # the exact count sum is checked, not its int64 sum, which wraps to 1
+        wrapped = tmp_path / "wrapped.json"
+        wrapped.write_text(json.dumps({"n": 2, "shots": 1, "counts": [2**63 - 1, 2**63 - 1, 3, 0]}))
+        proc = cli("fit", "--counts", str(wrapped))
+        assert_exits_one(proc)
+        assert f"counts sum to {2**64 + 1}" in proc.stderr
+
         point_mass = tmp_path / "point.json"
         cli("simulate", "--n", "3", "--theta", "3/8", "--shots", "100", "--out", str(point_mass))
         assert_exits_one(cli("fit", "--counts", str(point_mass), "--phases", "2"))

@@ -77,16 +77,12 @@ class TestFitSingle:
         for n, y in [(2, 1), (3, 2), (5, 10), (8, 85)]:
             reg = RegisterSpec(n)
             probs = pmf_vector(reg, PhaseModel.single(y / reg.M))
-            residual, jacobian, _ = _problem(reg, 1, probs)
+            residual, jacobian = _problem(reg, 1, probs[np.newaxis])
             lo = (y - 0.5) / reg.M
             hi = (y + 0.5) / reg.M
             nudge = 1e-9 / reg.M
-            ends = []
-            for s0 in (lo + nudge, hi - nudge):
-                result = least_squares_box(
-                    residual, jacobian, np.array([s0]), np.array([lo]), np.array([hi])
-                )
-                ends.append(result.x[0])
+            starts = np.array([[lo + nudge], [hi - nudge]])
+            ends = least_squares_box(residual, jacobian, starts, lo, hi).x[:, 0]
             assert abs(ends[0] - ends[1]) < 1e-8
 
     def test_tie_break_selects_global_basin_on_exact_data(self):
@@ -96,26 +92,22 @@ class TestFitSingle:
         for theta, n in [(1 / 3, 3), (1 / 5, 4), (1 / 7, 2)]:
             reg = RegisterSpec(n)
             probs = pmf_vector(reg, PhaseModel.single(theta))
-            residual, jacobian, _ = _problem(reg, 1, probs)
+            residual, jacobian = _problem(reg, 1, probs[np.newaxis])
             guess = int(np.argmax(probs))
             lo = (guess - 0.5) / reg.M
             hi = (guess + 0.5) / reg.M
             nudge = 1e-9 / reg.M
-            attempts = []
-            for s0 in (lo + nudge, hi - nudge):
-                result = least_squares_box(
-                    residual, jacobian, np.array([s0]), np.array([lo]), np.array([hi])
-                )
-                attempts.append((result.ssr, result.x[0]))
-            best = min(attempts, key=lambda item: item[0])
-            assert abs(best[1] - theta) < 1e-9
+            starts = np.array([[lo + nudge], [hi - nudge]])
+            result = least_squares_box(residual, jacobian, starts, lo, hi)
+            best = int(np.argmin(result.ssr))
+            assert abs(result.x[best, 0] - theta) < 1e-9
 
     def test_jacobian_is_pmf_times_score(self):
         # the solver's analytic Jacobian equals P * d(log P)/d(theta)
         reg = RegisterSpec(3)
-        _, jacobian, _ = _problem(reg, 1, np.zeros(reg.M))
+        _, jacobian = _problem(reg, 1, np.zeros((1, reg.M)))
         theta = 0.337
-        jac = jacobian(np.array([theta]))[:, 0]
+        jac = jacobian(np.array([[theta]]))[0, :, 0]
         for y in range(reg.M):
             want = pmf_single(reg, theta, y) * score(reg, theta, y)
             assert abs(jac[y] - want) < 1e-12
@@ -126,10 +118,11 @@ class TestFitSingle:
         assert result.iterations >= 1
 
     def test_both_start_failures_surface_as_fit_error(self, monkeypatch):
-        def explode(*args, **kwargs):
-            raise FitError("synthetic failure")
+        # a residual that is NaN at both starts fails each problem of the batch
+        def nan_residual(residual, jacobian, *args):
+            return least_squares_box(lambda x: residual(x) * np.nan, jacobian, *args)
 
-        monkeypatch.setattr("qpecf.fitting.least_squares_box", explode)
+        monkeypatch.setattr("qpecf.fitting.least_squares_box", nan_residual)
         with pytest.raises(FitError, match="all starts failed: left: .*; right: "):
             fit_single(exact_dist(3, [(1 / 3, 1.0)]))
 
@@ -213,18 +206,18 @@ class TestJacobians:
         rng = np.random.default_rng(41)
         reg = RegisterSpec(3)
         probs = pmf_vector(reg, PhaseModel.single(1 / 3))
-        residual, jacobian, _ = _problem(reg, 1, probs)
+        residual, jacobian = _problem(reg, 1, probs[np.newaxis])
         for _ in range(50):
             params = np.array([(3 + rng.uniform(-0.45, 0.45)) / reg.M])
-            analytic = jacobian(params)
-            fd = fd_jacobian(residual, params)
+            analytic = jacobian(params[np.newaxis])[0]
+            fd = fd_jacobian(lambda q: residual(q[np.newaxis])[0], params)
             assert np.allclose(analytic, fd, rtol=1e-5, atol=1e-9)
 
     def test_multi_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         reg = RegisterSpec(3)
         probs = pmf_vector(reg, PhaseModel.from_pairs([(1 / 3, 0.5), (0.5, 0.5)]))
-        residual, jacobian, _ = _problem(reg, 2, probs)
+        residual, jacobian = _problem(reg, 2, probs[np.newaxis])
         for _ in range(50):
             params = np.array(
                 [
@@ -233,23 +226,28 @@ class TestJacobians:
                     rng.uniform(0.1, 0.9),
                 ]
             )
-            analytic = jacobian(params)
-            fd = fd_jacobian(residual, params)
+            analytic = jacobian(params[np.newaxis])[0]
+            fd = fd_jacobian(lambda q: residual(q[np.newaxis])[0], params)
             assert np.allclose(analytic, fd, rtol=1e-5, atol=1e-9)
 
     @pytest.mark.parametrize("J", [2, 3, 4])
     def test_multi_problem_matches_component_loop(self, J):
-        # the (J, M) evaluation must equal one kernel call per component,
-        # summed in component order, bit for bit
+        # the (B, J, M) evaluation of a batch must equal, row by row, one
+        # kernel call per component summed in component order, bit for bit
         rng = np.random.default_rng(43 + J)
         reg = RegisterSpec(4)
         M = reg.M
         y = np.arange(M, dtype=float)
         probs = pmf_vector(reg, PhaseModel.from_pairs(random_phase_model(rng, J)))
-        residual, jacobian, weights_of = _problem(reg, J, probs)
-        for _ in range(10):
-            params = np.concatenate([rng.random(J), rng.dirichlet(np.ones(J))[: J - 1]])
-            w = weights_of(params)
+        residual, jacobian = _problem(reg, J, probs[np.newaxis])
+        batch = np.array(
+            [np.concatenate([rng.random(J), rng.dirichlet(np.ones(J))[: J - 1]]) for _ in range(10)]
+        )
+        got_residual = residual(batch)
+        got = jacobian(batch)
+        assert got.flags.c_contiguous
+        for params, got_r, got_j in zip(batch, got_residual, got):
+            w = np.append(params[J:], 1.0 - params[J:].sum())
             P = [_pmf_kernel(y - params[j] * M, M) for j in range(J)]
             total = np.zeros(M)
             for j in range(J):
@@ -259,10 +257,8 @@ class TestJacobians:
                 want[:, j] = w[j] * _pmf_grad_kernel(y - params[j] * M, M)
             for j in range(J - 1):
                 want[:, J + j] = P[j] - P[J - 1]
-            got = jacobian(params)
-            assert np.array_equal(residual(params), total - probs)
-            assert np.array_equal(got, want)
-            assert got.flags.c_contiguous
+            assert np.array_equal(got_r, total - probs)
+            assert np.array_equal(got_j, want)
 
 
 class TestFitResultJson:

@@ -236,3 +236,7 @@ class TestHistogram:
         for big in (2**63, 2**64):
             with pytest.raises(ConfigError, match="count must be <="):
                 ShotHistogram.from_json_dict({"n": 2, "shots": big, "counts": [big, 0, 0, 0]})
+        # two maximal counts whose int64 sum wraps round to the stated 1 shot
+        wrapped = {"n": 2, "shots": 1, "counts": [2**63 - 1, 2**63 - 1, 3, 0]}
+        with pytest.raises(ConfigError, match=f"counts sum to {2**64 + 1}, expected shots = 1"):
+            ShotHistogram.from_json_dict(wrapped)

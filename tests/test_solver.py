@@ -1,11 +1,15 @@
-"""Box-constrained least-squares solver on standalone problems."""
+"""Box-constrained least-squares solver on standalone problems.
+
+The solver is batched: each standalone problem goes in as a batch of one,
+and stacked problems must each come out exactly as they do alone.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpecf.errors import DomainError, FitError
+from qpecf.errors import DomainError
 from qpecf.solver import least_squares_box
 
 
@@ -16,75 +20,149 @@ def quadratic(center):
         return x - center
 
     def jacobian(x):
-        return np.eye(center.size)
+        return np.broadcast_to(np.eye(center.size), (len(x), center.size, center.size))
 
     return residual, jacobian
+
+
+def linear(A, b):
+    """Residual A x - b per problem; A is (m, p) or one (m, p) matrix per row of b."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+
+    def residual(x):
+        return (A @ x[:, :, np.newaxis])[:, :, 0] - b
+
+    def jacobian(x):
+        return np.broadcast_to(A, (len(x),) + A.shape[-2:])
+
+    return residual, jacobian
+
+
+def solve_one(residual, jacobian, start, lower, upper):
+    """A batch of one: 1-D start and bounds in, the one problem's results out."""
+    result = least_squares_box(residual, jacobian, np.atleast_1d(start)[np.newaxis], lower, upper)
+    return (
+        result.x[0],
+        float(result.ssr[0]),
+        int(result.iterations[0]),
+        bool(result.converged[0]),
+        str(result.status[0]),
+    )
+
+
+# The straight-line fit of TestBoundedNls: a non-identity Jacobian.
+LINE_A = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+LINE_B = np.array([0.1, 0.9, 2.2, 2.8])
 
 
 class TestLeastSquaresBox:
     def test_linear_recovery_from_both_ends(self):
         residual, jacobian = quadratic([0.3])
         for start in (0.01, 0.49):
-            result = least_squares_box(
-                residual, jacobian, np.array([start]), np.array([0.0]), np.array([0.5])
+            x, ssr, _, converged, status = solve_one(
+                residual, jacobian, start, np.array([0.0]), np.array([0.5])
             )
-            assert abs(result.x[0] - 0.3) < 1e-12
-            assert result.ssr >= 0.0
-            assert result.converged
-            assert result.status in ("gtol", "xtol")
+            assert abs(x[0] - 0.3) < 1e-12
+            assert ssr >= 0.0
+            assert converged
+            assert status in ("gtol", "xtol")
 
     def test_interior_quadratic_bowl(self):
         residual, jacobian = quadratic([0.2, -0.7, 1.1])
         lower = np.array([-2.0, -2.0, -2.0])
         upper = np.array([2.0, 2.0, 2.0])
-        result = least_squares_box(residual, jacobian, np.zeros(3) + 0.1, lower, upper)
-        assert np.max(np.abs(result.x - [0.2, -0.7, 1.1])) < 1e-10
-        assert result.ssr < 1e-20
+        x, ssr, _, _, _ = solve_one(residual, jacobian, np.zeros(3) + 0.1, lower, upper)
+        assert np.max(np.abs(x - [0.2, -0.7, 1.1])) < 1e-10
+        assert ssr < 1e-20
 
     def test_minimum_outside_box_lands_on_boundary(self):
         residual, jacobian = quadratic([3.0])
-        result = least_squares_box(
+        x, _, _, converged, _ = solve_one(
             residual, jacobian, np.array([0.5]), np.array([0.0]), np.array([1.0])
         )
-        assert abs(result.x[0] - 1.0) < 1e-9
-        assert result.converged
+        assert abs(x[0] - 1.0) < 1e-9
+        assert converged
 
     def test_rosenbrock_valley_in_box(self):
         def residual(x):
-            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+            return np.stack([10.0 * (x[:, 1] - x[:, 0] ** 2), 1.0 - x[:, 0]], axis=1)
 
         def jacobian(x):
-            return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+            out = np.zeros((len(x), 2, 2))
+            out[:, 0, 0] = -20.0 * x[:, 0]
+            out[:, 0, 1] = 10.0
+            out[:, 1, 0] = -1.0
+            return out
 
-        result = least_squares_box(
+        x, _, iterations, converged, _ = solve_one(
             residual, jacobian, np.array([-1.2, 1.0]), np.array([-2.0, -2.0]), np.array([2.0, 2.0])
         )
-        assert np.max(np.abs(result.x - 1.0)) < 1e-8
-        assert result.converged
-        assert result.iterations < 200
+        assert np.max(np.abs(x - 1.0)) < 1e-8
+        assert converged
+        assert iterations < 200
 
     def test_start_must_be_strictly_interior(self):
         residual, jacobian = quadratic([0.3])
         lower, upper = np.array([0.0]), np.array([1.0])
         with pytest.raises(DomainError):
-            least_squares_box(residual, jacobian, np.array([0.0]), lower, upper)
+            solve_one(residual, jacobian, np.array([0.0]), lower, upper)
         with pytest.raises(DomainError):
-            least_squares_box(residual, jacobian, np.array([1.5]), lower, upper)
+            solve_one(residual, jacobian, np.array([1.5]), lower, upper)
 
     def test_degenerate_box_rejected(self):
         residual, jacobian = quadratic([0.3])
         with pytest.raises(DomainError):
-            least_squares_box(residual, jacobian, np.array([0.5]), np.array([1.0]), np.array([0.0]))
-
-    def test_nonfinite_residual_at_start_raises(self):
-        def residual(x):
-            return np.array([float("nan")])
-
-        def jacobian(x):
-            return np.array([[1.0]])
-
-        with pytest.raises(FitError):
+            solve_one(residual, jacobian, np.array([0.5]), np.array([1.0]), np.array([0.0]))
+        # a start without its batch axis, and bounds that do not fit the start
+        with pytest.raises(DomainError):
             least_squares_box(residual, jacobian, np.array([0.5]), np.array([0.0]), np.array([1.0]))
+        with pytest.raises(DomainError):
+            least_squares_box(residual, jacobian, np.array([[0.5]]), np.zeros(2), np.ones(2))
+
+    def test_nonfinite_residual_at_start_fails_only_that_problem(self):
+        # row 1's data is NaN, so its residual is non-finite at its start
+        A = np.stack([np.eye(4, 2), LINE_A, np.eye(4, 2)])
+        b = np.stack([[0.3, -0.4, 0.0, 0.0], np.full(4, np.nan), [3.0, 0.5, 0.0, 0.0]])
+        start = np.array([[0.1, 0.1], [0.5, 0.5], [-0.5, 1.5]])
+        lower, upper = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
+        result = least_squares_box(*linear(A, b), start, lower, upper)
+        assert result.status[1] == "nonfinite"
+        assert not result.converged[1]
+        assert result.iterations[1] == 0
+        assert np.isnan(result.ssr[1])
+        assert np.array_equal(result.x[1], start[1])
+        for i in (0, 2):
+            alone = solve_one(*linear(A[i : i + 1], b[i : i + 1]), start[i], lower, upper)
+            got = (result.x[i], result.ssr[i], result.iterations[i], result.status[i])
+            assert np.array_equal(got[0], alone[0])
+            assert got[1:] == (alone[1], alone[2], alone[4])
+            assert result.converged[i]
+
+    def test_stacked_problems_match_their_single_solves(self):
+        # one call on different data and starts with the same p: two interior
+        # bowls, a bowl whose minimum lies outside the box, and the straight
+        # line from both corners; each must end exactly as it does alone
+        bowl = np.eye(4, 2)
+        A = np.stack([bowl, bowl, bowl, LINE_A, LINE_A])
+        b = np.stack([
+            [0.3, -0.4, 0.0, 0.0],
+            [-1.1, 1.7, 0.0, 0.0],
+            [3.0, 0.5, 0.0, 0.0],
+            LINE_B,
+            LINE_B,
+        ])
+        lower, upper = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
+        start = np.array([[0.1, 0.1], [1.9, -1.9], [-0.5, 1.5], lower + 0.01, upper - 0.01])
+        result = least_squares_box(*linear(A, b), start, lower, upper)
+        assert np.all(result.converged)
+        assert abs(result.x[2, 0] - 2.0) < 1e-9
+        for i in range(len(A)):
+            alone = solve_one(*linear(A[i : i + 1], b[i : i + 1]), start[i], lower, upper)
+            assert np.array_equal(result.x[i], alone[0])
+            assert np.array_equal(result.ssr[i], alone[1])
+            assert np.array_equal(result.iterations[i], alone[2])
+            assert result.status[i] == alone[4]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -97,10 +175,10 @@ class TestLeastSquaresBox:
         lower = np.full(d, -1.5)
         upper = np.full(d, 1.5)
         start = lower + frac * (upper - lower)
-        result = least_squares_box(residual, jacobian, start, lower, upper)
-        assert np.all(result.x >= lower) and np.all(result.x <= upper)
-        r0 = residual(start)
-        assert result.ssr <= r0 @ r0 + 1e-12
+        x, ssr, _, _, _ = solve_one(residual, jacobian, start, lower, upper)
+        assert np.all(x >= lower) and np.all(x <= upper)
+        r0 = residual(start[np.newaxis])[0]
+        assert ssr <= r0 @ r0 + 1e-12
 
 
 
@@ -110,14 +188,12 @@ class TestBoundedNls:
     def test_linear_sanity_case(self):
         # straight-line fit: residual A x - b with a non-identity Jacobian,
         # unconstrained minimum inside the box, reached from both corners
-        A = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
-        b = np.array([0.1, 0.9, 2.2, 2.8])
-        x_ls, ssr_ls, _, _ = np.linalg.lstsq(A, b, rcond=None)
+        x_ls, ssr_ls, _, _ = np.linalg.lstsq(LINE_A, LINE_B, rcond=None)
         lower, upper = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
         for start in (lower + 0.01, upper - 0.01):
-            result = least_squares_box(lambda x: A @ x - b, lambda x: A, start, lower, upper)
+            x, ssr, _, converged, _ = solve_one(*linear(LINE_A, LINE_B), start, lower, upper)
             # damped steps stop short of the exact Gauss-Newton point; the
             # SSR, flat at the minimum, is met to second order in that gap
-            assert np.max(np.abs(result.x - x_ls)) < 1e-8
-            assert abs(result.ssr - ssr_ls[0]) < 1e-12
-            assert result.converged
+            assert np.max(np.abs(x - x_ls)) < 1e-8
+            assert abs(ssr - ssr_ls[0]) < 1e-12
+            assert converged
