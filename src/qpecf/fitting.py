@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError
-from .model import OutcomeDistribution, RegisterSpec, _check_int
-from .pmf import _pmf_grad_kernel, _pmf_kernel
+from .model import MAX_PHASES, OutcomeDistribution, RegisterSpec, _check_int
+from .pmf import _pmf_grad_kernel, _pmf_kernel, _pmf_square_sum
 from .solver import least_squares_box
 
 # Starts sit this fraction of a bin width inside the bounds; the solver
@@ -25,7 +25,9 @@ from .solver import least_squares_box
 NUDGE = 1e-9
 # A solver call holds at most max(1, BATCH_ELEMENTS // M) problems, which
 # bounds its (problems, M) arrays: a campaign cell is one call, and n >= 16
-# registers are solved one problem at a time.
+# registers are solved one problem at a time. Such a lone single-phase
+# problem is fit on its observed bins (_observed_problem); every other
+# problem keeps the dense residual of _problem.
 BATCH_ELEMENTS = 2**16
 
 
@@ -106,6 +108,10 @@ def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
     problems are one (B, J, M) offset array: the residual is one kernel call
     summed over the component axis, and the Jacobian one pmf and one
     gradient kernel call, whatever J is.
+
+    Every bin is evaluated, so each iteration costs O(M); _fit uses
+    _observed_problem instead only where a single-phase problem is alone
+    in its solver call.
     """
     M = reg.M
     y = np.arange(M, dtype=float)
@@ -136,6 +142,62 @@ def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
     return residual, jacobian
 
 
+def _observed_problem(reg: RegisterSpec, probs: np.ndarray):
+    """Single-phase residual and Jacobian on the bins of one pmf that hold counts.
+
+    The residual is P - p on the observed bins plus one lumped entry
+    t = sqrt(max(S - sum_obs P^2, 0)), where S = sum_y P_y^2 over all M bins
+    has a closed form (pmf._pmf_square_sum). Its square is the SSR of the
+    empty bins, so r . r is the dense SSR and the minimiser is the same,
+    while an evaluation costs O(observed bins), not O(M). The Jacobian of t
+    is (S' - 2 sum_obs P P') / (2t), set to 0 where t = 0; t is dropped when
+    every bin is observed, where it is identically 0 and its derivative
+    0/0. probs is one (M,) pmf shared by every row of the (B, 1) parameters.
+
+    _fit uses it only where a problem is alone in its solver call (n >= 16).
+    Used on every register, it failed three ways: one set of observed bins
+    per batched call tied a trial's result to its batchmates (all three
+    mirror-tie cases of tests/test_bench.py moved); the ~1e-16 absolute
+    rounding floor of S - sum_obs P^2 limits the resolution to about 1e-8
+    over the root of the Gauss-Newton curvature, which shrinks as 1/M (about
+    1e-14 at n >= 16), and moved two pinned fits by 2.9e-12 and 1.2e-10
+    (n = 5 and 7); and a one-hot on-bin histogram at n = 3, whose basin is
+    quartic, landed 1.45e-6 from its phase.
+    """
+    M = reg.M
+    bins = np.flatnonzero(probs)
+    y = bins.astype(float)
+    p = probs[bins]
+    m = bins.size
+    lumped = m < M
+
+    def lumped_entry(P: np.ndarray, theta: np.ndarray):
+        S, dS = _pmf_square_sum(theta, M)
+        return np.sqrt(np.maximum(S - (P * P).sum(axis=1), 0.0)), dS
+
+    def residual(params: np.ndarray) -> np.ndarray:
+        P = _pmf_kernel(y - params[:, :1] * M, M)
+        out = np.empty((len(params), m + lumped))
+        out[:, :m] = P - p
+        if lumped:
+            out[:, m] = lumped_entry(P, params[:, 0])[0]
+        return out
+
+    def jacobian(params: np.ndarray) -> np.ndarray:
+        delta = y - params[:, :1] * M
+        dP = _pmf_grad_kernel(delta, M)
+        out = np.empty((len(params), m + lumped, 1))
+        out[:, :m, 0] = dP
+        if lumped:
+            P = _pmf_kernel(delta, M)
+            t, dS = lumped_entry(P, params[:, 0])
+            slope = dS - 2.0 * (P * dP).sum(axis=1)
+            out[:, m, 0] = np.divide(slope, 2.0 * t, out=np.zeros_like(t), where=t > 0)
+        return out
+
+    return residual, jacobian
+
+
 def _corner_label(corner: tuple[int, ...]) -> str:
     if len(corner) == 1:
         return ("left", "right")[corner[0]]
@@ -149,8 +211,16 @@ def _fit(reg: RegisterSpec, probs: np.ndarray, J: int) -> list:
     inside, with uniform weights; the solve with the lowest SSR wins, and an
     exact SSR tie goes to the later start. The T * 2**J solves go to the
     solver in batches of at most max(1, BATCH_ELEMENTS // M) problems, so one
-    call serves every trial of a small register. Returns one FitResult per
-    trial, or a FitError naming each start's failure when all of them failed.
+    call serves every trial of a small register.
+
+    A single-phase problem alone in its call (n >= 16) is fit on its trial's
+    observed bins (_observed_problem), in O(observed bins) per iteration;
+    its SSR, and so residual_variance = SSR / (M - 1), is still over all M
+    bins. Smaller registers, and every J >= 2, keep the dense residual of
+    _problem; _observed_problem gives the three ways its form failed there.
+
+    Returns one FitResult per trial, or a FitError naming each start's
+    failure when all of them failed.
     """
     M = reg.M
     T = len(probs)
@@ -178,9 +248,12 @@ def _fit(reg: RegisterSpec, probs: np.ndarray, J: int) -> list:
     size = max(1, BATCH_ELEMENTS // M)
     for first in range(0, T * S, size):
         batch = slice(first, first + size)
-        # A lone trial's pmf broadcasts over its starts; several are spelled out per problem.
-        observed = probs if T == 1 else probs[np.arange(T * S)[batch] // S]
-        residual, jacobian = _problem(reg, J, observed)
+        if J == 1 and size == 1:
+            residual, jacobian = _observed_problem(reg, probs[first // S])
+        else:
+            # A lone trial's pmf broadcasts over its starts; several are spelled out per problem.
+            observed = probs if T == 1 else probs[np.arange(T * S)[batch] // S]
+            residual, jacobian = _problem(reg, J, observed)
         result = least_squares_box(residual, jacobian, start[batch], lower[batch], upper[batch])
         x[batch], ssr[batch] = result.x, result.ssr
         iterations[batch], converged[batch], status[batch] = (
@@ -245,9 +318,10 @@ def fit_multi(dist: OutcomeDistribution, J: int) -> FitResult:
 
     Starts are the 2**J corner combinations of the per-phase half-bin
     intervals around the J highest-probability bins, with uniform weights;
-    the solve with the lowest SSR wins.
+    the solve with the lowest SSR wins. J is at most MAX_PHASES, so at most
+    256 starts.
     """
-    J = _check_int(J, "J", 2)
+    J = _check_int(J, "J", 2, MAX_PHASES)
     M = dist.reg.M
     p = 2 * J - 1
     if p >= M:

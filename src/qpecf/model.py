@@ -12,6 +12,8 @@ from .errors import ConfigError, DomainError
 MAX_RECORDING_QUBITS = 30
 # multinomial draws its counts as int64, so a shot count must fit in one.
 MAX_SHOTS = 2**63 - 1
+# A J-phase fit runs 2**J corner starts, so J is capped at 256 of them.
+MAX_PHASES = 8
 
 WEIGHT_SUM_TOL = 1e-12
 PROB_SUM_TOL = 1e-10

@@ -99,6 +99,30 @@ def _pmf_grad_kernel(delta, M: int) -> np.ndarray:
     return out
 
 
+def _pmf_square_sum(theta, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """S = sum_y P_y(theta)^2 over all M outcomes, and dS/dtheta, in closed form.
+
+    Counting the index quadruples of the two Dirichlet kernels whose
+    difference is a multiple of M gives
+
+        S = [(2M^3 + M) + (M^3 - M) cos(2 pi u)] / (3 M^3),
+        dS/dtheta = -2 pi M (M^3 - M) sin(2 pi u) / (3 M^3),
+
+    with u = M theta - rint(M theta). M theta is exact because M is a power
+    of two, so the reduction loses nothing; unreduced, the cosine's error
+    grows with M theta (2.7e-13 relative at n = 12). The cubes are divided
+    out through the exact 1/M^2, since 2M^3 + M is not exact in float64 past
+    n = 25. Both agree with the O(M) sums of P^2 and 2 P P' to 2e-15 (dS
+    relative to its amplitude) for every n = 1..20 (tests/test_pmf.py).
+    """
+    u = np.asarray(theta, dtype=float) * M
+    angle = 2.0 * np.pi * (u - np.rint(u))
+    q = 1.0 / (M * M)
+    S = ((2.0 + q) + (1.0 - q) * np.cos(angle)) / 3.0
+    dS = -2.0 * np.pi * (M - 1.0 / M) * np.sin(angle) / 3.0
+    return S, dS
+
+
 def pmf_single(reg: RegisterSpec, theta: float, y: int) -> float:
     """Probability of outcome y for a single eigenphase theta."""
     theta = _check_theta(theta)

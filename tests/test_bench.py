@@ -149,6 +149,20 @@ class TestRunCell:
         assert np.array_equal(estimates, one_by_one)
         assert estimates[trial] == estimate
 
+    def test_observed_bin_cell_matches_fit_single_loop(self):
+        # at n = 16 every problem is alone in its solver call and is fit on
+        # its own trial's observed bins, so the cell still equals the loop
+        theta, reg, k = 1 / 3, RegisterSpec(16), 100
+        dist = analytic_distribution(reg, PhaseModel.single(theta))
+        one_by_one = [
+            fit_single(histogram_to_probs(sample_shots(dist, k, trial_seed(1, theta, 16, k, t))))
+            .phases[0]
+            for t in range(3)
+        ]
+        estimates, excluded = cell_estimates(theta, reg, k, 3, 1)
+        assert excluded == 0
+        assert np.array_equal(estimates, one_by_one)
+
     def test_crlb_window_at_four_thousand_shots(self):
         rec = run_cell(1 / 3, RegisterSpec(3), 4000, 100, base_seed=12345)
         assert 0.8 <= rec.ratio <= 1.5

@@ -224,6 +224,16 @@ class TestFitCommand:
         cli("simulate", "--n", "3", "--theta", "3/8", "--shots", "100", "--out", str(point_mass))
         assert_exits_one(cli("fit", "--counts", str(point_mass), "--phases", "2"))
 
+    def test_phase_count_past_the_cap_exits_one(self, tmp_path):
+        # 2**24 corner solves would never end; the cap rejects them before
+        # any is set up. A point mass also fails the nonzero-bin rule, so
+        # the message must name the cap.
+        hist = tmp_path / "point.json"
+        cli("simulate", "--n", "6", "--theta", "0.5", "--shots", "100", "--out", str(hist))
+        proc = cli("fit", "--counts", str(hist), "--phases", "24")
+        assert_exits_one(proc)
+        assert "J must be <= 8" in proc.stderr
+
 
 class TestFisherCommand:
     def test_first_rows_are_frozen(self):

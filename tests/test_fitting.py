@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpecf.errors import DomainError, FitError
-from qpecf.fitting import FitBounds, _problem, fit_multi, fit_single
-from qpecf.model import OutcomeDistribution, PhaseModel, RegisterSpec
+from qpecf.fitting import NUDGE, FitBounds, _observed_problem, _problem, fit_multi, fit_single
+from qpecf.model import MAX_PHASES, OutcomeDistribution, PhaseModel, RegisterSpec
 from qpecf.pmf import (
     _pmf_grad_kernel,
     _pmf_kernel,
@@ -195,10 +195,89 @@ class TestFitMulti:
         with pytest.raises(DomainError):
             fit_multi(exact_dist(1, [(1 / 3, 0.5), (0.61, 0.5)]), 2)  # 3 params, 2 bins
 
+    def test_phase_count_is_capped_before_any_solve(self, monkeypatch):
+        # 2**J corner solves of O(M) each: J = 24 at n = 20 would be 16.7 M
+        # of them, so J past MAX_PHASES is rejected before _fit is reached
+        def no_fit(*args):
+            raise AssertionError("_fit reached")
+
+        monkeypatch.setattr("qpecf.fitting._fit", no_fit)
+        # a point mass also fails the nonzero-bin rule, so the message must name the cap
+        dist = exact_dist(20, [(3 / 2**20, 1.0)])
+        for J in (MAX_PHASES + 1, 24):
+            with pytest.raises(DomainError, match=f"J must be <= {MAX_PHASES}"):
+                fit_multi(dist, J)
+        spread = exact_dist(6, [(0.1, 0.5), (0.6, 0.5)])
+        with pytest.raises(AssertionError, match="_fit reached"):
+            fit_multi(spread, MAX_PHASES)
+
     def test_multistart_labels(self):
         result = fit_multi(exact_dist(3, [(1 / 3, 0.5), (0.5, 0.5)]), 2)
         assert result.start_used.startswith("corner ")
         assert set(result.start_used.split()[1]) <= {"L", "R"}
+
+
+def dense_fit_single(dist: OutcomeDistribution) -> float:
+    """fit_single's recipe on the all-bins residual: both starts, lower SSR, ties to the right."""
+    reg = dist.reg
+    M = reg.M
+    y = int(np.argmax(dist.probs))
+    lo, hi = (y - 0.5) / M, (y + 0.5) / M
+    starts = np.array([[lo + NUDGE / M], [hi - NUDGE / M]])
+    residual, jacobian = _problem(reg, 1, dist.probs[np.newaxis])
+    result = least_squares_box(residual, jacobian, starts, lo, hi)
+    best = 1 if result.ssr[1] <= result.ssr[0] else 0
+    return float(result.x[best, 0] % 1.0)
+
+
+class TestObservedBins:
+    """Single-phase fits at n >= 16 run on the bins that hold counts."""
+
+    def test_lumped_residual_is_the_dense_objective(self):
+        # r . r and J^T r over the observed bins plus the lumped entry equal
+        # the all-bins SSR and gradient; t^2 = S - sum_obs P^2 rounds at
+        # about 1e-16 absolute (S is near 1), and S' to 2e-15 of its amplitude
+        reg = RegisterSpec(16)
+        M = reg.M
+        dist = analytic_distribution(reg, PhaseModel.single(0.2718))
+        probs = histogram_to_probs(sample_shots(dist, 10**5, 3)).probs
+        y = int(np.argmax(probs))
+        params = np.append((y + np.linspace(-0.5, 0.5, 9)) / M, 0.2718)[:, np.newaxis]
+        dense_r, dense_j = _problem(reg, 1, probs[np.newaxis])
+        sparse_r, sparse_j = _observed_problem(reg, probs)
+        rd, jd = dense_r(params), dense_j(params)[:, :, 0]
+        rs, js = sparse_r(params), sparse_j(params)[:, :, 0]
+        assert rs.shape == (len(params), np.count_nonzero(probs) + 1)
+        amplitude = 2 * np.pi * (M - 1 / M) / 3
+        for i in range(len(params)):
+            assert abs(rs[i] @ rs[i] - rd[i] @ rd[i]) <= 2e-15
+            assert abs(js[i] @ rs[i] - jd[i] @ rd[i]) <= 2e-15 * amplitude
+
+    @pytest.mark.parametrize(
+        "n, theta, k, seed",
+        [
+            (16, 1 / 3, 10**5, 1),
+            (16, 0.7, 10, 7),
+            (17, 5 / 2**17, 100, 3),  # on-bin: one-hot histogram
+            (17, 0.123, 10**6, 8),
+            (18, 1 / 5, 10**5, 5),
+        ],
+    )
+    def test_readouts_match_dense_solves(self, n, theta, k, seed):
+        # the iterates differ (the Jacobians differ), so the two stop at
+        # slightly different points; the one-hot readout, whose basin is
+        # quartic, differs most (4.1e-12)
+        dist = analytic_distribution(RegisterSpec(n), PhaseModel.single(theta))
+        observed = histogram_to_probs(sample_shots(dist, k, seed))
+        assert abs(fit_single(observed).phases[0] - dense_fit_single(observed)) <= 1e-11
+
+    @pytest.mark.parametrize("n", [16, 18, 20])
+    def test_one_hot_on_bin_histograms(self, n):
+        # the test_representable_phase gate; y = 0 may land on either side of the seam
+        M = 2**n
+        for y in (0, M // 3, M - 1):
+            result = fit_single(exact_dist(n, [(y / M, 1.0)]))
+            assert abs((result.phases[0] - y / M + 0.5) % 1.0 - 0.5) < 1e-9
 
 
 class TestJacobians:

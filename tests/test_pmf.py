@@ -23,6 +23,8 @@ from qpecf.model import OutcomeDistribution, PhaseComponent, PhaseModel, Registe
 from qpecf.pmf import (
     _pmf_grad_kernel,
     _pmf_kernel,
+    _pmf_square_sum,
+    _reduce,
     _score_kernel,
     analytic_distribution,
     circuit_depth_units,
@@ -312,6 +314,54 @@ class TestFisher:
             exact = 4 * pi**2 * (M * M - 1) / 3
             got = Fraction(fisher_information(RegisterSpec(n)))
             assert abs(got - exact) / exact < 4 * 2.0**-53
+
+
+def square_sum_phases(n: int) -> list:
+    """20 phases for register n: random, on-bin, half-bin and just below 1."""
+    M = 2**n
+    rng = np.random.default_rng(700 + n)
+    phases = [float(t) for t in rng.random(7)]
+    phases += [0.0, 1 / M, 0.5, (M - 1) / M, 0.5 / M, (M - 0.5) / M]
+    # offsets of the last bin from 1e-10 to 0.3 bins, across the kernels' series switch
+    phases += [float(np.nextafter(1.0, 0.0)), 1 - 1e-12, 1 - 1e-7 / M, 1 - 3e-6 / M]
+    phases += [1 - 0.02 / M, 1 - 0.3 / M, (M - 1 + 1e-9) / M]
+    return phases
+
+
+def dirichlet_pmf_grad(d: float, M: int) -> float:
+    """dP/dtheta at one offset d from the Dirichlet sum (1/M) sum_x cos(pi (2x - M + 1) d / M).
+
+    Differentiated term by term, the sum has no cancellation at small d,
+    where the sine-ratio gradient kernel loses about 1e-16 / d^2 relative.
+    """
+    k = np.arange(1 - M, M, 2, dtype=float)
+    g = np.sum(np.cos(np.pi * k * d / M)) / M
+    dg = -np.pi / M**2 * np.sum(k * np.sin(np.pi * k * d / M))
+    return -M * 2.0 * g * dg
+
+
+class TestSquareSum:
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_closed_form_matches_the_sums(self, n):
+        # S = sum_y P^2 and dS/dtheta = sum_y 2 P P' against the O(M) sums;
+        # dS crosses zero, so its error is relative to its amplitude
+        # 2 pi (M - 1/M) / 3. The bin nearest theta*M takes its P' from the
+        # Dirichlet sum, since the gradient kernel's own error there
+        # (3e-11 of the amplitude at n = 20, theta = 1 - 1e-12) would hide
+        # the closed form's.
+        M = 2**n
+        y = np.arange(M, dtype=float)
+        amplitude = 2 * np.pi * (M - 1 / M) / 3
+        for theta in square_sum_phases(n):
+            delta = y - theta * M
+            P = _pmf_kernel(delta, M)
+            dP = _pmf_grad_kernel(delta, M)
+            near = round(theta * M) % M
+            dP[near] = dirichlet_pmf_grad(_reduce(delta[near], M), M)
+            S, dS = _pmf_square_sum(theta, M)
+            want = np.sum(P * P)
+            assert abs(S - want) / want <= 2e-15, theta
+            assert abs(dS - np.sum(2 * P * dP)) / amplitude <= 2e-15, theta
 
 
 class TestIdentifiabilityLimits:
