@@ -43,7 +43,6 @@ from .simulate import (
     sample_shots,
     simulate_distribution,
 )
-from .solver import SolverResult, least_squares_box
 
 __version__ = "0.1.0"
 
@@ -62,7 +61,6 @@ __all__ = [
     "ScalingSummary",
     "ShotHistogram",
     "SimUnitary",
-    "SolverResult",
     "analytic_distribution",
     "cell_estimates",
     "circuit_depth_units",
@@ -73,7 +71,6 @@ __all__ = [
     "fit_scaling_exponents",
     "fit_single",
     "histogram_to_probs",
-    "least_squares_box",
     "pmf_single",
     "pmf_vector",
     "records_to_csv",

@@ -98,9 +98,11 @@ def _weights(params: np.ndarray, J: int) -> np.ndarray:
 def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
     """Batched residual and Jacobian over [theta_1..theta_J, w_1..w_{J-1}].
 
-    probs holds the observed pmfs, (B, M) with one row per problem or
-    (1, M) shared by all; the residual maps (B, p) parameters to (B, M)
-    residuals and the Jacobian to (B, M, p). Phases are in the unwrapped
+    probs holds the observed pmfs, (B, M) with one row per problem of the
+    batch or (1, M) shared by all, which broadcasts and is never copied.
+    Both callables take (a, p) parameters and the rows of the batch they
+    belong to, as least_squares_box passes them; the residual returns
+    (a, M) residuals and the Jacobian (a, M, p). Phases are in the unwrapped
     local coordinate of their intervals. The last weight is 1 minus the free
     weights, so weights sum to 1 by construction; for J >= 3 that trailing
     weight is not box-constrained. J = 1 has no free weight, and its
@@ -116,21 +118,24 @@ def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
     M = reg.M
     y = np.arange(M, dtype=float)
 
+    def pmfs(rows: np.ndarray) -> np.ndarray:
+        return probs if len(probs) == 1 else probs[rows]
+
     if J == 1:
 
-        def residual(params: np.ndarray) -> np.ndarray:
-            return _pmf_kernel(y - params[:, :1] * M, M) - probs
+        def residual(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            return _pmf_kernel(y - params[:, :1] * M, M) - pmfs(rows)
 
-        def jacobian(params: np.ndarray) -> np.ndarray:
+        def jacobian(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
             return _pmf_grad_kernel(y - params[:, :1] * M, M).reshape(len(params), M, 1)
 
         return residual, jacobian
 
-    def residual(params: np.ndarray) -> np.ndarray:
+    def residual(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
         P = _pmf_kernel(y - params[:, :J, None] * M, M)
-        return (_weights(params, J)[:, :, None] * P).sum(axis=1) - probs
+        return (_weights(params, J)[:, :, None] * P).sum(axis=1) - pmfs(rows)
 
-    def jacobian(params: np.ndarray) -> np.ndarray:
+    def jacobian(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
         delta = y - params[:, :J, None] * M
         P = _pmf_kernel(delta, M)
         out = np.empty((len(params), M, 2 * J - 1))
@@ -152,7 +157,8 @@ def _observed_problem(reg: RegisterSpec, probs: np.ndarray):
     while an evaluation costs O(observed bins), not O(M). The Jacobian of t
     is (S' - 2 sum_obs P P') / (2t), set to 0 where t = 0; t is dropped when
     every bin is observed, where it is identically 0 and its derivative
-    0/0. probs is one (M,) pmf shared by every row of the (B, 1) parameters.
+    0/0. probs is one (M,) pmf shared by every problem, so both callables
+    ignore their rows argument.
 
     _fit uses it only where a problem is alone in its solver call (n >= 16).
     Used on every register, it failed three ways: one set of observed bins
@@ -175,7 +181,7 @@ def _observed_problem(reg: RegisterSpec, probs: np.ndarray):
         S, dS = _pmf_square_sum(theta, M)
         return np.sqrt(np.maximum(S - (P * P).sum(axis=1), 0.0)), dS
 
-    def residual(params: np.ndarray) -> np.ndarray:
+    def residual(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
         P = _pmf_kernel(y - params[:, :1] * M, M)
         out = np.empty((len(params), m + lumped))
         out[:, :m] = P - p
@@ -183,7 +189,7 @@ def _observed_problem(reg: RegisterSpec, probs: np.ndarray):
             out[:, m] = lumped_entry(P, params[:, 0])[0]
         return out
 
-    def jacobian(params: np.ndarray) -> np.ndarray:
+    def jacobian(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
         delta = y - params[:, :1] * M
         dP = _pmf_grad_kernel(delta, M)
         out = np.empty((len(params), m + lumped, 1))

@@ -127,8 +127,7 @@ def simulate_distribution(reg: RegisterSpec, unitary: SimUnitary) -> OutcomeDist
 def sample_shots(dist: OutcomeDistribution, k: int, seed) -> ShotHistogram:
     """Draw k outcomes from dist in one multinomial draw; deterministic for a fixed seed.
 
-    seed is one of three kinds: an int >= 0, a numpy SeedSequence, or a
-    ready Generator, which is drawn from as it stands. An int seed and a
+    seed is an int >= 0 or a numpy SeedSequence; an int seed and a
     SeedSequence built from it give the same counts. The counter-based
     Philox generator keeps streams reproducible regardless of how calls are
     scheduled across processes. The tiny negative entries and sum error
@@ -136,12 +135,9 @@ def sample_shots(dist: OutcomeDistribution, k: int, seed) -> ShotHistogram:
     since multinomial rejects both.
     """
     k = _check_shots(k)
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    elif isinstance(seed, np.random.SeedSequence):
-        rng = np.random.Generator(np.random.Philox(seed))
-    else:
-        rng = np.random.Generator(np.random.Philox(_check_seed(seed)))
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _check_seed(seed)
+    rng = np.random.Generator(np.random.Philox(seed))
     p = np.clip(dist.probs, 0.0, None)
     return ShotHistogram(dist.reg, rng.multinomial(k, p / p.sum()), k)
 

@@ -10,13 +10,13 @@ therefore never leave the box, and coordinates pinned against a face with
 an inward-pointing gradient unstick on their own when the gradient reverses.
 
 Every problem keeps its own damping, iteration count, status and
-convergence flag; a problem that has stopped keeps its point while the
-others go on, and the linear algebra of an iteration runs over the
-problems still active.
+convergence flag. The solver carries only the problems still running: a
+problem leaves that working set when it stops, and from then on neither
+its residual, its Jacobian nor its linear algebra is computed again.
 
 A problem's result is bit-identical to what a one-problem-per-call solver
-with the same algorithm returns, whatever batch it is solved in, because of
-two rules:
+with the same algorithm returns, whatever batch it is solved in and
+whichever of its batchmates are still running, because of two rules:
 
 * every per-problem reduction (r @ r, J.T @ r, Jh.T @ Jh and the step
   norms) goes through stacked matmul, which calls BLAS once per problem
@@ -67,37 +67,17 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0, 0]
 
 
-def _active_rows(active: np.ndarray) -> tuple[np.ndarray, object]:
-    """Indices of the active problems, and an index for the (B, m) arrays.
-
-    While every problem is active the second is a full slice, so J[rows] is
-    a view: a batch of one large problem holds no copies of its arrays.
-    """
-    a = np.flatnonzero(active)
-    return a, slice(None) if a.size == active.size else a
-
-
-def _writable(values) -> np.ndarray:
-    """values as a float array the solver may update in place, copied only if it must be."""
-    return np.require(values, dtype=float, requirements="W")
-
-
-def _mask(size: int, index: np.ndarray) -> np.ndarray:
-    out = np.zeros(size, dtype=bool)
-    out[index] = True
-    return out
-
-
 def least_squares_box(residual, jacobian, start, lower, upper) -> SolverResult:
     """Minimize sum(residual(x)**2) over the box [lower, upper], per problem.
 
     start is a (B, p) array with one problem per row, and lower and upper
     broadcast to it; every start must lie strictly inside its box.
-    residual maps a (B, p) array of points to the (B, m) residuals, and
-    jacobian to the (B, m, p) derivatives. Both are called with the whole
-    batch; a stopped problem's row holds its final point. The solver writes
-    into the arrays they return unless those are read-only, so each call
-    must return arrays of its own.
+    residual(points, rows) maps an (a, p) array of points to their (a, m)
+    residuals, and jacobian(points, rows) to the (a, m, p) derivatives;
+    rows holds the a problems' indices in the batch, one per point. Both
+    are called only on running problems, so a row's values must depend on
+    that row's point and problem alone. The Jacobian is evaluated only at
+    starts and accepted points.
 
     A problem terminates when its normalized gradient drops below GTOL (the
     cosine of the angle between the residual and the Jacobian columns, so
@@ -121,36 +101,33 @@ def least_squares_box(residual, jacobian, start, lower, upper) -> SolverResult:
 
     B, p = x.shape
     eye = np.eye(p)
-    r = _writable(residual(x))
+    r = np.asarray(residual(x, np.arange(B)), dtype=float)
     started = np.all(np.isfinite(r), axis=1)
     f = np.where(started, _dot(r, r), np.nan)
-    J = _writable(jacobian(x))
-    lam = np.full(B, -1.0)
-    nu = np.full(B, 2.0)
     iterations = np.zeros(B, dtype=int)
     status = np.where(started, "maxiter", "nonfinite").astype("<U9")
-    active = started.copy()
+
+    # The working set: a holds the batch rows of the running problems, and
+    # r, J, lam and nu hold the values of exactly those rows.
+    a = np.flatnonzero(started)
+    r = r[a]
+    J = np.array(jacobian(x[a], a), dtype=float)
+    lam = np.full(a.size, -1.0)
+    nu = np.full(a.size, 2.0)
 
     for it in range(1, MAX_ITER + 1):
-        iterations[active] = it
-        status[active & (f == 0.0)] = "gtol"
-        active &= f != 0.0
-        a, rows = _active_rows(active)
-        if a.size == 0:
-            break
-        Ja = J[rows]
-        g = (Ja.transpose(0, 2, 1) @ r[rows][:, :, np.newaxis])[:, :, 0]
-        column_norms = np.linalg.norm(Ja, axis=1)
+        iterations[a] = it
+        g = (J.transpose(0, 2, 1) @ r[:, :, np.newaxis])[:, :, 0]
+        column_norms = np.linalg.norm(J, axis=1)
         denom = column_norms * np.sqrt(f[a])[:, np.newaxis]
         cosine = np.divide(np.abs(g), denom, out=np.zeros_like(g), where=denom > 0)
+        # A zero residual has a zero cosine, so it stops here as well.
         flat = np.max(cosine, axis=1) < GTOL
         if flat.any():
             status[a[flat]] = "gtol"
-            active[a[flat]] = False
-            a, rows = _active_rows(active)
-            if a.size == 0:
-                break
-            g, Ja = g[~flat], Ja[~flat]
+            a, r, J, g, lam, nu = (v[~flat] for v in (a, r, J, g, lam, nu))
+        if a.size == 0:
+            break
         xa, la, ua = x[a], lb[a], ub[a]
 
         # Coleman-Li scaling: each coordinate is weighted by its distance to
@@ -159,16 +136,15 @@ def least_squares_box(residual, jacobian, start, lower, upper) -> SolverResult:
         dv = np.where(g < 0, -1.0, 1.0)
         d = np.sqrt(v)
         gh = d * g
-        Jh = Ja * d[:, np.newaxis, :]
+        Jh = J * d[:, np.newaxis, :]
         C = g * dv
         A = Jh.transpose(0, 2, 1) @ Jh
-        fresh = lam[a] < 0
+        fresh = lam < 0
         if fresh.any():
             scale = np.max(np.diagonal(A, axis1=1, axis2=2) + C, axis=1)
             first = np.where(scale > 0, 1e-3 * scale, 1e-3)
-            lam[a[fresh]] = first[fresh]
-        lam_a = lam[a]
-        damped = (A + C[:, :, np.newaxis] * eye) + lam_a[:, np.newaxis, np.newaxis] * eye
+            lam[fresh] = first[fresh]
+        damped = (A + C[:, :, np.newaxis] * eye) + lam[:, np.newaxis, np.newaxis] * eye
         sh = np.linalg.solve(damped, -gh[:, :, np.newaxis])[:, :, 0]
         s = d * sh
 
@@ -178,56 +154,41 @@ def least_squares_box(residual, jacobian, start, lower, upper) -> SolverResult:
         reflected = np.clip(reflected, la, ua)
 
         # Each problem keeps the first candidate with the lowest finite SSR;
-        # choice names the candidate, -1 when neither is finite.
-        best_x = xa.copy()
-        best_f = np.full(a.size, np.inf)
-        choice = np.full(a.size, -1)
-        candidate_r = []
+        # the reflected one is evaluated only where it differs from the clipped.
+        best_x, best_f, best_r = xa.copy(), np.full(a.size, np.inf), np.empty_like(r)
         for cand, tried in (
-            (clipped, np.ones(a.size, dtype=bool)),
-            (reflected, np.any(reflected != clipped, axis=1)),
+            (clipped, np.arange(a.size)),
+            (reflected, np.flatnonzero(np.any(reflected != clipped, axis=1))),
         ):
-            if not tried.any():
-                continue
-            points = x.copy()
-            points[a] = cand
-            rc = np.asarray(residual(points), dtype=float)
-            fc = _dot(rc[rows], rc[rows])
-            better = tried & np.all(np.isfinite(rc[rows]), axis=1) & (fc < best_f)
-            best_x[better], best_f[better] = cand[better], fc[better]
-            choice[better] = len(candidate_r)
-            candidate_r.append(rc)
+            if tried.size:
+                rc = np.asarray(residual(cand[tried], a[tried]), dtype=float)
+                fc = _dot(rc, rc)
+                won = np.all(np.isfinite(rc), axis=1) & (fc < best_f[tried])
+                best = tried[won]
+                best_x[best], best_f[best], best_r[best] = cand[best], fc[won], rc[won]
 
         step = best_x - xa
         step_h = np.divide(step, d, out=np.zeros_like(step), where=d > 0)
-        predicted = _dot(step_h, lam_a[:, np.newaxis] * step_h - gh)
+        predicted = _dot(step_h, lam[:, np.newaxis] * step_h - gh)
         actual = f[a] - best_f
         rho = np.divide(actual, predicted, out=np.where(actual > 0, 1.0, -1.0), where=predicted > 0)
         accepted = (actual > 0) & (rho > _RHO_ACCEPT)
 
-        acc = a[accepted]
-        if acc.size:
+        if accepted.any():
+            acc = a[accepted]
             x[acc], f[acc] = best_x[accepted], best_f[accepted]
-            if acc.size == B and np.all(choice == choice[0]):
-                # Every problem moved to the same candidate: take the arrays
-                # whole. Masked copies into long-lived arrays doubled the page
-                # faults of a one-problem n = 20 fit.
-                r = _writable(candidate_r[choice[0]])
-                candidate_r = rc = None
-                J = _writable(jacobian(x))
-            else:
-                for k, rc in enumerate(candidate_r):
-                    np.copyto(r, rc, where=_mask(B, a[accepted & (choice == k)])[:, np.newaxis])
-                candidate_r = rc = None
-                np.copyto(J, jacobian(x), where=_mask(B, acc)[:, np.newaxis, np.newaxis])
-            lam[acc] *= [max(1.0 / 3.0, 1.0 - (2.0 * q - 1.0) ** 3) for q in rho[accepted].tolist()]
-            nu[acc] = 2.0
-        rej = a[~accepted]
-        lam[rej] *= nu[rej]
-        nu[rej] *= 2.0
+            r[accepted] = best_r[accepted]
+            J[accepted] = jacobian(x[acc], acc)
+            lam[accepted] *= [
+                max(1.0 / 3.0, 1.0 - (2.0 * q - 1.0) ** 3) for q in rho[accepted].tolist()
+            ]
+            nu[accepted] = 2.0
+        lam[~accepted] *= nu[~accepted]
+        nu[~accepted] *= 2.0
         small = np.sqrt(np.where(accepted, _dot(step, step), _dot(s, s))) < XTOL
-        status[a[small]] = "xtol"
-        active[a[small]] = False
+        if small.any():
+            status[a[small]] = "xtol"
+            a, r, J, lam, nu = (v[~small] for v in (a, r, J, lam, nu))
 
     converged = (status == "gtol") | (status == "xtol")
     return SolverResult(x=x, ssr=f, iterations=iterations, converged=converged, status=status)

@@ -17,7 +17,6 @@ PUBLIC_NAMES = [
     "ScalingSummary",
     "ShotHistogram",
     "SimUnitary",
-    "SolverResult",
     "analytic_distribution",
     "cell_estimates",
     "circuit_depth_units",
@@ -28,7 +27,6 @@ PUBLIC_NAMES = [
     "fit_scaling_exponents",
     "fit_single",
     "histogram_to_probs",
-    "least_squares_box",
     "pmf_single",
     "pmf_vector",
     "records_to_csv",

@@ -107,7 +107,7 @@ class TestFitSingle:
         reg = RegisterSpec(3)
         _, jacobian = _problem(reg, 1, np.zeros((1, reg.M)))
         theta = 0.337
-        jac = jacobian(np.array([[theta]]))[0, :, 0]
+        jac = jacobian(np.array([[theta]]), np.arange(1))[0, :, 0]
         for y in range(reg.M):
             want = pmf_single(reg, theta, y) * score(reg, theta, y)
             assert abs(jac[y] - want) < 1e-12
@@ -120,7 +120,7 @@ class TestFitSingle:
     def test_both_start_failures_surface_as_fit_error(self, monkeypatch):
         # a residual that is NaN at both starts fails each problem of the batch
         def nan_residual(residual, jacobian, *args):
-            return least_squares_box(lambda x: residual(x) * np.nan, jacobian, *args)
+            return least_squares_box(lambda x, rows: residual(x, rows) * np.nan, jacobian, *args)
 
         monkeypatch.setattr("qpecf.fitting.least_squares_box", nan_residual)
         with pytest.raises(FitError, match="all starts failed: left: .*; right: "):
@@ -245,8 +245,9 @@ class TestObservedBins:
         params = np.append((y + np.linspace(-0.5, 0.5, 9)) / M, 0.2718)[:, np.newaxis]
         dense_r, dense_j = _problem(reg, 1, probs[np.newaxis])
         sparse_r, sparse_j = _observed_problem(reg, probs)
-        rd, jd = dense_r(params), dense_j(params)[:, :, 0]
-        rs, js = sparse_r(params), sparse_j(params)[:, :, 0]
+        rows = np.arange(len(params))
+        rd, jd = dense_r(params, rows), dense_j(params, rows)[:, :, 0]
+        rs, js = sparse_r(params, rows), sparse_j(params, rows)[:, :, 0]
         assert rs.shape == (len(params), np.count_nonzero(probs) + 1)
         amplitude = 2 * np.pi * (M - 1 / M) / 3
         for i in range(len(params)):
@@ -286,10 +287,11 @@ class TestJacobians:
         reg = RegisterSpec(3)
         probs = pmf_vector(reg, PhaseModel.single(1 / 3))
         residual, jacobian = _problem(reg, 1, probs[np.newaxis])
+        rows = np.arange(1)
         for _ in range(50):
             params = np.array([(3 + rng.uniform(-0.45, 0.45)) / reg.M])
-            analytic = jacobian(params[np.newaxis])[0]
-            fd = fd_jacobian(lambda q: residual(q[np.newaxis])[0], params)
+            analytic = jacobian(params[np.newaxis], rows)[0]
+            fd = fd_jacobian(lambda q: residual(q[np.newaxis], rows)[0], params)
             assert np.allclose(analytic, fd, rtol=1e-5, atol=1e-9)
 
     def test_multi_jacobian_matches_finite_differences(self):
@@ -297,6 +299,7 @@ class TestJacobians:
         reg = RegisterSpec(3)
         probs = pmf_vector(reg, PhaseModel.from_pairs([(1 / 3, 0.5), (0.5, 0.5)]))
         residual, jacobian = _problem(reg, 2, probs[np.newaxis])
+        rows = np.arange(1)
         for _ in range(50):
             params = np.array(
                 [
@@ -305,9 +308,37 @@ class TestJacobians:
                     rng.uniform(0.1, 0.9),
                 ]
             )
-            analytic = jacobian(params[np.newaxis])[0]
-            fd = fd_jacobian(lambda q: residual(q[np.newaxis])[0], params)
+            analytic = jacobian(params[np.newaxis], rows)[0]
+            fd = fd_jacobian(lambda q: residual(q[np.newaxis], rows)[0], params)
             assert np.allclose(analytic, fd, rtol=1e-5, atol=1e-9)
+
+    @pytest.mark.parametrize("J", [1, 2, 3])
+    def test_rows_evaluate_alone(self, J):
+        # the solver passes only its running problems, so a row's residual
+        # and Jacobian must not depend on its batchmates or its position
+        rng = np.random.default_rng(44 + J)
+        reg = RegisterSpec(5)
+        B = 12
+        probs = rng.dirichlet(np.ones(reg.M), size=B)
+        weights = rng.dirichlet(np.ones(J), size=B)[:, : J - 1]
+        batch = np.concatenate([rng.random((B, J)), weights], axis=1)
+        self.assert_rows_evaluate_alone(*_problem(reg, J, probs), batch, rng)
+
+    def test_observed_rows_evaluate_alone(self):
+        rng = np.random.default_rng(47)
+        reg = RegisterSpec(10)
+        dist = analytic_distribution(reg, PhaseModel.single(0.2718))
+        probs = histogram_to_probs(sample_shots(dist, 1000, 3)).probs
+        assert np.count_nonzero(probs) < reg.M
+        batch = (int(np.argmax(probs)) + rng.uniform(-0.5, 0.5, (12, 1))) / reg.M
+        self.assert_rows_evaluate_alone(*_observed_problem(reg, probs), batch, rng)
+
+    @staticmethod
+    def assert_rows_evaluate_alone(residual, jacobian, batch, rng):
+        every = np.arange(len(batch))
+        idx = rng.permutation(len(batch))[:7]
+        assert np.array_equal(residual(batch[idx], idx), residual(batch, every)[idx])
+        assert np.array_equal(jacobian(batch[idx], idx), jacobian(batch, every)[idx])
 
     @pytest.mark.parametrize("J", [2, 3, 4])
     def test_multi_problem_matches_component_loop(self, J):
@@ -322,8 +353,9 @@ class TestJacobians:
         batch = np.array(
             [np.concatenate([rng.random(J), rng.dirichlet(np.ones(J))[: J - 1]]) for _ in range(10)]
         )
-        got_residual = residual(batch)
-        got = jacobian(batch)
+        rows = np.arange(len(batch))
+        got_residual = residual(batch, rows)
+        got = jacobian(batch, rows)
         assert got.flags.c_contiguous
         for params, got_r, got_j in zip(batch, got_residual, got):
             w = np.append(params[J:], 1.0 - params[J:].sum())

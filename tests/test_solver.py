@@ -16,10 +16,10 @@ from qpecf.solver import least_squares_box
 def quadratic(center):
     center = np.asarray(center, dtype=float)
 
-    def residual(x):
+    def residual(x, rows):
         return x - center
 
-    def jacobian(x):
+    def jacobian(x, rows):
         return np.broadcast_to(np.eye(center.size), (len(x), center.size, center.size))
 
     return residual, jacobian
@@ -30,11 +30,13 @@ def linear(A, b):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
 
-    def residual(x):
-        return (A @ x[:, :, np.newaxis])[:, :, 0] - b
+    def residual(x, rows):
+        Ar = A if A.ndim == 2 else A[rows]
+        br = b if b.ndim == 1 else b[rows]
+        return (Ar @ x[:, :, np.newaxis])[:, :, 0] - br
 
-    def jacobian(x):
-        return np.broadcast_to(A, (len(x),) + A.shape[-2:])
+    def jacobian(x, rows):
+        return np.broadcast_to(A if A.ndim == 2 else A[rows], (len(x),) + A.shape[-2:])
 
     return residual, jacobian
 
@@ -85,10 +87,10 @@ class TestLeastSquaresBox:
         assert converged
 
     def test_rosenbrock_valley_in_box(self):
-        def residual(x):
+        def residual(x, rows):
             return np.stack([10.0 * (x[:, 1] - x[:, 0] ** 2), 1.0 - x[:, 0]], axis=1)
 
-        def jacobian(x):
+        def jacobian(x, rows):
             out = np.zeros((len(x), 2, 2))
             out[:, 0, 0] = -20.0 * x[:, 0]
             out[:, 0, 1] = 10.0
@@ -164,6 +166,79 @@ class TestLeastSquaresBox:
             assert np.array_equal(result.iterations[i], alone[2])
             assert result.status[i] == alone[4]
 
+    def test_callables_see_only_running_problems(self):
+        # problems that stop at different iterations: one starts at its
+        # minimum (gtol at once), one has a NaN residual, the rest stop by
+        # xtol after different numbers of steps
+        bowl = np.eye(4, 2)
+        A = np.stack([bowl, bowl, bowl, LINE_A, LINE_A, bowl])
+        b = np.stack([
+            [0.3, -0.4, 0.0, 0.0],
+            [-1.1, 1.7, 0.0, 0.0],
+            [3.0, 0.5, 0.0, 0.0],
+            LINE_B,
+            LINE_B,
+            np.full(4, np.nan),
+        ])
+        lower, upper = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
+        start = np.array(
+            [[0.3, -0.4], [1.9, -1.9], [-0.5, 1.5], lower + 0.01, upper - 0.01, [0.0, 0.0]]
+        )
+
+        def recorded(residual, jacobian, events):
+            """The callables, logging (kind, point) per row of every call."""
+
+            def log(kind, fn):
+                def call(points, rows):
+                    assert len(rows) == len(points)
+                    assert len(set(rows.tolist())) == len(rows)
+                    for point, row in zip(points, rows.tolist()):
+                        events.setdefault(row, []).append((kind, tuple(point)))
+                    return fn(points, rows)
+
+                return call
+
+            return log("residual", residual), log("jacobian", jacobian)
+
+        residual, jacobian = linear(A, b)
+        events = {}
+        result = least_squares_box(*recorded(residual, jacobian, events), start, lower, upper)
+        assert len(set(result.iterations.tolist())) >= 4
+        # the two problems that stop before any step appear in no later call
+        assert (result.status[0], result.status[5]) == ("gtol", "nonfinite")
+        assert events[0] == [("residual", (0.3, -0.4)), ("jacobian", (0.3, -0.4))]
+        assert events[5] == [("residual", (0.0, 0.0))]
+        for i in range(1, 5):
+            assert result.status[i] == "xtol"
+            # alone, the solver returns once the problem stops, so a call on
+            # row i after its status became final would show up as a difference
+            alone = {}
+            alone_callables = recorded(*linear(A[i : i + 1], b[i : i + 1]), alone)
+            least_squares_box(*alone_callables, start[i : i + 1], lower, upper)
+            assert events[i] == alone[0]
+            # a reflected candidate equal to the clipped one is not evaluated again
+            for (kind, point), (next_kind, next_point) in zip(events[i], events[i][1:]):
+                assert not (kind == next_kind == "residual" and point == next_point)
+
+            # the Jacobian is taken at the start and then only at a point just
+            # evaluated that lowered the SSR; the last is the solver's result
+            def ssr(point):
+                r = residual(np.array([point]), np.array([i]))[0]
+                return float(r @ r)
+
+            jacobian_at = [point for kind, point in events[i] if kind == "jacobian"]
+            assert jacobian_at[0] == tuple(start[i])
+            assert jacobian_at[-1] == tuple(result.x[i])
+            tried = []
+            for kind, point in events[i][2:]:
+                if kind == "residual":
+                    tried.append(point)
+                else:
+                    assert point in tried
+                    tried = []
+            for before, after in zip(jacobian_at, jacobian_at[1:]):
+                assert ssr(after) < ssr(before)
+
     @settings(max_examples=150, deadline=None)
     @given(
         center=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
@@ -177,7 +252,7 @@ class TestLeastSquaresBox:
         start = lower + frac * (upper - lower)
         x, ssr, _, _, _ = solve_one(residual, jacobian, start, lower, upper)
         assert np.all(x >= lower) and np.all(x <= upper)
-        r0 = residual(start[np.newaxis])[0]
+        r0 = residual(start[np.newaxis], np.arange(1))[0]
         assert ssr <= r0 @ r0 + 1e-12
 
 
