@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
 """Write one point of the performance trajectory as JSON.
 
-    python3 scripts/bench_perf.py BENCH_6.json
+    python3 scripts/bench_perf.py BENCH_11.json
 
 Three parts, all single-process:
 
-1. Each north-star layer at pinned sizes, as the median of 5 calls on
-   inputs built outside the timed region, in wall seconds and in reference
-   seconds. The reference clock is perfbench's (perfbench/refclock.py,
-   with the campaign_few kernel): each call is divided by the fixed kernel
-   timed right before and after it, so a machine that runs slower for a
-   while stretches both and two points taken apart stay comparable.
-   pmf_vector runs at n = 20, not 24: at n = 24 one call peaks at 800 MB
-   resident.
+1. Each north-star layer at pinned sizes, on inputs built outside the timed
+   region, in wall seconds and in reference seconds per call. The reference
+   clock is perfbench's (perfbench/refclock.py, with the campaign_few
+   kernel): each timed run is divided by the fixed kernel timed right
+   before and after it, so a machine that runs slower for a while stretches
+   both and two points taken apart stay comparable. A timed run repeats the
+   call as often as fits in RUN_BUDGET_REF_S (at least once); the layer
+   records the per-call median of 5 runs. pmf_vector runs at n = 20, not
+   24: at n = 24 one call peaks at 800 MB resident.
 2. configs/smoke_grid.json end to end (median of 5 runs) and
-   configs/full_grid.json once (10–15 s on 2 vCPUs).
+   configs/full_grid.json once (8–11 s on 2 vCPUs), on the same reference
+   clock, in wall and reference seconds.
 3. The three perfbench workloads, each run as
    ``perfbench/run.py --workload W --seed 1 --seconds 30 --trace 0``,
    recording the reference-clocked trials_per_s, setup_s and peak_rss_mb.
@@ -28,7 +30,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,10 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "perfbench"))
 from refclock import KERNELS, RefClock  # noqa: E402
 REPEATS = 5
+# Each timed run of a layer repeats its call for about as long as one
+# reference-kernel call, so a sub-millisecond layer is not timed against a
+# kernel a hundred times longer; a slower layer is still one call per run.
+RUN_BUDGET_REF_S = 0.02
 WORKLOADS = ("campaign_few", "campaign_mega", "readout_wide")
 TWO = ((1 / 3, 0.6), (0.7, 0.4))
 THREE = ((0.15, 0.5), (0.45, 0.3), (0.8, 0.2))
@@ -81,10 +86,11 @@ def layer_calls():
     return calls
 
 
-def wall(fn) -> float:
-    started = time.perf_counter()
-    fn()
-    return time.perf_counter() - started
+def repeated(fn, calls: int):
+    def run():
+        for _ in range(calls):
+            fn()
+    return run
 
 
 def grid_run(name: str):
@@ -112,20 +118,25 @@ def main() -> None:
     layers = []
     clock = RefClock(KERNELS["campaign_few"])
     for layer, size, fn in layer_calls():
-        fn()  # warm caches and imports outside the timed calls
-        runs = [clock.time(fn)[1:] for _ in range(REPEATS)]
-        median = statistics.median(wall_s for wall_s, _ in runs)
-        median_ref = statistics.median(ref_s for _, ref_s in runs)
+        # The first call warms caches and imports, and sizes the timed runs.
+        calls = max(1, round(RUN_BUDGET_REF_S / clock.time(fn)[2]))
+        runs = [clock.time(repeated(fn, calls))[1:] for _ in range(REPEATS)]
+        median = statistics.median(wall_s for wall_s, _ in runs) / calls
+        median_ref = statistics.median(ref_s for _, ref_s in runs) / calls
         layers.append({"layer": layer, "size": size, "median_s": median,
-                       "median_ref_s": median_ref, "runs": REPEATS})
+                       "median_ref_s": median_ref, "runs": REPEATS, "calls_per_run": calls})
         print(f"{layer:22s} {size:24s} {median * 1e3:10.3f} ms {median_ref * 1e3:10.3f} ref ms",
               flush=True)
 
     end_to_end = []
     for name, runs in (("smoke_grid", REPEATS), ("full_grid", 1)):
-        seconds = statistics.median(wall(grid_run(name)) for _ in range(runs))
-        end_to_end.append({"grid": f"configs/{name}.json", "wall_s": seconds, "runs": runs})
-        print(f"{name:22s} {'1 process':24s} {seconds:10.3f} s", flush=True)
+        times = [clock.time(grid_run(name))[1:] for _ in range(runs)]
+        seconds = statistics.median(wall_s for wall_s, _ in times)
+        median_ref = statistics.median(ref_s for _, ref_s in times)
+        end_to_end.append({"grid": f"configs/{name}.json", "wall_s": seconds,
+                           "median_ref_s": median_ref, "runs": runs})
+        print(f"{name:22s} {'1 process':24s} {seconds:10.3f} s {median_ref:10.3f} ref s",
+              flush=True)
 
     workloads = {}
     for workload in WORKLOADS:

@@ -2,18 +2,19 @@
 
 Each cell repeats the simulate-sample-fit pipeline and aggregates circular
 estimation errors into an RMSE, compared against the square root of the
-Cramer-Rao bound and against the traditional nearest-bin error. Per-trial
-seeds are a pure function of (base_seed, theta, n, k, trial), so results
-are bit-identical regardless of scheduling or worker count.
+Cramer-Rao bound and against the traditional nearest-bin error. The cells
+of a grid that share a register size n are fit together, every trial of
+them in one batched fit, so they share solver calls. Per-trial seeds are a
+pure function of (base_seed, theta, n, k, trial), and a fit does not depend
+on the solver batch it lands in, so results are bit-identical regardless of
+grouping, scheduling or worker count.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -28,6 +29,11 @@ from .simulate import histogram_to_probs, sample_shots
 
 # A cell whose exclusion rate exceeds this fraction is flagged invalid.
 MAX_EXCLUDED_FRACTION = 0.01
+# run_grid fits the cells that share n together, in jobs whose (trials, M)
+# pmf rows hold at most this many elements (32 MB of float64), or one cell
+# where a cell alone is larger. Every n <= 8 group of configs/full_grid.json
+# (28 cells of 100 trials) is one job.
+GROUP_ELEMENTS = 2**22
 
 CSV_HEADER = (
     "theta_true,n,M,k,trials,excluded,rmse,mean_abs_error,"
@@ -123,26 +129,39 @@ def trial_seed(base_seed: int, theta: float, n: int, k: int, trial: int) -> np.r
     )
 
 
-def cell_estimates(
-    theta: float, reg: RegisterSpec, k: int, trials: int, base_seed: int
-) -> tuple[np.ndarray, int]:
-    """Per-trial phase estimates for one cell, with the count of failed fits.
+def _estimates(
+    reg: RegisterSpec, cells: list[tuple[float, int]], trials: int, base_seed: int
+) -> list[tuple[np.ndarray, int]]:
+    """Per-trial phase estimates and failed-fit counts for (theta, k) cells sharing reg.
 
     Each trial's histogram is drawn from its own trial_seed; the single-phase
-    fits of all trials then run together, both starts of every trial in one
-    batched solve (fit_single on each histogram gives the same estimates).
+    fits of every trial of every cell then go to one _fit call, so cells
+    share solver calls. The solver's result for a problem does not depend on
+    its batch, so each cell's estimates are the same however cells are
+    grouped, and equal fit_single on each histogram.
     """
-    dist = analytic_distribution(reg, PhaseModel.single(theta))
-    seeds = [trial_seed(base_seed, theta, reg.n, k, trial) for trial in range(trials)]
-    probs = np.array([histogram_to_probs(sample_shots(dist, k, seed)).probs for seed in seeds])
+    dists = {theta: analytic_distribution(reg, PhaseModel.single(theta)) for theta, _ in cells}
+    probs = np.array([
+        histogram_to_probs(
+            sample_shots(dists[theta], k, trial_seed(base_seed, theta, reg.n, k, trial))
+        ).probs
+        for theta, k in cells
+        for trial in range(trials)
+    ])
     fits = _fit(reg, probs, 1)
-    estimates = [fit.phases[0] for fit in fits if not isinstance(fit, FitError)]
-    return np.array(estimates), trials - len(estimates)
+    out = []
+    for first in range(0, len(fits), trials):
+        estimates = [
+            fit.phases[0] for fit in fits[first : first + trials] if not isinstance(fit, FitError)
+        ]
+        out.append((np.array(estimates), trials - len(estimates)))
+    return out
 
 
-def run_cell(theta: float, reg: RegisterSpec, k: int, trials: int, base_seed: int) -> BenchRecord:
-    """Run one grid cell and aggregate its errors."""
-    estimates, excluded = cell_estimates(theta, reg, k, trials, base_seed)
+def _record(
+    theta: float, reg: RegisterSpec, k: int, trials: int, estimates: np.ndarray, excluded: int
+) -> BenchRecord:
+    """Aggregate one cell's estimates into its record."""
     if estimates.size:
         errors = np.array([circular_error(est, theta) for est in estimates])
         rmse = float(np.sqrt(np.mean(errors**2)))
@@ -170,27 +189,73 @@ def run_cell(theta: float, reg: RegisterSpec, k: int, trials: int, base_seed: in
     )
 
 
-def _run_cell_args(args: tuple) -> BenchRecord:
-    theta, n, k, trials, base_seed = args
-    return run_cell(theta, RegisterSpec(n), k, trials, base_seed)
+def _run_cells(job: tuple) -> list[BenchRecord]:
+    """Records of the (theta, k) cells of one register, fit together."""
+    n, cells, trials, base_seed = job
+    reg = RegisterSpec(n)
+    results = _estimates(reg, cells, trials, base_seed)
+    return [
+        _record(theta, reg, k, trials, estimates, excluded)
+        for (theta, k), (estimates, excluded) in zip(cells, results)
+    ]
+
+
+def cell_estimates(
+    theta: float, reg: RegisterSpec, k: int, trials: int, base_seed: int
+) -> tuple[np.ndarray, int]:
+    """Per-trial phase estimates for one cell, with the count of failed fits.
+
+    The one-cell case of run_grid's grouped fits: the single-phase fits of
+    all trials run together, both starts of every trial in one batched
+    solve (fit_single on each histogram gives the same estimates).
+    """
+    (result,) = _estimates(reg, [(theta, k)], trials, base_seed)
+    return result
+
+
+def run_cell(theta: float, reg: RegisterSpec, k: int, trials: int, base_seed: int) -> BenchRecord:
+    """Run one grid cell and aggregate its errors; the one-cell case of run_grid."""
+    (record,) = _run_cells((reg.n, [(theta, k)], trials, base_seed))
+    return record
 
 
 def run_grid(grid: BenchGrid, workers: int = 1) -> list[BenchRecord]:
     """Run every cell of the grid, in deterministic grid order.
 
-    Cells are independent; with workers > 1 they are fanned out to spawned
-    processes. Records are identical for any worker count because seeds
-    derive from cell coordinates alone.
+    Cells that share n are fit together: each such group is one job, whose
+    trials go to one _fit call and so share solver calls, split into
+    contiguous runs of cells where its pmf rows would exceed GROUP_ELEMENTS.
+    With workers > 1, each group is also split into at least `workers`
+    contiguous runs, and the jobs are fanned out to spawned processes.
+    Records are identical for any grouping and worker count, because seeds
+    derive from cell coordinates alone and a fit does not depend on its
+    solver batch.
     """
-    cells = [
-        (theta, n, k, grid.trials, grid.base_seed)
-        for theta, n, k in product(grid.phases, grid.n_values, grid.shot_values)
-    ]
+    cells = list(product(grid.phases, grid.n_values, grid.shot_values))
+    jobs, slots = [], []
+    for n in dict.fromkeys(grid.n_values):
+        group = [i for i, (_, cell_n, _) in enumerate(cells) if cell_n == n]
+        # As few jobs as GROUP_ELEMENTS allows, but one per worker at least.
+        per_job = max(1, GROUP_ELEMENTS // (grid.trials * 2**n))
+        pieces = min(len(group), max(workers, -(-len(group) // per_job)))
+        for part in np.array_split(group, pieces):
+            job_cells = [(cells[i][0], cells[i][2]) for i in part]
+            jobs.append((n, job_cells, grid.trials, grid.base_seed))
+            slots.extend(part)
     if workers <= 1:
-        return [_run_cell_args(cell) for cell in cells]
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(_run_cell_args, cells, chunksize=1))
+        results = list(map(_run_cells, jobs))
+    else:
+        # Imported here: a single-process run does not pay for the pool's modules.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            results = list(pool.map(_run_cells, jobs, chunksize=1))
+    records = [None] * len(cells)
+    for slot, record in zip(slots, chain.from_iterable(results)):
+        records[slot] = record
+    return records
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,15 @@ from .solver import least_squares_box
 # requires strict interiority while the recipe starts exactly at the bounds.
 NUDGE = 1e-9
 # A solver call holds at most max(1, BATCH_ELEMENTS // M) problems, which
-# bounds its (problems, M) arrays: a campaign cell is one call, and n >= 16
-# registers are solved one problem at a time. Such a lone single-phase
-# problem is fit on its observed bins (_observed_problem); every other
-# problem keeps the dense residual of _problem.
+# bounds its (problems, M) arrays: at n = 8 that is the two starts of 128
+# trials, and n >= 16 registers are solved one problem at a time. A larger
+# cap made the grouped campaign fits slower: configs/full_grid.json took
+# 7.8-7.9 s at 2**16 and 8.4-9.0 s at 2**22 on one process of a 2-vCPU VM.
 BATCH_ELEMENTS = 2**16
+# Single-phase fits from this register size up run one problem per solver
+# call, on their trial's observed bins (_observed_problem); every other
+# problem keeps the dense residual of _problem, whatever BATCH_ELEMENTS is.
+OBSERVED_MIN_N = 16
 
 
 @dataclass(frozen=True)
@@ -112,8 +116,8 @@ def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
     gradient kernel call, whatever J is.
 
     Every bin is evaluated, so each iteration costs O(M); _fit uses
-    _observed_problem instead only where a single-phase problem is alone
-    in its solver call.
+    _observed_problem instead for single-phase problems at
+    n >= OBSERVED_MIN_N.
     """
     M = reg.M
     y = np.arange(M, dtype=float)
@@ -160,7 +164,7 @@ def _observed_problem(reg: RegisterSpec, probs: np.ndarray):
     0/0. probs is one (M,) pmf shared by every problem, so both callables
     ignore their rows argument.
 
-    _fit uses it only where a problem is alone in its solver call (n >= 16).
+    _fit uses it only at n >= OBSERVED_MIN_N, one problem per solver call.
     Used on every register, it failed three ways: one set of observed bins
     per batched call tied a trial's result to its batchmates (all three
     mirror-tie cases of tests/test_bench.py moved); the ~1e-16 absolute
@@ -216,14 +220,15 @@ def _fit(reg: RegisterSpec, probs: np.ndarray, J: int) -> list:
     Each trial's solver runs from the 2**J corners of its phase box, nudged
     inside, with uniform weights; the solve with the lowest SSR wins, and an
     exact SSR tie goes to the later start. The T * 2**J solves go to the
-    solver in batches of at most max(1, BATCH_ELEMENTS // M) problems, so one
-    call serves every trial of a small register.
+    solver in batches of at most max(1, BATCH_ELEMENTS // M) problems; a
+    batch may hold the trials of several campaign cells and may split one.
 
-    A single-phase problem alone in its call (n >= 16) is fit on its trial's
-    observed bins (_observed_problem), in O(observed bins) per iteration;
-    its SSR, and so residual_variance = SSR / (M - 1), is still over all M
-    bins. Smaller registers, and every J >= 2, keep the dense residual of
-    _problem; _observed_problem gives the three ways its form failed there.
+    A single-phase problem at n >= OBSERVED_MIN_N is solved alone and fit on
+    its trial's observed bins (_observed_problem), in O(observed bins) per
+    iteration; its SSR, and so residual_variance = SSR / (M - 1), is still
+    over all M bins. Smaller registers, and every J >= 2, keep the dense
+    residual of _problem; _observed_problem gives the three ways its form
+    failed there.
 
     Returns one FitResult per trial, or a FitError naming each start's
     failure when all of them failed.
@@ -251,10 +256,11 @@ def _fit(reg: RegisterSpec, probs: np.ndarray, J: int) -> list:
     iterations = np.empty(T * S, dtype=int)
     converged = np.empty(T * S, dtype=bool)
     status = np.empty(T * S, dtype=object)
-    size = max(1, BATCH_ELEMENTS // M)
+    observed_bins = J == 1 and reg.n >= OBSERVED_MIN_N
+    size = 1 if observed_bins else max(1, BATCH_ELEMENTS // M)
     for first in range(0, T * S, size):
         batch = slice(first, first + size)
-        if J == 1 and size == 1:
+        if observed_bins:
             residual, jacobian = _observed_problem(reg, probs[first // S])
         else:
             # A lone trial's pmf broadcasts over its starts; several are spelled out per problem.

@@ -86,13 +86,26 @@ def _pmf_grad_kernel(delta, M: int) -> np.ndarray:
     divergence at integer delta, giving exactly 0 there.
     """
     d = np.atleast_1d(_reduce(np.asarray(delta, dtype=float), M))
-    e = d - np.rint(d)
+    # 2 pi se (se cd / sd - M ce) / (M^2 sd^2), with e = d - round(d), se and
+    # ce the sine and cosine of pi e, sd and cd those of pi d / M, evaluated
+    # in place with the same operands in the same order: a call on a solver
+    # batch then holds at most six offset-sized temporaries at once, not ten.
     with np.errstate(all="ignore"):
-        se = np.sin(np.pi * e)
-        ce = np.cos(np.pi * e)
-        sd = np.sin(np.pi * d / M)
-        cd = np.cos(np.pi * d / M)
-        out = 2.0 * np.pi * se * (se * cd / sd - M * ce) / (M**2 * sd**2)
+        ce = np.pi * (d - np.rint(d))
+        se = np.sin(ce)
+        np.cos(ce, out=ce)
+        cd = np.pi * d / M
+        sd = np.sin(cd)
+        np.cos(cd, out=cd)
+        cd *= se
+        cd /= sd
+        ce *= M
+        cd -= ce
+        out = np.multiply(2.0 * np.pi, se, out=se)
+        out *= cd
+        sd *= sd
+        sd *= M**2
+        out /= sd
     small = np.abs(d) < SMALL_DELTA
     if small.any():
         out[small] = _pmf_kernel(d[small], M) * _score_kernel(d[small], M)

@@ -22,7 +22,7 @@ from qpecf.bench import (
     trial_seed,
 )
 from qpecf.errors import ConfigError, DomainError, FitError
-from qpecf.fitting import fit_single
+from qpecf.fitting import BATCH_ELEMENTS, fit_single
 from qpecf.model import PhaseModel, RegisterSpec
 from qpecf.pmf import analytic_distribution, circuit_depth_units, crlb_mse
 from qpecf.simulate import histogram_to_probs, sample_shots
@@ -227,6 +227,23 @@ class TestRunGrid:
     def test_single_cell_grid_reduces_to_run_cell(self):
         grid = BenchGrid((0.375,), (3,), (100,), 5, 3)
         assert run_grid(grid) == [run_cell(0.375, RegisterSpec(3), 100, 5, 3)]
+
+    def test_grouped_fits_equal_the_per_cell_path(self, monkeypatch):
+        # the six n = 10 cells are one group of 6 * 12 trials * 2 starts =
+        # 144 problems; at 64 problems per solver call, calls end inside the
+        # third and the sixth cell. Every split of the group, by the worker
+        # pool or by the memory cap, moves those boundaries, and no record
+        # may move with them.
+        grid = BenchGrid((1 / 3, 0.2), (3, 10), (10, 100, 1000), 12, 7)
+        assert BATCH_ELEMENTS // 2**10 == 64
+        records = run_grid(grid)
+        for rec in records:
+            assert rec == run_cell(rec.theta_true, RegisterSpec(rec.n), rec.k, 12, 7)
+        csv = records_to_csv(records)
+        assert records_to_csv(run_grid(grid, workers=2)) == csv
+        assert records_to_csv(run_grid(grid, workers=3)) == csv
+        monkeypatch.setattr("qpecf.bench.GROUP_ELEMENTS", 1)  # one cell per job
+        assert run_grid(grid) == records
 
     def test_worker_count_never_changes_results(self):
         grid = BenchGrid((1 / 3,), (2, 3), (50, 100), 4, 21)

@@ -272,6 +272,15 @@ class TestObservedBins:
         observed = histogram_to_probs(sample_shots(dist, k, seed))
         assert abs(fit_single(observed).phases[0] - dense_fit_single(observed)) <= 1e-11
 
+    def test_batch_cap_does_not_move_observed_bin_fits(self, monkeypatch):
+        # the observed-bin rule keys on n, not on the batch cap: with a cap
+        # that would put 64 n = 16 problems in one call, the fit is unchanged
+        dist = analytic_distribution(RegisterSpec(16), PhaseModel.single(1 / 3))
+        observed = histogram_to_probs(sample_shots(dist, 10**5, 1))
+        before = fit_single(observed)
+        monkeypatch.setattr("qpecf.fitting.BATCH_ELEMENTS", 2**22)
+        assert fit_single(observed) == before
+
     @pytest.mark.parametrize("n", [16, 18, 20])
     def test_one_hot_on_bin_histograms(self, n):
         # the test_representable_phase gate; y = 0 may land on either side of the seam

@@ -48,5 +48,6 @@ def test_committed_bench_point_names_every_layer():
         "configs/smoke_grid.json",
         "configs/full_grid.json",
     ]
+    assert all(entry["wall_s"] > 0 and entry["median_ref_s"] > 0 for entry in point["end_to_end"])
     assert set(point["perfbench"]) == {"campaign_few", "campaign_mega", "readout_wide"}
     assert all(run["trials_per_s"] > 0 for run in point["perfbench"].values())
