@@ -173,7 +173,11 @@ def build_parser() -> _Parser:
     sub.add_argument("--config", required=True, help="grid config JSON path")
     sub.add_argument("--out-csv", required=True, help="per-cell CSV output path")
     sub.add_argument("--out-scaling", help="scaling-exponent JSON output path")
-    sub.add_argument("--threads", type=int, default=1, help="worker process count (default 1)")
+    sub.add_argument(
+        "--threads", type=int, default=1,
+        help="worker process count (default 1); each worker takes about 0.4 s to start, "
+        "so more than one pays off only on grids that run for several seconds",
+    )
     sub.set_defaults(handler=_cmd_bench)
     return parser
 

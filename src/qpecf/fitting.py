@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, FitError
 from .model import MAX_PHASES, OutcomeDistribution, RegisterSpec, _check_int
-from .pmf import _pmf_grad_kernel, _pmf_kernel, _pmf_square_sum
+from .pmf import _pmf_kernel, _pmf_square_sum
 from .solver import least_squares_box
 
 # Starts sit this fraction of a bin width inside the bounds; the solver
@@ -82,6 +82,8 @@ class FitResult:
 
 def _top_bins(probs: np.ndarray, J: int) -> np.ndarray:
     """Each row's J most probable outcomes in descending order, ties to the lower index."""
+    if J == 1:
+        return np.argmax(probs, axis=1)[:, None].astype(float)
     rest = probs.copy()
     rows = np.arange(len(probs))
     bins = np.empty((len(probs), J))
@@ -110,17 +112,17 @@ def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
     local coordinate of their intervals. The last weight is 1 minus the free
     weights, so weights sum to 1 by construction; for J >= 3 that trailing
     weight is not box-constrained. J = 1 has no free weight, and its
-    residual is a single kernel call. For J >= 2 the components of all
-    problems are one (B, J, M) offset array: the residual is one kernel call
-    summed over the component axis, and the Jacobian one pmf and one
-    gradient kernel call, whatever J is.
+    residual and Jacobian are one kernel call each. For J >= 2 the
+    components of all problems are one (B, J, 1) phase array: the residual
+    is one kernel call summed over the component axis, and the Jacobian one
+    kernel call for P and dP/dtheta together, whatever J is.
 
     Every bin is evaluated, so each iteration costs O(M); _fit uses
     _observed_problem instead for single-phase problems at
     n >= OBSERVED_MIN_N.
     """
     M = reg.M
-    y = np.arange(M, dtype=float)
+    bin_phases = np.arange(M) / M
 
     def pmfs(rows: np.ndarray) -> np.ndarray:
         return probs if len(probs) == 1 else probs[rows]
@@ -128,23 +130,22 @@ def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
     if J == 1:
 
         def residual(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            return _pmf_kernel(y - params[:, :1] * M, M) - pmfs(rows)
+            return _pmf_kernel(bin_phases, params[:, :1], M) - pmfs(rows)
 
         def jacobian(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            return _pmf_grad_kernel(y - params[:, :1] * M, M).reshape(len(params), M, 1)
+            return _pmf_kernel(bin_phases, params[:, :1], M, pmf=False, grad=True)[:, :, None]
 
         return residual, jacobian
 
     def residual(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        P = _pmf_kernel(y - params[:, :J, None] * M, M)
+        P = _pmf_kernel(bin_phases, params[:, :J, None], M)
         return (_weights(params, J)[:, :, None] * P).sum(axis=1) - pmfs(rows)
 
     def jacobian(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        delta = y - params[:, :J, None] * M
-        P = _pmf_kernel(delta, M)
+        P, dP = _pmf_kernel(bin_phases, params[:, :J, None], M, grad=True)
         out = np.empty((len(params), M, 2 * J - 1))
-        grad = _weights(params, J)[:, :, None] * _pmf_grad_kernel(delta, M)
-        out[:, :, :J] = grad.transpose(0, 2, 1)
+        dP *= _weights(params, J)[:, :, None]
+        out[:, :, :J] = dP.transpose(0, 2, 1)
         out[:, :, J:] = (P[:, :-1] - P[:, -1:]).transpose(0, 2, 1)
         return out
 
@@ -176,7 +177,7 @@ def _observed_problem(reg: RegisterSpec, probs: np.ndarray):
     """
     M = reg.M
     bins = np.flatnonzero(probs)
-    y = bins.astype(float)
+    bin_phases = bins / M
     p = probs[bins]
     m = bins.size
     lumped = m < M
@@ -186,7 +187,7 @@ def _observed_problem(reg: RegisterSpec, probs: np.ndarray):
         return np.sqrt(np.maximum(S - (P * P).sum(axis=1), 0.0)), dS
 
     def residual(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        P = _pmf_kernel(y - params[:, :1] * M, M)
+        P = _pmf_kernel(bin_phases, params[:, :1], M)
         out = np.empty((len(params), m + lumped))
         out[:, :m] = P - p
         if lumped:
@@ -194,12 +195,10 @@ def _observed_problem(reg: RegisterSpec, probs: np.ndarray):
         return out
 
     def jacobian(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        delta = y - params[:, :1] * M
-        dP = _pmf_grad_kernel(delta, M)
+        P, dP = _pmf_kernel(bin_phases, params[:, :1], M, grad=True)
         out = np.empty((len(params), m + lumped, 1))
         out[:, :m, 0] = dP
         if lumped:
-            P = _pmf_kernel(delta, M)
             t, dS = lumped_entry(P, params[:, 0])
             slope = dS - 2.0 * (P * dP).sum(axis=1)
             out[:, m, 0] = np.divide(slope, 2.0 * t, out=np.zeros_like(t), where=t > 0)

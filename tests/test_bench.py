@@ -125,15 +125,17 @@ class TestRunCell:
         assert estimates.shape == (8,)
 
     # (theta, n, trial, estimate) of trials whose two starts end on mirror
-    # minima with SSRs a few units in the last place apart, at k = 10 and
-    # base seed 1. The winner rests on those last bits, so the estimates,
-    # recorded when the solver took one problem per call, pin the batched
-    # solver's reduction order: an np.einsum SSR moves all three, two of
-    # them to the mirror.
+    # minima with SSRs 0-11 units in the last place apart, at k = 10 and
+    # base seed 1. The winner rests on those last bits, so the estimates pin the
+    # batched solver's reduction order: an np.einsum SSR moves all three,
+    # two of them to the mirror. Re-recorded when P and dP/dtheta became one
+    # kernel: (1/7, 4, 0) now ties exactly and goes to the later, mirror
+    # start (0.10869462277476177 before), and the other two stop 1.8e-11
+    # and 7.9e-13 from where they did.
     MIRROR_TIES = [
-        (1 / 3, 2, 0, 0.3531324650194182),
-        (1 / 7, 4, 0, 0.10869462277476177),
-        (1 / 9, 7, 5, 0.11118764191383215),
+        (1 / 3, 2, 0, 0.35313246502120277),
+        (1 / 7, 4, 0, 0.14130537722520042),
+        (1 / 9, 7, 5, 0.11118764191304581),
     ]
 
     @pytest.mark.parametrize("theta, n, trial, estimate", MIRROR_TIES)

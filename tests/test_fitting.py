@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpecf.errors import DomainError, FitError
-from qpecf.fitting import NUDGE, FitBounds, _observed_problem, _problem, fit_multi, fit_single
+from qpecf.fitting import (
+    NUDGE, FitBounds, _observed_problem, _problem, _top_bins, fit_multi, fit_single,
+)
 from qpecf.model import MAX_PHASES, OutcomeDistribution, PhaseModel, RegisterSpec
 from qpecf.pmf import (
-    _pmf_grad_kernel,
     _pmf_kernel,
     analytic_distribution,
     pmf_single,
@@ -30,6 +31,15 @@ class TestFitBounds:
         for n in (2, 3, 5, 8):
             result = fit_single(exact_dist(n, [(1 / 3, 1.0)]))
             assert abs(result.bounds[0].width - 1.0 / 2**n) < 1e-15
+
+    def test_tied_top_bins_go_to_the_lower_index(self):
+        # J = 1 takes one argmax per row, J >= 2 masks each pick in a copy;
+        # both give a tie to the lower outcome
+        probs = np.array([[0.1, 0.4, 0.1, 0.4], [0.3, 0.3, 0.2, 0.2], [0.25] * 4])
+        assert np.array_equal(_top_bins(probs, 1), [[1], [0], [0]])
+        assert np.array_equal(_top_bins(probs, 2), [[1, 3], [0, 1], [0, 1]])
+        tied = OutcomeDistribution(RegisterSpec(2), probs[0])
+        assert fit_single(tied).bounds[0] == FitBounds(0.125, 0.375)
 
     def test_wrapped_contains(self):
         seam = FitBounds(0.9375, 0.0625)
@@ -356,7 +366,7 @@ class TestJacobians:
         rng = np.random.default_rng(43 + J)
         reg = RegisterSpec(4)
         M = reg.M
-        y = np.arange(M, dtype=float)
+        bin_phases = np.arange(M) / M
         probs = pmf_vector(reg, PhaseModel.from_pairs(random_phase_model(rng, J)))
         residual, jacobian = _problem(reg, J, probs[np.newaxis])
         batch = np.array(
@@ -368,13 +378,13 @@ class TestJacobians:
         assert got.flags.c_contiguous
         for params, got_r, got_j in zip(batch, got_residual, got):
             w = np.append(params[J:], 1.0 - params[J:].sum())
-            P = [_pmf_kernel(y - params[j] * M, M) for j in range(J)]
+            P, dP = zip(*(_pmf_kernel(bin_phases, params[j], M, grad=True) for j in range(J)))
             total = np.zeros(M)
             for j in range(J):
                 total += w[j] * P[j]
             want = np.zeros((M, 2 * J - 1))
             for j in range(J):
-                want[:, j] = w[j] * _pmf_grad_kernel(y - params[j] * M, M)
+                want[:, j] = w[j] * dP[j]
             for j in range(J - 1):
                 want[:, J + j] = P[j] - P[J - 1]
             assert np.array_equal(got_r, total - probs)

@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 from qpecf.errors import DomainError
 from qpecf.model import OutcomeDistribution, PhaseComponent, PhaseModel, RegisterSpec
 from qpecf.pmf import (
-    _pmf_grad_kernel,
+    NEAR_PEAK,
+    _horner,
+    _peak_series,
     _pmf_kernel,
     _pmf_square_sum,
-    _reduce,
-    _score_kernel,
     analytic_distribution,
     circuit_depth_units,
     crlb_mse,
@@ -173,24 +173,94 @@ class TestPmfValues:
 class TestKernels:
     @pytest.mark.parametrize("n", [1, 3, 8, 20, 30])
     def test_component_axis_matches_row_by_row_calls(self, n):
-        # a (J, M) offset array is how mixtures reach the kernels; each row
-        # must come out exactly as its own 1-D call, including the series
-        # entries (|d| < 1e-6), the zeros of P (integer d) and the +-M/2 ties
+        # a (J, 1) phase array is how mixtures and solver batches reach the
+        # kernel; each row must come out exactly as its own call, P alone
+        # and with dP/dtheta, including the peak (d = 0, tiny offsets, the
+        # series either side of NEAR_PEAK), the zeros of P (theta on a
+        # bin), half-bin ties and the lowest phase a solver box reaches
         M = 1 << n
         rng = np.random.default_rng(n)
-        rows = np.array([
-            [0.0, -0.0, 3e-7, -8e-7, 1e-300, 2.0, -1.0, M / 2],
-            [-M / 2, 1e-12, -1e-12, 3.0, M - 1.0, 1.5e-6, -M / 2 + 0.25, 0.5],
-            rng.uniform(-2 * M, 2 * M, 8),
-        ])
-        for kernel in (_pmf_kernel, _score_kernel, _pmf_grad_kernel):
-            with np.errstate(divide="raise", invalid="raise", over="raise"):
-                whole = kernel(rows, M)
-                by_row = [kernel(row, M) for row in rows]
-            assert whole.shape == rows.shape
-            assert not np.any(np.isnan(whole))
-            for j, row in enumerate(by_row):
-                assert np.array_equal(whole[j], row)
+        y0 = M // 3
+        offsets = [0.0, 3e-10, -8e-7, 0.1, NEAR_PEAK - 1e-9, -NEAR_PEAK - 1e-9, 0.5, -0.5]
+        thetas = [(y0 - d) / M for d in offsets] + [0.0, 1e-300, -0.5 / M, 1 - 1e-12]
+        thetas = np.array(thetas + list(rng.random(4)))[:, None]
+        y = np.unique(np.concatenate([np.arange(y0 - 2, y0 + 3), rng.integers(0, M, 6), [0, M - 1]]))
+        bin_phases = np.unique(y % M) / M
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            P = _pmf_kernel(bin_phases, thetas, M)
+            both = _pmf_kernel(bin_phases, thetas, M, grad=True)
+            dP = _pmf_kernel(bin_phases, thetas, M, pmf=False, grad=True)
+            by_row = [_pmf_kernel(bin_phases, theta, M, grad=True) for theta in thetas[:, 0]]
+        assert P.shape == both[1].shape == (len(thetas), len(bin_phases))
+        assert not np.any(np.isnan(P)) and not np.any(np.isnan(both[1]))
+        assert np.array_equal(P, both[0]) and np.array_equal(dP, both[1])
+        for j, (P_row, dP_row) in enumerate(by_row):
+            assert np.array_equal(both[0][j], P_row)
+            assert np.array_equal(both[1][j], dP_row)
+
+    def test_peak_series_leading_terms(self):
+        # P = 1 - (1 - 1/M^2) x^2 / 3 + ... and dP/dtheta = 2 pi M (1 - 1/M^2) x / 3 + ...
+        assert _horner((1.0, 2.0, 3.0), np.array([2.0]))[0] == 17.0
+        for n in (1, 3, 30):
+            M = 2**n
+            p, g = _peak_series(M)
+            assert p[0] == 1.0
+            assert p[1] == pytest.approx(-(1 - 1 / M**2) / 3, rel=1e-15)
+            assert g[0] == pytest.approx(2 * np.pi * M * (1 - 1 / M**2) / 3, rel=1e-15)
+
+
+# P and dP/dtheta next to the peak, from mpmath 1.3.0 at 50 digits on the
+# exact binary value of each theta; d = y - theta*M is the reduced offset:
+#
+#     import mpmath as mp
+#     mp.mp.dps = 50
+#     x = mp.pi * (y - mp.mpf(theta) * M); t = x / M
+#     P = mp.sin(x) ** 2 / (M * mp.sin(t)) ** 2
+#     dP = 2 * mp.pi * mp.sin(x) * (mp.sin(x) * mp.cot(t) - M * mp.cos(x)) / (M * mp.sin(t)) ** 2
+#
+# with theta = (y - d) / M for d = 1.05e-6, -1.05e-6, 1e-4, -0.1, 0.2499,
+# 0.2501 and -0.2501, and theta = 1 - 1e-12 (d = 1.05e-6 on bin 0) at n = 20.
+PEAK_REFERENCE = [
+    # (n, theta, y, P, dP/dtheta)
+    (1, 0.499999475, 1, 0.9999999999972797, 1.036308462060122e-05),
+    (1, 0.500000525, 1, 0.9999999999972797, -1.0363084621696967e-05),
+    (1, 0.49995, 1, 0.9999999753259892, 0.0009869604238739787),
+    (1, 0.55, 1, 0.9755282581475767, -0.9708055193627341),
+    (1, 0.37505, 1, 0.8536644452177403, 2.2207434730469573),
+    (1, 0.37495, 1, 0.8534423010744865, 2.2221392458639255),
+    (1, 0.62505, 1, 0.8534423010744865, -2.2221392458639255),
+    (20, 0.33333301544089317, 349525, 0.9999999999963729, 7.244376374941911),
+    (20, 0.3333330154428959, 349525, 0.9999999999963729, -7.244376374941911),
+    (20, 0.3333330153465271, 349525, 0.999999967101316, 689.9353682429487),
+    (20, 0.33333311080932615, 349525, 0.9675312092900287, -671967.8810286218),
+    (20, 0.33333277711868287, 349525, 0.8107086105361238, 1458810.6030172233),
+    (20, 0.333332776927948, 349525, 0.8104302910149624, 1459580.816047904),
+    (20, 0.33333325395584107, 349525, 0.8104302910149624, -1459580.816047904),
+    (20, 0.999999999999, 0, 0.9999999999963829, 7.234336494162904),
+    (30, 0.3333333330228915, 357913941, 0.9999999999962131, 7579.856180013664),
+    (30, 0.3333333330228935, 357913941, 0.9999999999962131, -7579.856180013664),
+    (30, 0.3333333330227993, 357913941, 0.9999999670903998, 706611.0186244295),
+    (30, 0.33333333311602475, 357913941, 0.9675311939962966, -688095265.6997856),
+    (30, 0.333333332790155, 357913941, 0.8107086336153447, 1493821992.0345433),
+    (30, 0.3333333327899687, 357913941, 0.810430267923252, 1494610821.0165305),
+    (30, 0.33333333325581627, 357913941, 0.810430267923252, -1494610821.0165305),
+]
+
+
+class TestPeakPrecision:
+    @pytest.mark.parametrize("n, theta, y, P_ref, dP_ref", PEAK_REFERENCE)
+    def test_matches_mpmath_next_to_the_peak(self, n, theta, y, P_ref, dP_ref):
+        # measured: at most 1.4e-16 for P, 2.4e-16 for dP/dtheta inside the
+        # series and 8.0e-16 just past it, where the sine form's bracket
+        # starts to cancel; the former gradient form was up to 4e-5 off at
+        # |d| = 1.05e-6 and 5e-9 at 1e-4
+        M = 2**n
+        P, dP = _pmf_kernel(np.array([y / M]), theta, M, grad=True)
+        d = abs((y - theta * M + M / 2) % M - M / 2)
+        assert abs(P[0] - P_ref) / P_ref <= 4e-16
+        assert abs(dP[0] - dP_ref) / abs(dP_ref) <= (4e-16 if d < NEAR_PEAK else 1.5e-15)
+        assert pmf_single(RegisterSpec(n), theta, y) == P[0]
+        assert score(RegisterSpec(n), theta, y) == dP[0] / P[0]
 
 
 class TestPmfMulti:
@@ -265,10 +335,10 @@ class TestScore:
             assert abs(analytic - fd) / abs(fd) < 1e-5
 
     def test_series_joins_direct_evaluation_continuously(self):
-        # straddle the small-offset series threshold used near representable phases
+        # straddle the offset where dP/dtheta switches from its series to the sine form
         reg = RegisterSpec(4)
-        inner = score(reg, (3 + 0.999e-6) / reg.M, 3)
-        outer = score(reg, (3 + 1.001e-6) / reg.M, 3)
+        inner = score(reg, (3 + NEAR_PEAK - 1e-9) / reg.M, 3)
+        outer = score(reg, (3 + NEAR_PEAK + 1e-9) / reg.M, 3)
         assert abs(inner - outer) < 1e-6 * max(1.0, abs(outer))
 
     def test_infinite_exactly_at_zero_probability_outcomes(self):
@@ -328,36 +398,17 @@ def square_sum_phases(n: int) -> list:
     return phases
 
 
-def dirichlet_pmf_grad(d: float, M: int) -> float:
-    """dP/dtheta at one offset d from the Dirichlet sum (1/M) sum_x cos(pi (2x - M + 1) d / M).
-
-    Differentiated term by term, the sum has no cancellation at small d,
-    where the sine-ratio gradient kernel loses about 1e-16 / d^2 relative.
-    """
-    k = np.arange(1 - M, M, 2, dtype=float)
-    g = np.sum(np.cos(np.pi * k * d / M)) / M
-    dg = -np.pi / M**2 * np.sum(k * np.sin(np.pi * k * d / M))
-    return -M * 2.0 * g * dg
-
-
 class TestSquareSum:
     @pytest.mark.parametrize("n", range(1, 21))
     def test_closed_form_matches_the_sums(self, n):
-        # S = sum_y P^2 and dS/dtheta = sum_y 2 P P' against the O(M) sums;
-        # dS crosses zero, so its error is relative to its amplitude
-        # 2 pi (M - 1/M) / 3. The bin nearest theta*M takes its P' from the
-        # Dirichlet sum, since the gradient kernel's own error there
-        # (3e-11 of the amplitude at n = 20, theta = 1 - 1e-12) would hide
-        # the closed form's.
+        # S = sum_y P^2 and dS/dtheta = sum_y 2 P P' against the O(M) sums
+        # of the kernel's own P and P'; dS crosses zero, so its error is
+        # relative to its amplitude 2 pi (M - 1/M) / 3
         M = 2**n
-        y = np.arange(M, dtype=float)
+        bin_phases = np.arange(M) / M
         amplitude = 2 * np.pi * (M - 1 / M) / 3
         for theta in square_sum_phases(n):
-            delta = y - theta * M
-            P = _pmf_kernel(delta, M)
-            dP = _pmf_grad_kernel(delta, M)
-            near = round(theta * M) % M
-            dP[near] = dirichlet_pmf_grad(_reduce(delta[near], M), M)
+            P, dP = _pmf_kernel(bin_phases, theta, M, grad=True)
             S, dS = _pmf_square_sum(theta, M)
             want = np.sum(P * P)
             assert abs(S - want) / want <= 2e-15, theta
@@ -375,7 +426,7 @@ class TestIdentifiabilityLimits:
         h = 1e-5
         for y0 in (0, 1, M // 2, M - 1):
             def p(eps):
-                return _pmf_kernel(y - y0 - eps * M, M)
+                return _pmf_kernel(y / M, y0 / M + eps, M)
 
             second = (p(h) - 2.0 * p(0.0) + p(-h)) / (2.0 * h * h)
             c = on_bin_coefficients(M, y0)
