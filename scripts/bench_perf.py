@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Write one point of the performance trajectory as JSON.
 
-    python3 scripts/bench_perf.py BENCH_11.json
+    python3 scripts/bench_perf.py BENCH_13.json
 
 Three parts, all single-process:
 
@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qpecf.bench import BenchGrid, run_cell, run_grid
+from qpecf.bench import BenchGrid, run_grid
 from qpecf.fitting import fit_multi, fit_single
 from qpecf.model import PhaseModel, RegisterSpec
 from qpecf.pmf import analytic_distribution, fisher_information, pmf_vector
@@ -80,9 +80,10 @@ def layer_calls():
         calls.append(("simulate_distribution", f"n={n} J=3",
                       lambda n=n, u=unitary: simulate_distribution(RegisterSpec(n), u)))
     calls.append(("fisher_information", "n=20", lambda: fisher_information(RegisterSpec(20))))
+    # One grid cell; the layer keeps its run_cell label so the trajectory lines up.
     for n, k in ((3, 4000), (8, 10**6)):
-        calls.append(("run_cell", f"100 trials n={n} k={k}",
-                      lambda n=n, k=k: run_cell(1 / 3, RegisterSpec(n), k, 100, 12345)))
+        grid = BenchGrid((1 / 3,), (n,), (k,), 100, 12345)
+        calls.append(("run_cell", f"100 trials n={n} k={k}", lambda g=grid: run_grid(g)))
     return calls
 
 

@@ -10,11 +10,9 @@ from .bench import (
     BenchGrid,
     BenchRecord,
     ScalingSummary,
-    cell_estimates,
     circular_error,
     fit_scaling_exponents,
     records_to_csv,
-    run_cell,
     run_grid,
     scaling_to_json,
     trial_seed,
@@ -62,7 +60,6 @@ __all__ = [
     "ShotHistogram",
     "SimUnitary",
     "analytic_distribution",
-    "cell_estimates",
     "circuit_depth_units",
     "circular_error",
     "crlb_mse",
@@ -74,7 +71,6 @@ __all__ = [
     "pmf_single",
     "pmf_vector",
     "records_to_csv",
-    "run_cell",
     "run_grid",
     "sample_shots",
     "scaling_to_json",

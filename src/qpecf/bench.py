@@ -2,18 +2,19 @@
 
 Each cell repeats the simulate-sample-fit pipeline and aggregates circular
 estimation errors into an RMSE, compared against the square root of the
-Cramer-Rao bound and against the traditional nearest-bin error. The cells
-of a grid that share a register size n are fit together, every trial of
-them in one batched fit, so they share solver calls. Per-trial seeds are a
-pure function of (base_seed, theta, n, k, trial), and a fit does not depend
-on the solver batch it lands in, so results are bit-identical regardless of
-grouping, scheduling or worker count.
+Cramer-Rao bound and against the traditional nearest-bin error; its record
+also keeps the per-trial estimates. The cells of a grid that share a
+register size n are fit together, every trial of them in one batched fit,
+so they share solver calls. Per-trial seeds are a pure function of
+(base_seed, theta, n, k, trial), and a fit does not depend on the solver
+batch it lands in, so results are bit-identical regardless of grouping,
+scheduling or worker count.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, product
 
 import numpy as np
@@ -94,7 +95,11 @@ class BenchGrid:
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """Aggregated estimation errors for one (theta, n, k) cell."""
+    """Aggregated estimation errors for one (theta, n, k) cell.
+
+    estimates holds the phase estimates of the trials whose fit succeeded,
+    in trial order, so it has trials - excluded entries.
+    """
 
     theta_true: float
     n: int
@@ -109,6 +114,7 @@ class BenchRecord:
     traditional_error: float
     depth_units: int
     valid: bool
+    estimates: tuple[float, ...] = field(repr=False)
 
 
 def circular_error(theta_hat: float, theta_true: float) -> float:
@@ -186,6 +192,7 @@ def _record(
         traditional_error=traditional_error,
         depth_units=circuit_depth_units(reg),
         valid=excluded <= MAX_EXCLUDED_FRACTION * trials,
+        estimates=tuple(estimates.tolist()),
     )
 
 
@@ -200,25 +207,6 @@ def _run_cells(job: tuple) -> list[BenchRecord]:
     ]
 
 
-def cell_estimates(
-    theta: float, reg: RegisterSpec, k: int, trials: int, base_seed: int
-) -> tuple[np.ndarray, int]:
-    """Per-trial phase estimates for one cell, with the count of failed fits.
-
-    The one-cell case of run_grid's grouped fits: the single-phase fits of
-    all trials run together, both starts of every trial in one batched
-    solve (fit_single on each histogram gives the same estimates).
-    """
-    (result,) = _estimates(reg, [(theta, k)], trials, base_seed)
-    return result
-
-
-def run_cell(theta: float, reg: RegisterSpec, k: int, trials: int, base_seed: int) -> BenchRecord:
-    """Run one grid cell and aggregate its errors; the one-cell case of run_grid."""
-    (record,) = _run_cells((reg.n, [(theta, k)], trials, base_seed))
-    return record
-
-
 def run_grid(grid: BenchGrid, workers: int = 1) -> list[BenchRecord]:
     """Run every cell of the grid, in deterministic grid order.
 
@@ -231,6 +219,7 @@ def run_grid(grid: BenchGrid, workers: int = 1) -> list[BenchRecord]:
     derive from cell coordinates alone and a fit does not depend on its
     solver batch.
     """
+    workers = _check_int(workers, "workers", 1)
     cells = list(product(grid.phases, grid.n_values, grid.shot_values))
     jobs, slots = [], []
     for n in dict.fromkeys(grid.n_values):
@@ -242,7 +231,7 @@ def run_grid(grid: BenchGrid, workers: int = 1) -> list[BenchRecord]:
             job_cells = [(cells[i][0], cells[i][2]) for i in part]
             jobs.append((n, job_cells, grid.trials, grid.base_seed))
             slots.extend(part)
-    if workers <= 1:
+    if workers == 1:
         results = list(map(_run_cells, jobs))
     else:
         # Imported here: a single-process run does not pay for the pool's modules.

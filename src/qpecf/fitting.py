@@ -83,14 +83,9 @@ class FitResult:
 def _top_bins(probs: np.ndarray, J: int) -> np.ndarray:
     """Each row's J most probable outcomes in descending order, ties to the lower index."""
     if J == 1:
+        # A full sort of every row would slow the large-register readouts.
         return np.argmax(probs, axis=1)[:, None].astype(float)
-    rest = probs.copy()
-    rows = np.arange(len(probs))
-    bins = np.empty((len(probs), J))
-    for j in range(J):
-        bins[:, j] = np.argmax(rest, axis=1)
-        rest[rows, bins[:, j].astype(int)] = -np.inf
-    return bins
+    return np.argsort(-probs, axis=1, kind="stable")[:, :J].astype(float)
 
 
 def _weights(params: np.ndarray, J: int) -> np.ndarray:

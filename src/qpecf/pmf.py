@@ -47,11 +47,13 @@ PEAK_TERMS = 11
 
 
 @functools.lru_cache(maxsize=None)
-def _peak_series(M: int) -> tuple[tuple, tuple]:
+def _peak_series(M: int) -> tuple[complex, ...]:
     """Series of P and dP/dtheta in z = x^2 at x = pi d, for register size M.
 
-    Returns (p, g) with P = sum_k p_k z^k and dP/dtheta = x sum_k g_k z^k.
-    P is the square of r(x) = sinc(x) / sinc(x / M), and r follows from
+    Returns the coefficients p_k + 1j g_k of one complex series whose real
+    part is P = sum_k p_k z^k and whose imaginary part is dP/dtheta / x =
+    sum_k g_k z^k, so one Horner pass gives both. P is the square of
+    r(x) = sinc(x) / sinc(x / M), and r follows from
     sinc(x) = r(x) sinc(x / M) term by term; dP/dtheta = -M pi dP/dx gives
     g_k = -2 pi M (k + 1) p_(k+1). The arithmetic is exact in integers over
     the common denominators below, so every coefficient is one correctly
@@ -69,18 +71,28 @@ def _peak_series(M: int) -> tuple[tuple, tuple]:
     # P = sum_k Q_k z^k / (F^(k+2) M^(2k))
     Q = [sum(R[j] * R[k - j] for j in range(k + 1)) for k in range(K)]
     pi_num, pi_den = math.pi.as_integer_ratio()
-    return (
-        tuple(Q[k] / (F ** (k + 2) * M ** (2 * k)) for k in range(PEAK_TERMS)),
-        tuple(-2 * M * pi_num * (k + 1) * Q[k + 1] / (pi_den * F ** (k + 3) * M ** (2 * k + 2))
-              for k in range(PEAK_TERMS)),
+    return tuple(
+        complex(
+            Q[k] / (F ** (k + 2) * M ** (2 * k)),
+            -2 * M * pi_num * (k + 1) * Q[k + 1] / (pi_den * F ** (k + 3) * M ** (2 * k + 2)),
+        )
+        for k in range(PEAK_TERMS)
     )
 
 
 def _horner(coef: tuple, z: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] z^k by Horner's rule, from the highest term down."""
-    out = coef[-1] * z + coef[-2]
+    """sum_k coef[k] z^k by Horner's rule, from the highest term down.
+
+    For complex coef and z with zero imaginary part, the real and imaginary
+    parts are each the real pass over their own coefficients, bit for bit:
+    every product with z's zero imaginary part adds an exact zero. z should
+    already be complex then, or every step casts it again.
+    """
+    out = coef[-1] * z
+    out += coef[-2]
     for c in coef[-3::-1]:
-        out = out * z + c
+        out *= z
+        out += c
     return out
 
 
@@ -118,12 +130,11 @@ def _pmf_kernel(bin_phases: np.ndarray, theta, M: int, pmf: bool = True, grad: b
             t -= (2.0 * np.pi / M) * (s * np.cos(x))
             t /= buf
     if near_peak.any():
-        p, g = _peak_series(M)
-        z = x * x
+        series = _horner(_peak_series(M), np.square(x).astype(complex))
         if pmf:
-            np.copyto(P, _horner(p, z), where=near_peak)
+            np.copyto(P, series.real, where=near_peak)
         if grad:
-            np.copyto(t, x * _horner(g, z), where=near_peak)
+            np.copyto(t, x * series.imag, where=near_peak)
     if not grad:
         return P
     return (P, t) if pmf else t

@@ -28,7 +28,6 @@ from test_pmf import FISHER_REFERENCE
 
 from qpecf.bench import (
     BenchGrid,
-    cell_estimates,
     circular_error,
     fit_scaling_exponents,
     records_to_csv,
@@ -262,13 +261,13 @@ def test_exact_pmf_phase_recovery_to_nine_digits():
 
 def test_million_shot_rmse_sits_on_the_bound():
     started = time.perf_counter()
-    estimates, excluded = cell_estimates(1 / 3, RegisterSpec(3), 10**6, 100, BASE_SEED)
-    errors = np.array([circular_error(est, 1 / 3) for est in estimates])
+    (record,) = run_grid(BenchGrid((1 / 3,), (3,), (10**6,), 100, BASE_SEED))
+    errors = np.array([circular_error(est, 1 / 3) for est in record.estimates])
     rmse = float(np.sqrt(np.mean(errors**2)))
     worst_trial = float(np.max(errors))
     elapsed = time.perf_counter() - started
     ok = (
-        excluded == 0
+        record.excluded == 0
         and 0.8 * CRLB_RMSE_MILLION <= rmse <= 1.5 * CRLB_RMSE_MILLION
         and worst_trial < 4 * CRLB_RMSE_MILLION
         and elapsed < 120.0
@@ -278,22 +277,20 @@ def test_million_shot_rmse_sits_on_the_bound():
         ok,
         f"rmse {rmse:.3e} in [{0.8 * CRLB_RMSE_MILLION:.3e}, {1.5 * CRLB_RMSE_MILLION:.3e}], "
         f"worst trial {worst_trial:.3e} (< {4 * CRLB_RMSE_MILLION:.3e}), "
-        f"excluded {excluded}, {elapsed:.0f}s (< 120s)",
+        f"excluded {record.excluded}, {elapsed:.0f}s (< 120s)",
     )
 
 
-def _basin_split(record, base_seed):
+def _basin_split(record):
     """Errors of a cell's trials that landed in the true basin, and the mirror count.
 
     A trial belongs to the basin of whichever of theta and its bin mirror
     2y/M - theta is circularly closer to its estimate.
     """
-    reg = RegisterSpec(record.n)
     theta = record.theta_true
-    estimates, _ = cell_estimates(theta, reg, record.k, record.trials, base_seed)
-    mirror = mirror_phase(reg, theta)
-    errors = np.array([circular_error(est, theta) for est in estimates])
-    to_mirror = np.array([circular_error(est, mirror) for est in estimates])
+    mirror = mirror_phase(RegisterSpec(record.n), theta)
+    errors = np.array([circular_error(est, theta) for est in record.estimates])
+    to_mirror = np.array([circular_error(est, mirror) for est in record.estimates])
     in_true = errors <= to_mirror
     return errors[in_true], int(np.count_nonzero(~in_true))
 
@@ -335,7 +332,7 @@ def test_bound_ratio_window_across_grid(cache):
     flagged = []
     ok = all(r.valid for r in records) and elapsed < 600.0
     for r in records:
-        true_errors, flips = _basin_split(r, BASE_SEED)
+        true_errors, flips = _basin_split(r)
         p_flip = mirror_flip_probability(RegisterSpec(r.n), r.theta_true, r.k)
         allowed = allowed_flips(r.trials, p_flip)
         if true_errors.size:

@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "ShotHistogram",
     "SimUnitary",
     "analytic_distribution",
-    "cell_estimates",
     "circuit_depth_units",
     "circular_error",
     "crlb_mse",
@@ -30,7 +29,6 @@ PUBLIC_NAMES = [
     "pmf_single",
     "pmf_vector",
     "records_to_csv",
-    "run_cell",
     "run_grid",
     "sample_shots",
     "scaling_to_json",

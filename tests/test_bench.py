@@ -12,11 +12,9 @@ from qpecf.bench import (
     BenchGrid,
     BenchRecord,
     ScalingSummary,
-    cell_estimates,
     circular_error,
     fit_scaling_exponents,
     records_to_csv,
-    run_cell,
     run_grid,
     scaling_to_json,
     trial_seed,
@@ -44,7 +42,13 @@ def synthetic_record(theta: float, n: int, k: int, rmse: float) -> BenchRecord:
         traditional_error=0.0,
         depth_units=2**n - 1,
         valid=True,
+        estimates=(),
     )
+
+
+def one_cell(theta: float, n: int, k: int, trials: int, base_seed: int) -> BenchRecord:
+    (record,) = run_grid(BenchGrid((theta,), (n,), (k,), trials, base_seed))
+    return record
 
 
 class TestCircularError:
@@ -100,8 +104,10 @@ class TestTrialSeed:
 
 
 class TestRunCell:
+    """One-cell grids."""
+
     def test_representable_phase_cell_is_exact(self):
-        rec = run_cell(3 / 8, RegisterSpec(3), 1000, 10, base_seed=12345)
+        rec = one_cell(3 / 8, 3, 1000, 10, base_seed=12345)
         assert rec.rmse < 1e-6
         assert rec.excluded == 0
         assert rec.valid
@@ -109,7 +115,7 @@ class TestRunCell:
 
     def test_record_field_identities(self):
         reg = RegisterSpec(3)
-        rec = run_cell(1 / 3, reg, 1000, 20, base_seed=99)
+        rec = one_cell(1 / 3, 3, 1000, 20, base_seed=99)
         assert rec.theta_true == 1 / 3
         assert rec.n == 3 and rec.M == 8 and rec.k == 1000 and rec.trials == 20
         assert abs(rec.crlb_rmse - np.sqrt(crlb_mse(reg, 1000))) < 1e-15
@@ -120,9 +126,10 @@ class TestRunCell:
         assert rec.rmse >= 0 and rec.ratio >= 0
 
     def test_cell_estimates_length_tracks_exclusions(self):
-        estimates, excluded = cell_estimates(1 / 3, RegisterSpec(3), 200, 8, 5)
-        assert excluded == 0
-        assert estimates.shape == (8,)
+        rec = one_cell(1 / 3, 3, 200, 8, 5)
+        assert rec.excluded == 0
+        assert len(rec.estimates) == rec.trials - rec.excluded == 8
+        assert "estimates" not in repr(rec)
 
     # (theta, n, trial, estimate) of trials whose two starts end on mirror
     # minima with SSRs 0-11 units in the last place apart, at k = 10 and
@@ -146,10 +153,10 @@ class TestRunCell:
         for t in range(10):
             hist = sample_shots(dist, k, trial_seed(1, theta, n, k, t))
             one_by_one.append(fit_single(histogram_to_probs(hist)).phases[0])
-        estimates, excluded = cell_estimates(theta, reg, k, 10, 1)
-        assert excluded == 0
-        assert np.array_equal(estimates, one_by_one)
-        assert estimates[trial] == estimate
+        rec = one_cell(theta, n, k, 10, 1)
+        assert rec.excluded == 0
+        assert np.array_equal(rec.estimates, one_by_one)
+        assert rec.estimates[trial] == estimate
 
     def test_observed_bin_cell_matches_fit_single_loop(self):
         # at n = 16 every problem is alone in its solver call and is fit on
@@ -161,17 +168,17 @@ class TestRunCell:
             .phases[0]
             for t in range(3)
         ]
-        estimates, excluded = cell_estimates(theta, reg, k, 3, 1)
-        assert excluded == 0
-        assert np.array_equal(estimates, one_by_one)
+        rec = one_cell(theta, 16, k, 3, 1)
+        assert rec.excluded == 0
+        assert np.array_equal(rec.estimates, one_by_one)
 
     def test_crlb_window_at_four_thousand_shots(self):
-        rec = run_cell(1 / 3, RegisterSpec(3), 4000, 100, base_seed=12345)
+        rec = one_cell(1 / 3, 3, 4000, 100, base_seed=12345)
         assert 0.8 <= rec.ratio <= 1.5
         assert rec.valid
 
     def test_ten_shots_beat_the_traditional_bin(self):
-        rec = run_cell(1 / 3, RegisterSpec(3), 10, 100, base_seed=12345)
+        rec = one_cell(1 / 3, 3, 10, 100, base_seed=12345)
         assert rec.rmse <= rec.traditional_error + 1e-15
         assert rec.rmse <= rec.traditional_error + 3 * rec.crlb_rmse
 
@@ -186,10 +193,11 @@ class TestRunCell:
             return [FitError("synthetic failure")] * 2 + [_Stub()] * (len(probs) - 2)
 
         monkeypatch.setattr("qpecf.bench._fit", flaky)
-        rec = run_cell(0.3, RegisterSpec(3), 10, 50, base_seed=1)
+        rec = one_cell(0.3, 3, 10, 50, base_seed=1)
         assert rec.excluded == 2
         assert not rec.valid  # 2/50 exceeds the 1% budget
         assert rec.rmse == 0.0  # stub estimates hit theta exactly
+        assert rec.estimates == (0.3,) * 48  # the failed trials are dropped
         assert calls["count"] == 1  # all trials of the cell in one fit call
 
     def test_all_fits_failing_yields_nan_rmse(self, monkeypatch):
@@ -197,8 +205,8 @@ class TestRunCell:
             return [FitError("synthetic failure")] * len(probs)
 
         monkeypatch.setattr("qpecf.bench._fit", explode)
-        rec = run_cell(0.3, RegisterSpec(3), 10, 5, base_seed=1)
-        assert rec.excluded == 5
+        rec = one_cell(0.3, 3, 10, 5, base_seed=1)
+        assert rec.excluded == 5 and rec.estimates == ()
         assert not rec.valid
         assert np.isnan(rec.rmse) and np.isnan(rec.mean_abs_error)
 
@@ -226,10 +234,6 @@ class TestRunGrid:
         for rec in run_grid(forward):
             assert by_coord[(rec.theta_true, rec.n, rec.k)] == rec
 
-    def test_single_cell_grid_reduces_to_run_cell(self):
-        grid = BenchGrid((0.375,), (3,), (100,), 5, 3)
-        assert run_grid(grid) == [run_cell(0.375, RegisterSpec(3), 100, 5, 3)]
-
     def test_grouped_fits_equal_the_per_cell_path(self, monkeypatch):
         # the six n = 10 cells are one group of 6 * 12 trials * 2 starts =
         # 144 problems; at 64 problems per solver call, calls end inside the
@@ -240,7 +244,7 @@ class TestRunGrid:
         assert BATCH_ELEMENTS // 2**10 == 64
         records = run_grid(grid)
         for rec in records:
-            assert rec == run_cell(rec.theta_true, RegisterSpec(rec.n), rec.k, 12, 7)
+            assert rec == one_cell(rec.theta_true, rec.n, rec.k, 12, 7)
         csv = records_to_csv(records)
         assert records_to_csv(run_grid(grid, workers=2)) == csv
         assert records_to_csv(run_grid(grid, workers=3)) == csv
@@ -402,11 +406,12 @@ class TestCsvRendering:
             traditional_error=0.0,
             depth_units=7,
             valid=True,
+            estimates=(0.375,) * 10,
         )
         want = CSV_HEADER + "\n" + "0.375,3,8,1000,10,0,0.001,0.0005,0.002,0.5,0.0,7\n"
         assert records_to_csv([rec]) == want
 
     def test_twelve_significant_digits(self):
-        rec = run_cell(1 / 3, RegisterSpec(3), 100, 5, base_seed=2)
+        rec = one_cell(1 / 3, 3, 100, 5, base_seed=2)
         row = records_to_csv([rec]).splitlines()[1]
         assert row.split(",")[0] == "0.333333333333"

@@ -327,6 +327,17 @@ class TestBenchCommand:
             outputs.append(csv_path.read_text())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("flag", ["0", "-3"])
+    def test_thread_count_below_one_exits_one(self, tmp_path, flag):
+        config = tmp_path / "grid.json"
+        write_grid(config, shot_values=(50,), n_values=(2,), trials=2)
+        csv_path = tmp_path / "c.csv"
+        proc = cli("bench", "--config", str(config), "--out-csv", str(csv_path),
+                   "--threads", flag)
+        assert_exits_one(proc)
+        assert "workers" in proc.stderr
+        assert not csv_path.exists()
+
     def test_malformed_config_names_the_field(self, tmp_path):
         config = tmp_path / "grid.json"
         config.write_text(json.dumps({
