@@ -4,10 +4,11 @@ Each cell repeats the simulate-sample-fit pipeline and aggregates circular
 estimation errors into an RMSE, compared against the square root of the
 Cramer-Rao bound and against the traditional nearest-bin error; its record
 also keeps the per-trial estimates. The cells of a grid that share a
-register size n are fit together, every trial of them in one batched fit,
-so they share solver calls. Per-trial seeds are a pure function of
+register size n are fit together: their trials are sampled one at a time
+as the fitter reads them, so cells share solver calls and a campaign holds
+one solver call's pmfs. Per-trial seeds are a pure function of
 (base_seed, theta, n, k, trial), and a fit does not depend on the solver
-batch it lands in, so results are bit-identical regardless of grouping,
+call it lands in, so results are bit-identical regardless of grouping,
 scheduling or worker count.
 """
 
@@ -30,11 +31,6 @@ from .simulate import histogram_to_probs, sample_shots
 
 # A cell whose exclusion rate exceeds this fraction is flagged invalid.
 MAX_EXCLUDED_FRACTION = 0.01
-# run_grid fits the cells that share n together, in jobs whose (trials, M)
-# pmf rows hold at most this many elements (32 MB of float64), or one cell
-# where a cell alone is larger. Every n <= 8 group of configs/full_grid.json
-# (28 cells of 100 trials) is one job.
-GROUP_ELEMENTS = 2**22
 
 CSV_HEADER = (
     "theta_true,n,M,k,trials,excluded,rmse,mean_abs_error,"
@@ -135,39 +131,11 @@ def trial_seed(base_seed: int, theta: float, n: int, k: int, trial: int) -> np.r
     )
 
 
-def _estimates(
-    reg: RegisterSpec, cells: list[tuple[float, int]], trials: int, base_seed: int
-) -> list[tuple[np.ndarray, int]]:
-    """Per-trial phase estimates and failed-fit counts for (theta, k) cells sharing reg.
-
-    Each trial's histogram is drawn from its own trial_seed; the single-phase
-    fits of every trial of every cell then go to one _fit call, so cells
-    share solver calls. The solver's result for a problem does not depend on
-    its batch, so each cell's estimates are the same however cells are
-    grouped, and equal fit_single on each histogram.
-    """
-    dists = {theta: analytic_distribution(reg, PhaseModel.single(theta)) for theta, _ in cells}
-    probs = np.array([
-        histogram_to_probs(
-            sample_shots(dists[theta], k, trial_seed(base_seed, theta, reg.n, k, trial))
-        ).probs
-        for theta, k in cells
-        for trial in range(trials)
-    ])
-    fits = _fit(reg, probs, 1)
-    out = []
-    for first in range(0, len(fits), trials):
-        estimates = [
-            fit.phases[0] for fit in fits[first : first + trials] if not isinstance(fit, FitError)
-        ]
-        out.append((np.array(estimates), trials - len(estimates)))
-    return out
-
-
-def _record(
-    theta: float, reg: RegisterSpec, k: int, trials: int, estimates: np.ndarray, excluded: int
-) -> BenchRecord:
-    """Aggregate one cell's estimates into its record."""
+def _record(theta: float, reg: RegisterSpec, k: int, fits: list) -> BenchRecord:
+    """Aggregate one cell's fits, one per trial, into its record; failed fits are excluded."""
+    estimates = np.array([fit.phases[0] for fit in fits if not isinstance(fit, FitError)])
+    trials = len(fits)
+    excluded = trials - estimates.size
     if estimates.size:
         errors = np.array([circular_error(est, theta) for est in estimates])
         rmse = float(np.sqrt(np.mean(errors**2)))
@@ -200,10 +168,19 @@ def _run_cells(job: tuple) -> list[BenchRecord]:
     """Records of the (theta, k) cells of one register, fit together."""
     n, cells, trials, base_seed = job
     reg = RegisterSpec(n)
-    results = _estimates(reg, cells, trials, base_seed)
+    dists = {theta: analytic_distribution(reg, PhaseModel.single(theta)) for theta, _ in cells}
+    # Each trial's histogram is drawn from its own trial_seed when _fit reads it.
+    pmfs = (
+        histogram_to_probs(
+            sample_shots(dists[theta], k, trial_seed(base_seed, theta, n, k, trial))
+        ).probs
+        for theta, k in cells
+        for trial in range(trials)
+    )
+    fits = _fit(reg, pmfs, 1)
     return [
-        _record(theta, reg, k, trials, estimates, excluded)
-        for (theta, k), (estimates, excluded) in zip(cells, results)
+        _record(theta, reg, k, fits[i * trials : (i + 1) * trials])
+        for i, (theta, k) in enumerate(cells)
     ]
 
 
@@ -211,23 +188,18 @@ def run_grid(grid: BenchGrid, workers: int = 1) -> list[BenchRecord]:
     """Run every cell of the grid, in deterministic grid order.
 
     Cells that share n are fit together: each such group is one job, whose
-    trials go to one _fit call and so share solver calls, split into
-    contiguous runs of cells where its pmf rows would exceed GROUP_ELEMENTS.
-    With workers > 1, each group is also split into at least `workers`
-    contiguous runs, and the jobs are fanned out to spawned processes.
-    Records are identical for any grouping and worker count, because seeds
-    derive from cell coordinates alone and a fit does not depend on its
-    solver batch.
+    trials stream through one _fit call and so share solver calls. With
+    workers > 1, each group is split into min(cells, workers) contiguous
+    runs, and the jobs are fanned out to spawned processes. Records are
+    identical for any grouping and worker count, because seeds derive from
+    cell coordinates alone and a fit does not depend on its solver call.
     """
     workers = _check_int(workers, "workers", 1)
     cells = list(product(grid.phases, grid.n_values, grid.shot_values))
     jobs, slots = [], []
     for n in dict.fromkeys(grid.n_values):
         group = [i for i, (_, cell_n, _) in enumerate(cells) if cell_n == n]
-        # As few jobs as GROUP_ELEMENTS allows, but one per worker at least.
-        per_job = max(1, GROUP_ELEMENTS // (grid.trials * 2**n))
-        pieces = min(len(group), max(workers, -(-len(group) // per_job)))
-        for part in np.array_split(group, pieces):
+        for part in np.array_split(group, min(len(group), workers)):
             job_cells = [(cells[i][0], cells[i][2]) for i in part]
             jobs.append((n, job_cells, grid.trials, grid.base_seed))
             slots.extend(part)

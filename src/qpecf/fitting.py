@@ -24,13 +24,14 @@ from .solver import least_squares_box
 # requires strict interiority while the recipe starts exactly at the bounds.
 NUDGE = 1e-9
 # A solver call holds at most max(1, BATCH_ELEMENTS // M) problems, which
-# bounds its (problems, M) arrays: at n = 8 that is the two starts of 128
-# trials, and n >= 16 registers are solved one problem at a time. A larger
-# cap made the grouped campaign fits slower: configs/full_grid.json took
-# 7.8-7.9 s at 2**16 and 8.4-9.0 s at 2**22 on one process of a 2-vCPU VM.
+# bounds its (problems, M) arrays and the pmfs _fit holds at once: at n = 8
+# that is the two starts of 128 trials. Only a trial whose starts alone
+# exceed the cap (J = 5 at n = 14) is split across calls. A larger cap made
+# the grouped campaign fits slower: configs/full_grid.json took 7.8-7.9 s
+# at 2**16 and 8.4-9.0 s at 2**22 on one process of a 2-vCPU VM.
 BATCH_ELEMENTS = 2**16
-# Single-phase fits from this register size up run one problem per solver
-# call, on their trial's observed bins (_observed_problem); every other
+# Single-phase fits from this register size up run one trial, both starts,
+# per solver call, on its observed bins (_observed_problem); every other
 # problem keeps the dense residual of _problem, whatever BATCH_ELEMENTS is.
 OBSERVED_MIN_N = 16
 
@@ -157,10 +158,10 @@ def _observed_problem(reg: RegisterSpec, probs: np.ndarray):
     while an evaluation costs O(observed bins), not O(M). The Jacobian of t
     is (S' - 2 sum_obs P P') / (2t), set to 0 where t = 0; t is dropped when
     every bin is observed, where it is identically 0 and its derivative
-    0/0. probs is one (M,) pmf shared by every problem, so both callables
-    ignore their rows argument.
+    0/0. probs is one (M,) pmf shared by every problem of the call, the
+    starts of one trial, so both callables ignore their rows argument.
 
-    _fit uses it only at n >= OBSERVED_MIN_N, one problem per solver call.
+    _fit uses it only at n >= OBSERVED_MIN_N, one trial per solver call.
     Used on every register, it failed three ways: one set of observed bins
     per batched call tied a trial's result to its batchmates (all three
     mirror-tie cases of tests/test_bench.py moved); the ~1e-16 absolute
@@ -208,95 +209,94 @@ def _corner_label(corner: tuple[int, ...]) -> str:
     return "corner " + "".join("LR"[c] for c in corner)
 
 
-def _fit(reg: RegisterSpec, probs: np.ndarray, J: int) -> list:
-    """Fit J phases and their weights to each row of a (T, M) array of pmfs.
+def _fit(reg: RegisterSpec, pmfs, J: int) -> list:
+    """Fit J phases and their weights to each of an iterable of (M,) pmfs.
 
     Each trial's solver runs from the 2**J corners of its phase box, nudged
     inside, with uniform weights; the solve with the lowest SSR wins, and an
-    exact SSR tie goes to the later start. The T * 2**J solves go to the
-    solver in batches of at most max(1, BATCH_ELEMENTS // M) problems; a
-    batch may hold the trials of several campaign cells and may split one.
+    exact SSR tie goes to the later start. pmfs is read one solver call at a
+    time, and a call holds whole trials: as many as fit in
+    max(1, BATCH_ELEMENTS // M) problems, or one trial whose starts are
+    split across calls where its 2**J starts alone exceed that. So a
+    campaign holds one call's pmfs, however many trials it streams through.
 
-    A single-phase problem at n >= OBSERVED_MIN_N is solved alone and fit on
-    its trial's observed bins (_observed_problem), in O(observed bins) per
-    iteration; its SSR, and so residual_variance = SSR / (M - 1), is still
-    over all M bins. Smaller registers, and every J >= 2, keep the dense
-    residual of _problem; _observed_problem gives the three ways its form
-    failed there.
+    A single-phase trial at n >= OBSERVED_MIN_N is solved alone, both starts
+    in one call, and fit on its observed bins (_observed_problem), in
+    O(observed bins) per iteration; its SSR, and so residual_variance =
+    SSR / (M - 1), is still over all M bins. Smaller registers, and every
+    J >= 2, keep the dense residual of _problem; _observed_problem gives the
+    three ways its form failed there.
 
     Returns one FitResult per trial, or a FitError naming each start's
     failure when all of them failed.
     """
     M = reg.M
-    T = len(probs)
-    bins = _top_bins(probs, J)
-    lo = (bins - 0.5) / M
-    hi = (bins + 0.5) / M
     nudge = NUDGE / M
     corners = list(itertools.product((0, 1), repeat=J))
     S = len(corners)
-    # Problem t * S + c starts trial t from corner c.
-    phase_start = np.where(
-        np.array(corners, dtype=bool)[None], hi[:, None] - nudge, lo[:, None] + nudge
-    )
-    start = np.concatenate(
-        [phase_start.reshape(T * S, J), np.full((T * S, J - 1), 1.0 / J)], axis=1
-    )
-    lower = np.repeat(np.concatenate([lo, np.zeros((T, J - 1))], axis=1), S, axis=0)
-    upper = np.repeat(np.concatenate([hi, np.ones((T, J - 1))], axis=1), S, axis=0)
-
-    x = np.empty_like(start)
-    ssr = np.empty(T * S)
-    iterations = np.empty(T * S, dtype=int)
-    converged = np.empty(T * S, dtype=bool)
-    status = np.empty(T * S, dtype=object)
     observed_bins = J == 1 and reg.n >= OBSERVED_MIN_N
-    size = 1 if observed_bins else max(1, BATCH_ELEMENTS // M)
-    for first in range(0, T * S, size):
-        batch = slice(first, first + size)
+    size = S if observed_bins else max(1, BATCH_ELEMENTS // M)
+    pmfs = iter(pmfs)
+    fits = []
+    while chunk := list(itertools.islice(pmfs, max(1, size // S))):
+        probs = np.array(chunk)
+        T = len(probs)
+        bins = _top_bins(probs, J)
+        lo = (bins - 0.5) / M
+        hi = (bins + 0.5) / M
+        # Problem t * S + c starts trial t from corner c.
+        phase_start = np.where(
+            np.array(corners, dtype=bool)[None], hi[:, None] - nudge, lo[:, None] + nudge
+        )
+        start = np.concatenate(
+            [phase_start.reshape(T * S, J), np.full((T * S, J - 1), 1.0 / J)], axis=1
+        )
+        lower = np.repeat(np.concatenate([lo, np.zeros((T, J - 1))], axis=1), S, axis=0)
+        upper = np.repeat(np.concatenate([hi, np.ones((T, J - 1))], axis=1), S, axis=0)
         if observed_bins:
-            residual, jacobian = _observed_problem(reg, probs[first // S])
+            residual, jacobian = _observed_problem(reg, probs[0])
         else:
             # A lone trial's pmf broadcasts over its starts; several are spelled out per problem.
-            observed = probs if T == 1 else probs[np.arange(T * S)[batch] // S]
-            residual, jacobian = _problem(reg, J, observed)
-        result = least_squares_box(residual, jacobian, start[batch], lower[batch], upper[batch])
-        x[batch], ssr[batch] = result.x, result.ssr
-        iterations[batch], converged[batch], status[batch] = (
-            result.iterations, result.converged, result.status
+            residual, jacobian = _problem(reg, J, probs if T == 1 else np.repeat(probs, S, axis=0))
+        results = [
+            least_squares_box(residual, jacobian, start[b], lower[b], upper[b])
+            for b in (slice(first, first + size) for first in range(0, T * S, size))
+        ]
+        x, ssr, iterations, converged, status = (
+            np.concatenate([getattr(result, name) for result in results])
+            for name in ("x", "ssr", "iterations", "converged", "status")
         )
-
-    weights = _weights(x, J)
-    thetas = np.mod(x[:, :J], 1.0)
-    fits = []
-    for t in range(T):
-        best = None
-        failures = []
-        for c in range(S):
-            i = t * S + c
-            if status[i] == "nonfinite":
-                failures.append(
-                    f"{_corner_label(corners[c])}: non-finite residual at the starting point"
+        weights = _weights(x, J)
+        thetas = np.mod(x[:, :J], 1.0)
+        for t in range(T):
+            best = None
+            failures = []
+            for c in range(S):
+                i = t * S + c
+                if status[i] == "nonfinite":
+                    failures.append(
+                        f"{_corner_label(corners[c])}: non-finite residual at the starting point"
+                    )
+                elif best is None or ssr[i] <= ssr[best]:
+                    best, label = i, _corner_label(corners[c])
+            if best is None:
+                fits.append(FitError("all starts failed: " + "; ".join(failures)))
+                continue
+            ascending = np.argsort(thetas[best], kind="stable")
+            fits.append(
+                FitResult(
+                    phases=tuple(float(thetas[best, j]) for j in ascending),
+                    weights=tuple(float(weights[best, j]) for j in ascending),
+                    residual_variance=float(ssr[best]) / max(M - (2 * J - 1), 1),
+                    start_used=label,
+                    iterations=int(iterations[best]),
+                    converged=bool(converged[best]),
+                    bounds=tuple(
+                        FitBounds(float(lo[t, j] % 1.0), float(hi[t, j] % 1.0))
+                        for j in ascending
+                    ),
                 )
-            elif best is None or ssr[i] <= ssr[best]:
-                best, label = i, _corner_label(corners[c])
-        if best is None:
-            fits.append(FitError("all starts failed: " + "; ".join(failures)))
-            continue
-        ascending = np.argsort(thetas[best], kind="stable")
-        fits.append(
-            FitResult(
-                phases=tuple(float(thetas[best, j]) for j in ascending),
-                weights=tuple(float(weights[best, j]) for j in ascending),
-                residual_variance=float(ssr[best]) / max(M - (2 * J - 1), 1),
-                start_used=label,
-                iterations=int(iterations[best]),
-                converged=bool(converged[best]),
-                bounds=tuple(
-                    FitBounds(float(lo[t, j] % 1.0), float(hi[t, j] % 1.0)) for j in ascending
-                ),
             )
-        )
     return fits
 
 

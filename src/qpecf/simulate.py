@@ -81,8 +81,14 @@ class ShotHistogram:
             raise DomainError(f"counts must have shape ({self.reg.M},), got {counts.shape}")
         if counts.min(initial=0) < 0:
             raise DomainError("counts must be non-negative")
-        if int(counts.sum()) != shots:
-            raise DomainError(f"counts sum to {int(counts.sum())}, expected shots = {shots}")
+        # The int64 sum wraps past 2**63 - 1. It cannot when no count exceeds
+        # shots and M * shots < 2**63; otherwise the sum is taken exactly.
+        if counts.max(initial=0) <= shots and counts.size * shots < 2**63:
+            total = int(counts.sum())
+        else:
+            total = sum(counts.tolist())
+        if total != shots:
+            raise DomainError(f"counts sum to {total}, expected shots = {shots}")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "shots", shots)
 
@@ -94,11 +100,7 @@ class ShotHistogram:
         _check_fields(data, {"n": int, "shots": int, "counts": list}, "histogram JSON")
         try:
             counts = [_check_int(c, "count", 0, MAX_SHOTS) for c in data["counts"]]
-            hist = cls(RegisterSpec(data["n"]), np.array(counts), data["shots"])
-            # The int64 sum that __post_init__ compares wraps at 2**64; this one is exact.
-            if sum(counts) != hist.shots:
-                raise DomainError(f"counts sum to {sum(counts)}, expected shots = {hist.shots}")
-            return hist
+            return cls(RegisterSpec(data["n"]), np.array(counts), data["shots"])
         except DomainError as exc:
             raise ConfigError(f"invalid histogram JSON: {exc}") from exc
 

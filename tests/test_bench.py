@@ -1,6 +1,7 @@
 """Campaign runner: per-cell aggregation, grid determinism, scaling exponents."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from qpecf.bench import (
     trial_seed,
 )
 from qpecf.errors import ConfigError, DomainError, FitError
-from qpecf.fitting import BATCH_ELEMENTS, fit_single
+from qpecf import fitting
+from qpecf.fitting import BATCH_ELEMENTS, fit_multi, fit_single
 from qpecf.model import PhaseModel, RegisterSpec
 from qpecf.pmf import analytic_distribution, circuit_depth_units, crlb_mse
 from qpecf.simulate import histogram_to_probs, sample_shots
@@ -188,9 +190,9 @@ class TestRunCell:
         class _Stub:
             phases = [0.3]
 
-        def flaky(reg, probs, J):
+        def flaky(reg, pmfs, J):
             calls["count"] += 1
-            return [FitError("synthetic failure")] * 2 + [_Stub()] * (len(probs) - 2)
+            return [FitError("synthetic failure")] * 2 + [_Stub()] * (len(list(pmfs)) - 2)
 
         monkeypatch.setattr("qpecf.bench._fit", flaky)
         rec = one_cell(0.3, 3, 10, 50, base_seed=1)
@@ -201,8 +203,8 @@ class TestRunCell:
         assert calls["count"] == 1  # all trials of the cell in one fit call
 
     def test_all_fits_failing_yields_nan_rmse(self, monkeypatch):
-        def explode(reg, probs, J):
-            return [FitError("synthetic failure")] * len(probs)
+        def explode(reg, pmfs, J):
+            return [FitError("synthetic failure")] * len(list(pmfs))
 
         monkeypatch.setattr("qpecf.bench._fit", explode)
         rec = one_cell(0.3, 3, 10, 5, base_seed=1)
@@ -234,12 +236,12 @@ class TestRunGrid:
         for rec in run_grid(forward):
             assert by_coord[(rec.theta_true, rec.n, rec.k)] == rec
 
-    def test_grouped_fits_equal_the_per_cell_path(self, monkeypatch):
+    def test_grouped_fits_equal_the_per_cell_path(self):
         # the six n = 10 cells are one group of 6 * 12 trials * 2 starts =
-        # 144 problems; at 64 problems per solver call, calls end inside the
-        # third and the sixth cell. Every split of the group, by the worker
-        # pool or by the memory cap, moves those boundaries, and no record
-        # may move with them.
+        # 144 problems; at 64 problems (32 whole trials) per solver call,
+        # calls end inside the third and the sixth cell. Every split of the
+        # group by the worker pool moves those boundaries, and no record may
+        # move with them.
         grid = BenchGrid((1 / 3, 0.2), (3, 10), (10, 100, 1000), 12, 7)
         assert BATCH_ELEMENTS // 2**10 == 64
         records = run_grid(grid)
@@ -248,8 +250,6 @@ class TestRunGrid:
         csv = records_to_csv(records)
         assert records_to_csv(run_grid(grid, workers=2)) == csv
         assert records_to_csv(run_grid(grid, workers=3)) == csv
-        monkeypatch.setattr("qpecf.bench.GROUP_ELEMENTS", 1)  # one cell per job
-        assert run_grid(grid) == records
 
     def test_worker_count_never_changes_results(self):
         grid = BenchGrid((1 / 3,), (2, 3), (50, 100), 4, 21)
@@ -264,6 +264,50 @@ class TestRunGrid:
             assert rec.rmse >= 0 and rec.ratio >= 0
             assert rec.traditional_error <= 1 / (2 * rec.M)
             assert rec.rmse <= rec.traditional_error + 3 * rec.crlb_rmse
+
+
+class TestStreaming:
+    """Trials stream through the fitter: a campaign holds one solver call's pmfs."""
+
+    @pytest.fixture
+    def call_shapes(self, monkeypatch):
+        shapes = []
+        solve = fitting.least_squares_box
+
+        def recording(residual, jacobian, start, lower, upper):
+            shapes.append(np.shape(start))
+            return solve(residual, jacobian, start, lower, upper)
+
+        monkeypatch.setattr("qpecf.fitting.least_squares_box", recording)
+        return shapes
+
+    def test_solver_calls_hold_whole_trials(self, call_shapes):
+        # n = 16 fits on observed bins: one trial per call, both of its starts
+        dist = analytic_distribution(RegisterSpec(16), PhaseModel.single(1 / 3))
+        fit_single(histogram_to_probs(sample_shots(dist, 1000, 1)))
+        assert call_shapes == [(2, 1)]
+        # 64 problems per call at n = 10: 32 whole trials of two starts each
+        call_shapes.clear()
+        one_cell(1 / 3, 10, 100, 100, 1)
+        assert call_shapes == [(64, 1), (64, 1), (64, 1), (8, 1)]
+        # 8 problems per call at n = 13, so one trial's 16 corners take two calls
+        call_shapes.clear()
+        bins = ((819, 0.4), (2457, 0.3), (4505, 0.2), (6553, 0.1))
+        model = PhaseModel.from_pairs(tuple(((b + 0.25) / 2**13, w) for b, w in bins))
+        fit_multi(analytic_distribution(RegisterSpec(13), model), 4)
+        assert call_shapes == [(8, 7), (8, 7)]
+
+    def test_a_campaign_holds_one_calls_pmfs(self):
+        grid = BenchGrid((1 / 3,), (16,), (1000,), 40, 1)
+        run_grid(grid)  # warm-up: caches and first-use allocations
+        tracemalloc.start()
+        try:
+            run_grid(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 10 float64 pmf rows at M = 2**16 are 5 MB; the whole cell is 40 rows
+        assert peak < 10 * 2**16 * 8
 
 
 class TestScalingExponents:

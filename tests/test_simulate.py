@@ -238,3 +238,12 @@ class TestHistogram:
         wrapped = {"n": 2, "shots": 1, "counts": [2**63 - 1, 2**63 - 1, 3, 0]}
         with pytest.raises(ConfigError, match=f"counts sum to {2**64 + 1}, expected shots = 1"):
             ShotHistogram.from_json_dict(wrapped)
+
+    def test_count_sum_is_exact_past_int64(self):
+        # the same wrapped counts, built directly rather than from JSON
+        counts = np.array([2**63 - 1, 2**63 - 1, 3, 0])
+        with pytest.raises(DomainError, match=f"counts sum to {2**64 + 1}, expected shots = 1"):
+            ShotHistogram(RegisterSpec(2), counts, 1)
+        # M * shots >= 2**63, so the sum is taken exactly and a true match passes
+        hist = ShotHistogram(RegisterSpec(2), np.array([2**62, 2**62 - 1, 0, 0]), 2**63 - 1)
+        assert hist.shots == 2**63 - 1
