@@ -20,7 +20,7 @@ from itertools import chain, product
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, FitError
+from .errors import ConfigError, DomainError
 from .fitting import _fit
 from .formatting import sig12
 from .model import (
@@ -131,13 +131,18 @@ def trial_seed(base_seed: int, theta: float, n: int, k: int, trial: int) -> np.r
     )
 
 
-def _record(theta: float, reg: RegisterSpec, k: int, fits: list) -> BenchRecord:
-    """Aggregate one cell's fits, one per trial, into its record; failed fits are excluded."""
-    estimates = np.array([fit.phases[0] for fit in fits if not isinstance(fit, FitError)])
-    trials = len(fits)
+def _record(theta: float, reg: RegisterSpec, k: int, phases, failed) -> BenchRecord:
+    """Aggregate one cell's trials into its record; the failed trials are excluded.
+
+    phases and failed are (trials,) arrays of estimates and failure flags,
+    in trial order. The errors are circular_error's operations on arrays.
+    """
+    estimates = phases[~failed]
+    trials = len(phases)
     excluded = trials - estimates.size
     if estimates.size:
-        errors = np.array([circular_error(est, theta) for est in estimates])
+        d = np.abs(estimates - theta)
+        errors = np.minimum(d, 1.0 - d)
         rmse = float(np.sqrt(np.mean(errors**2)))
         mean_abs = float(np.mean(errors))
     else:
@@ -177,11 +182,10 @@ def _run_cells(job: tuple) -> list[BenchRecord]:
         for theta, k in cells
         for trial in range(trials)
     )
-    fits = _fit(reg, pmfs, 1)
-    return [
-        _record(theta, reg, k, fits[i * trials : (i + 1) * trials])
-        for i, (theta, k) in enumerate(cells)
-    ]
+    best, corner, _ = _fit(reg, pmfs, 1)
+    phases = np.mod(best.x[:, 0], 1.0).reshape(len(cells), trials)
+    failed = (corner < 0).reshape(len(cells), trials)
+    return [_record(theta, reg, k, p, f) for (theta, k), p, f in zip(cells, phases, failed)]
 
 
 def run_grid(grid: BenchGrid, workers: int = 1) -> list[BenchRecord]:

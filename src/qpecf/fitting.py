@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, FitError
 from .model import MAX_PHASES, OutcomeDistribution, RegisterSpec, _check_int
 from .pmf import _pmf_kernel, _pmf_square_sum
-from .solver import least_squares_box
+from .solver import SolverResult, least_squares_box
 
 # Starts sit this fraction of a bin width inside the bounds; the solver
 # requires strict interiority while the recipe starts exactly at the bounds.
@@ -209,35 +209,37 @@ def _corner_label(corner: tuple[int, ...]) -> str:
     return "corner " + "".join("LR"[c] for c in corner)
 
 
-def _fit(reg: RegisterSpec, pmfs, J: int) -> list:
+def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.ndarray]:
     """Fit J phases and their weights to each of an iterable of (M,) pmfs.
 
     Each trial's solver runs from the 2**J corners of its phase box, nudged
-    inside, with uniform weights; the solve with the lowest SSR wins, and an
-    exact SSR tie goes to the later start. pmfs is read one solver call at a
-    time, and a call holds whole trials: as many as fit in
+    inside, with uniform weights; the finite solve with the lowest SSR wins,
+    and an exact SSR tie goes to the later start. pmfs is read one solver
+    call at a time, and a call holds whole trials: as many as fit in
     max(1, BATCH_ELEMENTS // M) problems, or one trial whose starts are
     split across calls where its 2**J starts alone exceed that. So a
     campaign holds one call's pmfs, however many trials it streams through.
 
     A single-phase trial at n >= OBSERVED_MIN_N is solved alone, both starts
     in one call, and fit on its observed bins (_observed_problem), in
-    O(observed bins) per iteration; its SSR, and so residual_variance =
-    SSR / (M - 1), is still over all M bins. Smaller registers, and every
-    J >= 2, keep the dense residual of _problem; _observed_problem gives the
-    three ways its form failed there.
+    O(observed bins) per iteration; its SSR is still over all M bins.
+    Smaller registers, and every J >= 2, keep the dense residual of
+    _problem; _observed_problem gives the three ways its form failed there.
 
-    Returns one FitResult per trial, or a FitError naming each start's
-    failure when all of them failed.
+    Returns one row per trial, in trial order: the winning start's solve
+    (x in the unwrapped box coordinates, SSR, iterations, convergence and
+    status), its corner index into itertools.product((0, 1), repeat=J), or
+    -1 where every start failed (that row keeps the last start's values),
+    and the (T, J) top bins its box was built on.
     """
     M = reg.M
     nudge = NUDGE / M
-    corners = list(itertools.product((0, 1), repeat=J))
+    corners = np.array(list(itertools.product((0, 1), repeat=J)), dtype=bool)
     S = len(corners)
     observed_bins = J == 1 and reg.n >= OBSERVED_MIN_N
     size = S if observed_bins else max(1, BATCH_ELEMENTS // M)
     pmfs = iter(pmfs)
-    fits = []
+    rows = []
     while chunk := list(itertools.islice(pmfs, max(1, size // S))):
         probs = np.array(chunk)
         T = len(probs)
@@ -245,9 +247,7 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> list:
         lo = (bins - 0.5) / M
         hi = (bins + 0.5) / M
         # Problem t * S + c starts trial t from corner c.
-        phase_start = np.where(
-            np.array(corners, dtype=bool)[None], hi[:, None] - nudge, lo[:, None] + nudge
-        )
+        phase_start = np.where(corners[None], hi[:, None] - nudge, lo[:, None] + nudge)
         start = np.concatenate(
             [phase_start.reshape(T * S, J), np.full((T * S, J - 1), 1.0 / J)], axis=1
         )
@@ -266,45 +266,38 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> list:
             np.concatenate([getattr(result, name) for result in results])
             for name in ("x", "ssr", "iterations", "converged", "status")
         )
-        weights = _weights(x, J)
-        thetas = np.mod(x[:, :J], 1.0)
-        for t in range(T):
-            best = None
-            failures = []
-            for c in range(S):
-                i = t * S + c
-                if status[i] == "nonfinite":
-                    failures.append(
-                        f"{_corner_label(corners[c])}: non-finite residual at the starting point"
-                    )
-                elif best is None or ssr[i] <= ssr[best]:
-                    best, label = i, _corner_label(corners[c])
-            if best is None:
-                fits.append(FitError("all starts failed: " + "; ".join(failures)))
-                continue
-            ascending = np.argsort(thetas[best], kind="stable")
-            fits.append(
-                FitResult(
-                    phases=tuple(float(thetas[best, j]) for j in ascending),
-                    weights=tuple(float(weights[best, j]) for j in ascending),
-                    residual_variance=float(ssr[best]) / max(M - (2 * J - 1), 1),
-                    start_used=label,
-                    iterations=int(iterations[best]),
-                    converged=bool(converged[best]),
-                    bounds=tuple(
-                        FitBounds(float(lo[t, j] % 1.0), float(hi[t, j] % 1.0))
-                        for j in ascending
-                    ),
-                )
-            )
-    return fits
+        # The lowest SSR wins; argmin over the reversed starts gives a tie to the later one.
+        failed = (status == "nonfinite").reshape(T, S)
+        corner = S - 1 - np.argmin(np.where(failed, np.inf, ssr.reshape(T, S))[:, ::-1], axis=1)
+        won = np.arange(T) * S + corner
+        corner[failed.all(axis=1)] = -1
+        rows.append((x[won], ssr[won], iterations[won], converged[won], status[won], corner, bins))
+    x, ssr, iterations, converged, status, corner, bins = map(np.concatenate, zip(*rows))
+    return SolverResult(x, ssr, iterations, converged, status), corner, bins
 
 
 def _fit_one(dist: OutcomeDistribution, J: int) -> FitResult:
-    (result,) = _fit(dist.reg, dist.probs[np.newaxis], J)
-    if isinstance(result, FitError):
-        raise result
-    return result
+    """The FitResult of one pmf, phases ascending; a FitError names every start if all failed."""
+    M = dist.reg.M
+    best, (corner,), (bins,) = _fit(dist.reg, dist.probs[np.newaxis], J)
+    corners = list(itertools.product((0, 1), repeat=J))
+    if corner < 0:
+        raise FitError("all starts failed: " + "; ".join(
+            f"{_corner_label(c)}: non-finite residual at the starting point" for c in corners
+        ))
+    thetas = np.mod(best.x[0, :J], 1.0)
+    ascending = np.argsort(thetas, kind="stable")
+    lo = (bins[ascending] - 0.5) / M % 1.0
+    hi = (bins[ascending] + 0.5) / M % 1.0
+    return FitResult(
+        phases=tuple(thetas[ascending].tolist()),
+        weights=tuple(_weights(best.x, J)[0, ascending].tolist()),
+        residual_variance=float(best.ssr[0]) / max(M - (2 * J - 1), 1),
+        start_used=_corner_label(corners[corner]),
+        iterations=int(best.iterations[0]),
+        converged=bool(best.converged[0]),
+        bounds=tuple(map(FitBounds, lo.tolist(), hi.tolist())),
+    )
 
 
 def fit_single(dist: OutcomeDistribution) -> FitResult:

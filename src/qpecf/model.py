@@ -38,7 +38,7 @@ def _check_theta(value, name: str = "theta") -> float:
     theta = float(value)
     if not 0.0 <= theta < 1.0:
         raise DomainError(f"{name} must lie in [0, 1), got {value!r}")
-    return theta
+    return theta + 0.0  # -0.0 becomes 0.0, so trial_seed and the CSV see one zero phase
 
 
 def _check_shots(k) -> int:

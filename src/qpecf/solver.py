@@ -4,10 +4,11 @@ One call solves B independent problems of the same size. Each problem runs
 the same algorithm on its own: Levenberg-Marquardt damping with Nielsen's
 update drives the step size, Coleman-Li distance-to-bound scaling shapes
 steps near the box faces (the defining ingredient of trust-region
-reflective methods), and trial points that leave the box are both clipped
-onto it and reflected back inside, with the better candidate kept. Iterates
-therefore never leave the box, and coordinates pinned against a face with
-an inward-pointing gradient unstick on their own when the gradient reverses.
+reflective methods), and each step is clipped onto the box. Where the raw
+step left the box, its reflection back inside is tried as well, and kept
+only with a strictly lower SSR. Iterates therefore never leave the box, and
+coordinates pinned against a face with an inward-pointing gradient unstick
+on their own when the gradient reverses.
 
 Every problem keeps its own damping, iteration count, status and
 convergence flag. The solver carries only the problems still running: a
@@ -112,7 +113,7 @@ def least_squares_box(residual, jacobian, start, lower, upper) -> SolverResult:
     a = np.flatnonzero(started)
     r = r[a]
     J = np.array(jacobian(x[a], a), dtype=float)
-    lam = np.full(a.size, -1.0)
+    lam = np.empty(a.size)  # set from A and C at the first iteration
     nu = np.full(a.size, 2.0)
 
     for it in range(1, MAX_ITER + 1):
@@ -139,45 +140,42 @@ def least_squares_box(residual, jacobian, start, lower, upper) -> SolverResult:
         Jh = J * d[:, np.newaxis, :]
         C = g * dv
         A = Jh.transpose(0, 2, 1) @ Jh
-        fresh = lam < 0
-        if fresh.any():
+        if it == 1:
             scale = np.max(np.diagonal(A, axis1=1, axis2=2) + C, axis=1)
-            first = np.where(scale > 0, 1e-3 * scale, 1e-3)
-            lam[fresh] = first[fresh]
+            lam = np.where(scale > 0, 1e-3 * scale, 1e-3)
         damped = (A + C[:, :, np.newaxis] * eye) + lam[:, np.newaxis, np.newaxis] * eye
         sh = np.linalg.solve(damped, -gh[:, :, np.newaxis])[:, :, 0]
         s = d * sh
 
+        # The trial point is the step clipped onto the box, rejected if its
+        # residual is not finite. Where the raw step left the box, the
+        # reflected point replaces it only with a strictly lower finite SSR.
         raw = xa + s
-        clipped = np.clip(raw, la, ua)
-        reflected = np.where(raw < la, 2 * la - raw, np.where(raw > ua, 2 * ua - raw, raw))
-        reflected = np.clip(reflected, la, ua)
+        xc = np.clip(raw, la, ua)
+        rc = np.asarray(residual(xc, a), dtype=float)
+        fc = _dot(rc, rc)
+        fc[~np.all(np.isfinite(rc), axis=1)] = np.inf
+        out = np.flatnonzero(np.any((raw < la) | (raw > ua), axis=1))
+        if out.size:
+            ro, lo, uo = raw[out], la[out], ua[out]
+            xr = np.clip(np.where(ro < lo, 2 * lo - ro, np.where(ro > uo, 2 * uo - ro, ro)), lo, uo)
+            rr = np.asarray(residual(xr, a[out]), dtype=float)
+            fr = _dot(rr, rr)
+            won = np.all(np.isfinite(rr), axis=1) & (fr < fc[out])
+            best = out[won]
+            xc[best], fc[best], rc[best] = xr[won], fr[won], rr[won]
 
-        # Each problem keeps the first candidate with the lowest finite SSR;
-        # the reflected one is evaluated only where it differs from the clipped.
-        best_x, best_f, best_r = xa.copy(), np.full(a.size, np.inf), np.empty_like(r)
-        for cand, tried in (
-            (clipped, np.arange(a.size)),
-            (reflected, np.flatnonzero(np.any(reflected != clipped, axis=1))),
-        ):
-            if tried.size:
-                rc = np.asarray(residual(cand[tried], a[tried]), dtype=float)
-                fc = _dot(rc, rc)
-                won = np.all(np.isfinite(rc), axis=1) & (fc < best_f[tried])
-                best = tried[won]
-                best_x[best], best_f[best], best_r[best] = cand[best], fc[won], rc[won]
-
-        step = best_x - xa
+        step = xc - xa
         step_h = np.divide(step, d, out=np.zeros_like(step), where=d > 0)
         predicted = _dot(step_h, lam[:, np.newaxis] * step_h - gh)
-        actual = f[a] - best_f
+        actual = f[a] - fc
         rho = np.divide(actual, predicted, out=np.where(actual > 0, 1.0, -1.0), where=predicted > 0)
         accepted = (actual > 0) & (rho > _RHO_ACCEPT)
 
         if accepted.any():
             acc = a[accepted]
-            x[acc], f[acc] = best_x[accepted], best_f[accepted]
-            r[accepted] = best_r[accepted]
+            x[acc], f[acc] = xc[accepted], fc[accepted]
+            r[accepted] = rc[accepted]
             J[accepted] = jacobian(x[acc], acc)
             lam[accepted] *= [
                 max(1.0 / 3.0, 1.0 - (2.0 * q - 1.0) ** 3) for q in rho[accepted].tolist()

@@ -1,6 +1,7 @@
 """Campaign runner: per-cell aggregation, grid determinism, scaling exponents."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,12 +21,13 @@ from qpecf.bench import (
     scaling_to_json,
     trial_seed,
 )
-from qpecf.errors import ConfigError, DomainError, FitError
+from qpecf.errors import ConfigError, DomainError
 from qpecf import fitting
 from qpecf.fitting import BATCH_ELEMENTS, fit_multi, fit_single
 from qpecf.model import PhaseModel, RegisterSpec
 from qpecf.pmf import analytic_distribution, circuit_depth_units, crlb_mse
 from qpecf.simulate import histogram_to_probs, sample_shots
+from qpecf.solver import SolverResult
 
 
 def synthetic_record(theta: float, n: int, k: int, rmse: float) -> BenchRecord:
@@ -103,6 +105,18 @@ class TestTrialSeed:
         a = trial_seed(1, 0.2, 3, 100, 0).generate_state(4)
         b = trial_seed(1, near, 3, 100, 0).generate_state(4)
         assert not np.array_equal(a, b)
+
+
+def stub_fit(trials: int, failed: int):
+    """_fit's return for trials whose first `failed` fits failed; the others estimate 0.3."""
+    best = SolverResult(
+        x=np.full((trials, 1), 0.3),
+        ssr=np.zeros(trials),
+        iterations=np.ones(trials, dtype=int),
+        converged=np.ones(trials, dtype=bool),
+        status=np.full(trials, "gtol"),
+    )
+    return best, np.where(np.arange(trials) < failed, -1, 0), np.zeros((trials, 1))
 
 
 class TestRunCell:
@@ -187,12 +201,9 @@ class TestRunCell:
     def test_failed_fits_are_excluded_and_flagged(self, monkeypatch):
         calls = {"count": 0}
 
-        class _Stub:
-            phases = [0.3]
-
         def flaky(reg, pmfs, J):
             calls["count"] += 1
-            return [FitError("synthetic failure")] * 2 + [_Stub()] * (len(list(pmfs)) - 2)
+            return stub_fit(len(list(pmfs)), failed=2)
 
         monkeypatch.setattr("qpecf.bench._fit", flaky)
         rec = one_cell(0.3, 3, 10, 50, base_seed=1)
@@ -204,7 +215,8 @@ class TestRunCell:
 
     def test_all_fits_failing_yields_nan_rmse(self, monkeypatch):
         def explode(reg, pmfs, J):
-            return [FitError("synthetic failure")] * len(list(pmfs))
+            trials = len(list(pmfs))
+            return stub_fit(trials, failed=trials)
 
         monkeypatch.setattr("qpecf.bench._fit", explode)
         rec = one_cell(0.3, 3, 10, 5, base_seed=1)
@@ -258,6 +270,17 @@ class TestRunGrid:
         assert serial == parallel
         assert records_to_csv(serial) == records_to_csv(parallel)
 
+    def test_negative_zero_phase_is_the_zero_phase(self):
+        # -0.0 would hash apart in trial_seed and render as "-0.0"; the
+        # estimates agree either way, since at theta = 0 every shot lands in bin 0
+        assert math.copysign(1.0, PhaseModel.single(-0.0).thetas[0]) == 1.0
+        grid = BenchGrid((-0.0,), (3,), (10,), 5, 1)
+        assert math.copysign(1.0, grid.phases[0]) == 1.0
+        (record,) = run_grid(grid)
+        (zero,) = run_grid(BenchGrid((0.0,), (3,), (10,), 5, 1))
+        assert records_to_csv([record]) == records_to_csv([zero])
+        assert records_to_csv([record]).splitlines()[1].startswith("0.0,3,8,10,5,0,")
+
     def test_sampled_cells_satisfy_error_invariants(self):
         grid = BenchGrid((1 / 3, 0.2), (2, 3), (50, 200), 10, 12345)
         for rec in run_grid(grid):
@@ -296,6 +319,21 @@ class TestStreaming:
         model = PhaseModel.from_pairs(tuple(((b + 0.25) / 2**13, w) for b, w in bins))
         fit_multi(analytic_distribution(RegisterSpec(13), model), 4)
         assert call_shapes == [(8, 7), (8, 7)]
+
+    @pytest.mark.parametrize(
+        "n, pairs",
+        [(3, ((1 / 3, 0.6), (0.7, 0.4))), (4, ((0.15, 0.5), (0.45, 0.3), (0.8, 0.2)))],
+    )
+    def test_a_trial_split_across_calls_fits_the_same(self, call_shapes, monkeypatch, n, pairs):
+        dist = analytic_distribution(RegisterSpec(n), PhaseModel.from_pairs(pairs))
+        observed = histogram_to_probs(sample_shots(dist, 10**4, 2))
+        J = len(pairs)
+        whole = fit_multi(observed, J)
+        assert call_shapes == [(2**J, 2 * J - 1)]
+        call_shapes.clear()
+        monkeypatch.setattr("qpecf.fitting.BATCH_ELEMENTS", 2**n)  # one problem per call
+        assert fit_multi(observed, J) == whole
+        assert call_shapes == [(1, 2 * J - 1)] * 2**J
 
     def test_a_campaign_holds_one_calls_pmfs(self):
         grid = BenchGrid((1 / 3,), (16,), (1000,), 40, 1)

@@ -1,5 +1,7 @@
 """Phase recovery by bounded curve fitting: single and multi-phase."""
 
+import itertools
+
 import numpy as np
 import pytest
 from conftest import fd_jacobian, random_phase_model
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 from qpecf.errors import DomainError, FitError
 from qpecf.fitting import (
-    NUDGE, FitBounds, _observed_problem, _problem, _top_bins, fit_multi, fit_single,
+    NUDGE, FitBounds, _corner_label, _fit, _observed_problem, _problem, _top_bins, fit_multi,
+    fit_single,
 )
 from qpecf.model import MAX_PHASES, OutcomeDistribution, PhaseModel, RegisterSpec
 from qpecf.pmf import (
@@ -18,7 +21,7 @@ from qpecf.pmf import (
     pmf_vector,
     score,
 )
-from qpecf.simulate import histogram_to_probs, sample_shots
+from qpecf.simulate import ShotHistogram, histogram_to_probs, sample_shots
 from qpecf.solver import least_squares_box
 
 
@@ -221,10 +224,55 @@ class TestFitMulti:
         with pytest.raises(AssertionError, match="_fit reached"):
             fit_multi(spread, MAX_PHASES)
 
+    def test_a_reflected_step_that_wins_is_kept(self):
+        # one iteration of this fit takes the reflection of a step that left
+        # the box over the clipped point; without reflections it takes 35
+        # iterations and its phases move by 1.3e-9. Both boxes sit near one
+        # component (the start rule of ROADMAP item 9), so item 9 will move
+        # this pin.
+        counts = [1, 0, 2, 1, 1, 1, 0, 12, 9, 3, 0, 1, 2, 34, 31, 2]
+        dist = histogram_to_probs(ShotHistogram(RegisterSpec(4), np.array(counts), 100))
+        result = fit_multi(dist, 2)
+        phases = (0.7815600169540118, 0.8439950815127061)
+        weights = (0.10934448542945502, 0.890655514570545)
+        assert np.max(np.abs(np.subtract(result.phases, phases))) < 1e-12
+        assert np.max(np.abs(np.subtract(result.weights, weights))) < 1e-12
+        assert result.iterations == 30
+        assert result.start_used == "corner LL"
+
     def test_multistart_labels(self):
         result = fit_multi(exact_dist(3, [(1 / 3, 0.5), (0.5, 0.5)]), 2)
         assert result.start_used.startswith("corner ")
         assert set(result.start_used.split()[1]) <= {"L", "R"}
+
+
+class TestFitRows:
+    """_fit returns one row per trial; fit_single and fit_multi build the FitResult."""
+
+    @pytest.mark.parametrize("J", [1, 2])
+    def test_a_failing_trial_fails_alone_in_a_shared_call(self, J):
+        # all three trials share one solver call at n = 3
+        reg = RegisterSpec(3)
+        model = PhaseModel.from_pairs({1: ((0.2, 1.0),), 2: ((1 / 3, 0.6), (0.7, 0.4))}[J])
+        p_a, p_b = (
+            histogram_to_probs(sample_shots(analytic_distribution(reg, model), 1000, seed))
+            for seed in (1, 2)
+        )
+        best, corner, bins = _fit(reg, [p_a.probs, np.full(reg.M, np.nan), p_b.probs], J)
+        assert corner[1] == -1 and best.status[1] == "nonfinite"
+        for i, dist in ((0, p_a), (2, p_b)):
+            lone = fit_single(dist) if J == 1 else fit_multi(dist, J)
+            assert tuple(sorted(np.mod(best.x[i, :J], 1.0).tolist())) == lone.phases
+            assert best.ssr[i] / (reg.M - (2 * J - 1)) == lone.residual_variance
+            assert best.iterations[i] == lone.iterations
+            assert best.converged[i] == lone.converged
+            corners = list(itertools.product((0, 1), repeat=J))
+            assert _corner_label(corners[corner[i]]) == lone.start_used
+            # and the whole row equals the trial's lone _fit row
+            lone_best, lone_corner, lone_bins = _fit(reg, [dist.probs], J)
+            for name in ("x", "ssr", "iterations", "converged", "status"):
+                assert np.array_equal(getattr(best, name)[i], getattr(lone_best, name)[0])
+            assert corner[i] == lone_corner[0] and np.array_equal(bins[i], lone_bins[0])
 
 
 def dense_fit_single(dist: OutcomeDistribution) -> float:

@@ -398,6 +398,40 @@ def square_sum_phases(n: int) -> list:
     return phases
 
 
+# S and dS/dtheta of _pmf_square_sum's closed form at n = 21-30, where the
+# O(M) sums are too large for a test, evaluated with mpmath at 50 digits and
+# kept to 25 significant digits. Per n: the phases of square_sum_phases(n) and 1/3
+# with the largest S and dS errors, and the half-bin phase 0.5 / M.
+SQUARE_SUM_REFERENCE = [
+    (21, 0.9999998569488525, "5.636610017823622191658736e-1", "4.177292132903320010666486e+6"),
+    (21, 0.9494493281413635, "3.547856453069668933385555e-1", "1.550239647672764791023774e+6"),
+    (21, 2.384185791015625e-07, "3.333333333334849157836288e-1", "4.439243390092957201727416e-45"),
+    (22, 0.4215496381032906, "5.000691996835928518143288e-1", "-7.608678527820011019501324e+6"),
+    (22, 1.1920928955078125e-07, "3.333333333333712289459072e-1", "8.87848678018742845408352e-45"),
+    (23, 0.9999999642372132, "5.63661002246041798678021e-1", "1.670916853955922588797158e+7"),
+    (23, 5.960464477539063e-08, "3.333333333333428072364768e-1", "1.775697356037561393348138e-44"),
+    (24, 0.9999999821186065, "5.636610003909467863828917e-1", "3.341833701557973494969955e+7"),
+    (24, 0.4999067885347823, "8.252020721480110373384926e-1", "-3.090953808661957762776414e+7"),
+    (24, 2.9802322387695312e-08, "3.333333333333357018091192e-1", "3.551394712075160637961994e-44"),
+    (25, 0.18579985449039316, "3.7775563551491445184178e-1", "3.505183647900537431162503e+7"),
+    (25, 0.6489885034492314, "4.068758275225525369771365e-1", "4.403233834013262325812061e+7"),
+    (25, 1.4901161193847656e-08, "3.333333333333339254522798e-1", "7.102789424150340201556847e-44"),
+    (26, 0.797564634660374, "3.95321114671938776699486e-1", "8.163477568353416812111607e+7"),
+    (26, 7.450580596923828e-09, "3.3333333333333348136307e-1", "1.420557884830068986593012e-43"),
+    (27, 0.9999999962747097, "3.333333333333333703407675e-1", "-2.841115769660138446326846e-43"),
+    (27, 0.9853326934849223, "3.539966729895654314355738e-1", "-9.743329412844605941137794e+7"),
+    (27, 3.725290298461914e-09, "3.333333333333333703407675e-1", "2.841115769660138446326846e-43"),
+    (28, 0.08003133973466381, "8.161925110540744263375485e-1", "-5.024716844747062181509153e+8"),
+    (28, 0.8409773868206738, "5.306492104311128937918754e-1", "-5.132743237957783623918687e+8"),
+    (28, 1.862645149230957e-09, "3.333333333333333425851919e-1", "5.682231539320277129224103e-43"),
+    (29, 0.3333333333333333, "4.999999819815225265652924e-1", "9.737760837695160593385404e+8"),
+    (29, 9.313225746154785e-10, "3.33333333333333335646298e-1", "1.136446307864055437673341e-42"),
+    (30, 0.3333333333333333, "5.000000360369568987657262e-1", "-1.947552378090581298861492e+9"),
+    (30, 0.6746332986395255, "4.129816050926460254220095e-1", "1.458793340100668311989583e+9"),
+    (30, 4.656612873077393e-10, "3.333333333333333339115745e-1", "2.272892615728110881260943e-42"),
+]
+
+
 class TestSquareSum:
     @pytest.mark.parametrize("n", range(1, 21))
     def test_closed_form_matches_the_sums(self, n):
@@ -413,6 +447,17 @@ class TestSquareSum:
             want = np.sum(P * P)
             assert abs(S - want) / want <= 2e-15, theta
             assert abs(dS - np.sum(2 * P * dP)) / amplitude <= 2e-15, theta
+
+    @pytest.mark.parametrize("n, theta, S_ref, dS_ref", SQUARE_SUM_REFERENCE)
+    def test_closed_form_is_float64_accurate_up_to_n_30(self, n, theta, S_ref, dS_ref):
+        # observed-bin fits use S up to n = 30; measured over all of
+        # square_sum_phases(n) and 1/3: at most 3.3e-16 for S and 3.0e-16
+        # for dS relative to its amplitude
+        M = 2**n
+        S, dS = _pmf_square_sum(theta, M)
+        amplitude = 2 * np.pi * (M - 1 / M) / 3
+        assert abs(Fraction(float(S)) - Fraction(S_ref)) / Fraction(S_ref) <= 4e-16
+        assert abs(Fraction(float(dS)) - Fraction(dS_ref)) / Fraction(amplitude) <= 4e-16
 
 
 class TestIdentifiabilityLimits:
