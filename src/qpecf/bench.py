@@ -183,7 +183,7 @@ def _run_cells(job: tuple) -> list[BenchRecord]:
         for trial in range(trials)
     )
     best, corner, _ = _fit(reg, pmfs, 1)
-    phases = np.mod(best.x[:, 0], 1.0).reshape(len(cells), trials)
+    phases = best.x[:, 0].reshape(len(cells), trials)
     failed = (corner < 0).reshape(len(cells), trials)
     return [_record(theta, reg, k, p, f) for (theta, k), p, f in zip(cells, phases, failed)]
 

@@ -24,11 +24,12 @@ from .solver import SolverResult, least_squares_box
 # requires strict interiority while the recipe starts exactly at the bounds.
 NUDGE = 1e-9
 # A solver call holds at most max(1, BATCH_ELEMENTS // M) problems, which
-# bounds its (problems, M) arrays and the pmfs _fit holds at once: at n = 8
-# that is the two starts of 128 trials. Only a trial whose starts alone
-# exceed the cap (J = 5 at n = 14) is split across calls. A larger cap made
-# the grouped campaign fits slower: configs/full_grid.json took 7.8-7.9 s
-# at 2**16 and 8.4-9.0 s at 2**22 on one process of a 2-vCPU VM.
+# bounds its (problems, M) arrays: at n = 8, the two starts of 128 trials.
+# Only a trial whose starts alone exceed the cap (J = 5 at n = 14) is split
+# across calls. On one process of a 2-vCPU VM, medians of 10 alternating
+# rounds: configs/full_grid.json took 6.5 s at 2**14, 5.4 s at 2**16
+# (quartiles 5.1-5.7 s), 5.0 s at 2**18 and 5.3 s at 2**22, and
+# campaign_few's grid 0.45-0.52 s at all four.
 BATCH_ELEMENTS = 2**16
 # Single-phase fits from this register size up run one trial, both starts,
 # per solver call, on its observed bins (_observed_problem); every other
@@ -100,8 +101,8 @@ def _weights(params: np.ndarray, J: int) -> np.ndarray:
 def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
     """Batched residual and Jacobian over [theta_1..theta_J, w_1..w_{J-1}].
 
-    probs holds the observed pmfs, (B, M) with one row per problem of the
-    batch or (1, M) shared by all, which broadcasts and is never copied.
+    probs holds the call's (T, M) trial pmfs, and problem row r fits trial
+    r // 2**J, the layout _fit builds: trial t from each of its 2**J starts.
     Both callables take (a, p) parameters and the rows of the batch they
     belong to, as least_squares_box passes them; the residual returns
     (a, M) residuals and the Jacobian (a, M, p). Phases are in the unwrapped
@@ -119,14 +120,12 @@ def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
     """
     M = reg.M
     bin_phases = np.arange(M) / M
-
-    def pmfs(rows: np.ndarray) -> np.ndarray:
-        return probs if len(probs) == 1 else probs[rows]
+    S = 2**J
 
     if J == 1:
 
         def residual(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            return _pmf_kernel(bin_phases, params[:, :1], M) - pmfs(rows)
+            return _pmf_kernel(bin_phases, params[:, :1], M) - probs[rows // S]
 
         def jacobian(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
             return _pmf_kernel(bin_phases, params[:, :1], M, pmf=False, grad=True)[:, :, None]
@@ -135,7 +134,7 @@ def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
 
     def residual(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
         P = _pmf_kernel(bin_phases, params[:, :J, None], M)
-        return (_weights(params, J)[:, :, None] * P).sum(axis=1) - pmfs(rows)
+        return (_weights(params, J)[:, :, None] * P).sum(axis=1) - probs[rows // S]
 
     def jacobian(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
         P, dP = _pmf_kernel(bin_phases, params[:, :J, None], M, grad=True)
@@ -219,6 +218,8 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
     max(1, BATCH_ELEMENTS // M) problems, or one trial whose starts are
     split across calls where its 2**J starts alone exceed that. So a
     campaign holds one call's pmfs, however many trials it streams through.
+    Problem t * 2**J + c of a call starts trial t from corner c; a split
+    trial's problems all lie below 2**J, so _problem reads them trial 0.
 
     A single-phase trial at n >= OBSERVED_MIN_N is solved alone, both starts
     in one call, and fit on its observed bins (_observed_problem), in
@@ -227,8 +228,8 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
     _problem; _observed_problem gives the three ways its form failed there.
 
     Returns one row per trial, in trial order: the winning start's solve
-    (x in the unwrapped box coordinates, SSR, iterations, convergence and
-    status), its corner index into itertools.product((0, 1), repeat=J), or
+    (x with its phases wrapped into [0, 1), SSR, iterations, convergence
+    and status), its corner index into itertools.product((0, 1), repeat=J), or
     -1 where every start failed (that row keeps the last start's values),
     and the (T, J) top bins its box was built on.
     """
@@ -246,18 +247,15 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
         bins = _top_bins(probs, J)
         lo = (bins - 0.5) / M
         hi = (bins + 0.5) / M
-        # Problem t * S + c starts trial t from corner c.
         phase_start = np.where(corners[None], hi[:, None] - nudge, lo[:, None] + nudge)
         start = np.concatenate(
             [phase_start.reshape(T * S, J), np.full((T * S, J - 1), 1.0 / J)], axis=1
         )
         lower = np.repeat(np.concatenate([lo, np.zeros((T, J - 1))], axis=1), S, axis=0)
         upper = np.repeat(np.concatenate([hi, np.ones((T, J - 1))], axis=1), S, axis=0)
-        if observed_bins:
-            residual, jacobian = _observed_problem(reg, probs[0])
-        else:
-            # A lone trial's pmf broadcasts over its starts; several are spelled out per problem.
-            residual, jacobian = _problem(reg, J, probs if T == 1 else np.repeat(probs, S, axis=0))
+        residual, jacobian = (
+            _observed_problem(reg, probs[0]) if observed_bins else _problem(reg, J, probs)
+        )
         results = [
             least_squares_box(residual, jacobian, start[b], lower[b], upper[b])
             for b in (slice(first, first + size) for first in range(0, T * S, size))
@@ -273,11 +271,12 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
         corner[failed.all(axis=1)] = -1
         rows.append((x[won], ssr[won], iterations[won], converged[won], status[won], corner, bins))
     x, ssr, iterations, converged, status, corner, bins = map(np.concatenate, zip(*rows))
+    x[:, :J] = np.mod(x[:, :J], 1.0)
     return SolverResult(x, ssr, iterations, converged, status), corner, bins
 
 
 def _fit_one(dist: OutcomeDistribution, J: int) -> FitResult:
-    """The FitResult of one pmf, phases ascending; a FitError names every start if all failed."""
+    """The FitResult of one pmf's _fit row, phases ascending; FitError names every failed start."""
     M = dist.reg.M
     best, (corner,), (bins,) = _fit(dist.reg, dist.probs[np.newaxis], J)
     corners = list(itertools.product((0, 1), repeat=J))
@@ -285,7 +284,7 @@ def _fit_one(dist: OutcomeDistribution, J: int) -> FitResult:
         raise FitError("all starts failed: " + "; ".join(
             f"{_corner_label(c)}: non-finite residual at the starting point" for c in corners
         ))
-    thetas = np.mod(best.x[0, :J], 1.0)
+    thetas = best.x[0, :J]
     ascending = np.argsort(thetas, kind="stable")
     lo = (bins[ascending] - 0.5) / M % 1.0
     hi = (bins[ascending] + 0.5) / M % 1.0

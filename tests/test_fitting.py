@@ -274,6 +274,25 @@ class TestFitRows:
                 assert np.array_equal(getattr(best, name)[i], getattr(lone_best, name)[0])
             assert corner[i] == lone_corner[0] and np.array_equal(bins[i], lone_bins[0])
 
+    def test_phases_are_wrapped_across_the_seam(self):
+        # at theta = 0.975 and n = 3 the top bin is 0, so the box is
+        # [-1/16, 1/16] and the solver's coordinate of the phase is negative
+        reg = RegisterSpec(3)
+
+        def sample(theta, seed):
+            dist = analytic_distribution(reg, PhaseModel.single(theta))
+            return histogram_to_probs(sample_shots(dist, 10**4, seed))
+
+        dist = sample(0.975, 1)
+        want = fit_single(dist).phases
+        assert abs(want[0] - 0.975) < 1e-3
+        shared = [sample(0.3, 2).probs, dist.probs, sample(0.6, 3).probs]
+        for pmfs, i in (([dist.probs], 0), (shared, 1)):
+            best, _, bins = _fit(reg, pmfs, 1)
+            assert bins[i, 0] == 0
+            assert np.all((0 <= best.x[:, :1]) & (best.x[:, :1] < 1))
+            assert tuple(best.x[i, :1].tolist()) == want
+
 
 def dense_fit_single(dist: OutcomeDistribution) -> float:
     """fit_single's recipe on the all-bins residual: both starts, lower SSR, ties to the right."""
@@ -301,9 +320,9 @@ class TestObservedBins:
         probs = histogram_to_probs(sample_shots(dist, 10**5, 3)).probs
         y = int(np.argmax(probs))
         params = np.append((y + np.linspace(-0.5, 0.5, 9)) / M, 0.2718)[:, np.newaxis]
-        dense_r, dense_j = _problem(reg, 1, probs[np.newaxis])
-        sparse_r, sparse_j = _observed_problem(reg, probs)
         rows = np.arange(len(params))
+        dense_r, dense_j = _problem(reg, 1, np.broadcast_to(probs, (len(rows), M)))
+        sparse_r, sparse_j = _observed_problem(reg, probs)
         rd, jd = dense_r(params, rows), dense_j(params, rows)[:, :, 0]
         rs, js = sparse_r(params, rows), sparse_j(params, rows)[:, :, 0]
         assert rs.shape == (len(params), np.count_nonzero(probs) + 1)
@@ -385,11 +404,27 @@ class TestJacobians:
         # and Jacobian must not depend on its batchmates or its position
         rng = np.random.default_rng(44 + J)
         reg = RegisterSpec(5)
-        B = 12
-        probs = rng.dirichlet(np.ones(reg.M), size=B)
-        weights = rng.dirichlet(np.ones(J), size=B)[:, : J - 1]
-        batch = np.concatenate([rng.random((B, J)), weights], axis=1)
-        self.assert_rows_evaluate_alone(*_problem(reg, J, probs), batch, rng)
+
+        def points(B):
+            weights = rng.dirichlet(np.ones(J), size=B)[:, : J - 1]
+            return np.concatenate([rng.random((B, J)), weights], axis=1)
+
+        probs = rng.dirichlet(np.ones(reg.M), size=12)
+        self.assert_rows_evaluate_alone(*_problem(reg, J, probs), points(12), rng)
+        # a call of T trials has 2**J problems per trial, and row r reads
+        # trial r // 2**J: its values are those of that trial's pmf alone
+        S, T = 2**J, 4
+        chunk = rng.dirichlet(np.ones(reg.M), size=T)
+        batch = points(T * S)
+        rows = np.arange(T * S)
+        residual, jacobian = _problem(reg, J, chunk)
+        self.assert_rows_evaluate_alone(residual, jacobian, batch, rng)
+        got_r, got_j = residual(batch, rows), jacobian(batch, rows)
+        for r in rows:
+            lone_r, lone_j = _problem(reg, J, chunk[[r // S]])
+            start = np.array([r % S])
+            assert np.array_equal(got_r[r], lone_r(batch[[r]], start)[0])
+            assert np.array_equal(got_j[r], lone_j(batch[[r]], start)[0])
 
     def test_observed_rows_evaluate_alone(self):
         rng = np.random.default_rng(47)
@@ -416,11 +451,11 @@ class TestJacobians:
         M = reg.M
         bin_phases = np.arange(M) / M
         probs = pmf_vector(reg, PhaseModel.from_pairs(random_phase_model(rng, J)))
-        residual, jacobian = _problem(reg, J, probs[np.newaxis])
         batch = np.array(
             [np.concatenate([rng.random(J), rng.dirichlet(np.ones(J))[: J - 1]]) for _ in range(10)]
         )
         rows = np.arange(len(batch))
+        residual, jacobian = _problem(reg, J, np.broadcast_to(probs, (len(rows), M)))
         got_residual = residual(batch, rows)
         got = jacobian(batch, rows)
         assert got.flags.c_contiguous

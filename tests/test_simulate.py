@@ -247,3 +247,19 @@ class TestHistogram:
         # M * shots >= 2**63, so the sum is taken exactly and a true match passes
         hist = ShotHistogram(RegisterSpec(2), np.array([2**62, 2**62 - 1, 0, 0]), 2**63 - 1)
         assert hist.shots == 2**63 - 1
+
+    def test_counts_are_not_shared_with_the_caller(self):
+        # a view's later writes do not reach the histogram, and the caller's
+        # own array stays writable; a sampled draw is kept, read-only
+        reg = RegisterSpec(2)
+        big = np.array([0, 3, 1, 0, 9, 9], dtype=np.int64)
+        hist = ShotHistogram(reg, big[:4], 4)
+        big[0] = 100
+        assert hist.counts.tolist() == [0, 3, 1, 0]
+        own = np.array([1, 1, 2, 0], dtype=np.int64)
+        hist = ShotHistogram(reg, own, 4)
+        assert own.flags.writeable and not hist.counts.flags.writeable
+        own[0] = 7
+        assert hist.counts.tolist() == [1, 1, 2, 0]
+        sampled = sample_shots(OutcomeDistribution(reg, [0.25] * 4), 10, 1)
+        assert not sampled.counts.flags.writeable
