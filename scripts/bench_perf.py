@@ -15,8 +15,9 @@ Three parts, all single-process:
    records the per-call median of 5 runs. pmf_vector runs at n = 20, not
    24: at n = 24 one call peaks at 800 MB resident.
 2. configs/smoke_grid.json end to end (median of 5 runs) and
-   configs/full_grid.json once (8–11 s on 2 vCPUs), on the same reference
-   clock, in wall and reference seconds.
+   configs/full_grid.json (median of FULL_GRID_RUNS runs, 4–5 s each on 2
+   vCPUs; single runs of equally fast code have read 20 % apart), on the
+   same reference clock, in wall and reference seconds.
 3. The three perfbench workloads, each run as
    ``perfbench/run.py --workload W --seed 1 --seconds 30 --trace 0``,
    recording the reference-clocked trials_per_s, setup_s and peak_rss_mb.
@@ -44,6 +45,7 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "perfbench"))
 from refclock import KERNELS, RefClock  # noqa: E402
 REPEATS = 5
+FULL_GRID_RUNS = 3
 # Each timed run of a layer repeats its call for about as long as one
 # reference-kernel call, so a sub-millisecond layer is not timed against a
 # kernel a hundred times longer; a slower layer is still one call per run.
@@ -130,7 +132,7 @@ def main() -> None:
               flush=True)
 
     end_to_end = []
-    for name, runs in (("smoke_grid", REPEATS), ("full_grid", 1)):
+    for name, runs in (("smoke_grid", REPEATS), ("full_grid", FULL_GRID_RUNS)):
         times = [clock.time(grid_run(name))[1:] for _ in range(runs)]
         seconds = statistics.median(wall_s for wall_s, _ in times)
         median_ref = statistics.median(ref_s for _, ref_s in times)

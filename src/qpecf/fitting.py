@@ -6,6 +6,10 @@ its bin, run the bounded solver from the corners of that box (nudged
 strictly inside), and keep the solve with the lowest sum of squared
 residuals (SSR); an exact tie goes to the later start. The single-phase fit
 is the J = 1 case, started from the left and the right end of its interval.
+
+The recipe has one exception: a single-phase pmf with all its mass in one
+bin y0 is P(y0 / M) itself, so its fit is y0 / M with SSR 0, and no solver
+runs.
 """
 
 from __future__ import annotations
@@ -161,14 +165,13 @@ def _observed_problem(reg: RegisterSpec, probs: np.ndarray):
     starts of one trial, so both callables ignore their rows argument.
 
     _fit uses it only at n >= OBSERVED_MIN_N, one trial per solver call.
-    Used on every register, it failed three ways: one set of observed bins
+    Used on every register, it failed two ways: one set of observed bins
     per batched call tied a trial's result to its batchmates (all three
-    mirror-tie cases of tests/test_bench.py moved); the ~1e-16 absolute
+    mirror-tie cases of tests/test_bench.py moved); and the ~1e-16 absolute
     rounding floor of S - sum_obs P^2 limits the resolution to about 1e-8
     over the root of the Gauss-Newton curvature, which shrinks as 1/M (about
     1e-14 at n >= 16), and moved two pinned fits by 2.9e-12 and 1.2e-10
-    (n = 5 and 7); and a one-hot on-bin histogram at n = 3, whose basin is
-    quartic, landed 1.45e-6 from its phase.
+    (n = 5 and 7).
     """
     M = reg.M
     bins = np.flatnonzero(probs)
@@ -225,7 +228,15 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
     in one call, and fit on its observed bins (_observed_problem), in
     O(observed bins) per iteration; its SSR is still over all M bins.
     Smaller registers, and every J >= 2, keep the dense residual of
-    _problem; _observed_problem gives the three ways its form failed there.
+    _problem; _observed_problem gives the two ways its form failed there.
+
+    One-hot trials are the exception: a single-phase pmf that is the
+    indicator of one bin y0 equals P(y0 / M), so its row is the exact
+    minimiser, x = y0 / M with SSR 0, and it gets no solver problem. Its
+    basin is quartic, and each start would take 20-73 iterations to stop
+    short of y0 / M. The row has 0 iterations, is converged, has status
+    "exact", which no solve returns, and has corner 2**J - 1 ("right"): both
+    starts would reach SSR 0, and the tie goes to the later one.
 
     Returns one row per trial, in trial order: the winning start's solve
     (x with its phases wrapped into [0, 1), SSR, iterations, convergence
@@ -239,12 +250,10 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
     S = len(corners)
     observed_bins = J == 1 and reg.n >= OBSERVED_MIN_N
     size = S if observed_bins else max(1, BATCH_ELEMENTS // M)
-    pmfs = iter(pmfs)
-    rows = []
-    while chunk := list(itertools.islice(pmfs, max(1, size // S))):
-        probs = np.array(chunk)
+
+    def solve(probs: np.ndarray, bins: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The winning start's x, SSR, iterations, convergence, status and corner of each trial."""
         T = len(probs)
-        bins = _top_bins(probs, J)
         lo = (bins - 0.5) / M
         hi = (bins + 0.5) / M
         phase_start = np.where(corners[None], hi[:, None] - nudge, lo[:, None] + nudge)
@@ -269,7 +278,36 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
         corner = S - 1 - np.argmin(np.where(failed, np.inf, ssr.reshape(T, S))[:, ::-1], axis=1)
         won = np.arange(T) * S + corner
         corner[failed.all(axis=1)] = -1
-        rows.append((x[won], ssr[won], iterations[won], converged[won], status[won], corner, bins))
+        return x[won], ssr[won], iterations[won], converged[won], status[won], corner
+
+    pmfs = iter(pmfs)
+    rows = []
+    while chunk := list(itertools.islice(pmfs, max(1, size // S))):
+        probs = np.array(chunk)
+        T = len(probs)
+        bins = _top_bins(probs, J)
+        # One-hot: one nonzero bin, holding 1.0. A top bin of 1.0 alone would
+        # not do, since (k - 1) / k rounds to 1.0 past k = 2**53; the O(M)
+        # count runs only where some top bin is 1.0.
+        exact = np.zeros(T, dtype=bool)
+        if J == 1:
+            exact = probs[np.arange(T), bins[:, 0].astype(int)] == 1.0
+            if exact.any():
+                exact &= np.count_nonzero(probs, axis=1) == 1
+        if not exact.any():
+            rows.append((*solve(probs, bins), bins))
+            continue
+        # The status column takes the solver's dtype, so a solved row's status fits.
+        row = (
+            bins / M, np.zeros(T), np.zeros(T, dtype=int), np.ones(T, dtype=bool),
+            np.full(T, "exact", dtype="<U9"), np.full(T, S - 1),
+        )
+        # Only a chunk that mixes one-hot and other trials is compacted; at
+        # n >= OBSERVED_MIN_N a chunk is one trial, so no O(M) pmf is copied.
+        if not exact.all():
+            for column, solved in zip(row, solve(probs[~exact], bins[~exact])):
+                column[~exact] = solved
+        rows.append((*row, bins))
     x, ssr, iterations, converged, status, corner, bins = map(np.concatenate, zip(*rows))
     x[:, :J] = np.mod(x[:, :J], 1.0)
     return SolverResult(x, ssr, iterations, converged, status), corner, bins

@@ -191,6 +191,21 @@ class TestFitCommand:
         assert abs(phases[1] - 1 / 2) <= bound
         assert abs(sum(result["weights"]) - 1.0) < 1e-12
 
+    def test_one_hot_counts_keep_the_output_format(self, tmp_path):
+        # a one-hot histogram is fit in closed form, with no solver iteration
+        hist = tmp_path / "hist.json"
+        hist.write_text(json.dumps({"n": 3, "shots": 50, "counts": [0, 0, 50, 0, 0, 0, 0, 0]}))
+        proc = cli("fit", "--counts", str(hist))
+        assert proc.returncode == 0
+        result = json.loads(proc.stdout)
+        assert set(result) == {
+            "phases", "weights", "residual_variance", "converged", "iterations", "bounds",
+        }
+        assert result["phases"] == [0.25] and result["weights"] == [1.0]
+        assert result["iterations"] == 0 and result["residual_variance"] == 0.0
+        assert result["converged"] is True
+        assert result["bounds"] == [0.1875, 0.3125]
+
     def test_fit_output_is_deterministic(self, tmp_path):
         hist = tmp_path / "hist.json"
         cli("simulate", "--n", "3", "--theta", "1/3", "--shots", "5000", "--out", str(hist))

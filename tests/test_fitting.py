@@ -294,6 +294,74 @@ class TestFitRows:
             assert tuple(best.x[i, :1].tolist()) == want
 
 
+class TestOneHotRows:
+    """A single-phase pmf with all its mass in one bin y0 is fit as y0 / M, with no solve."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 20])
+    def test_one_hot_pmfs_are_fit_in_closed_form(self, n):
+        # the solver would stop up to 2.5e-11 bins short at n = 2 (1.1e-5 at n = 20)
+        M = 2**n
+        for y in (0, M // 3, M - 1):
+            result = fit_single(exact_dist(n, [(y / M, 1.0)]))
+            assert result.phases == (y / M,)
+            assert result.weights == (1.0,)
+            assert result.residual_variance == 0.0
+            assert result.iterations == 0
+            assert result.converged is True
+            assert result.start_used == "right"
+
+    @pytest.mark.parametrize("n", [5, 17])
+    def test_the_solver_never_sees_a_one_hot_trial(self, n, monkeypatch):
+        # n = 5 puts the whole stream in one dense call; n = 17 fits one
+        # trial per call on its observed bins
+        reg = RegisterSpec(n)
+        M = reg.M
+        ordinary = [
+            histogram_to_probs(
+                sample_shots(analytic_distribution(reg, PhaseModel.single(theta)), 100, seed)
+            ).probs
+            for seed, theta in enumerate((0.21, 0.48, 0.83))
+        ]
+        hot = {i: np.eye(1, M, y)[0] for i, y in ((1, 0), (3, M // 3), (4, M - 1))}
+        assert all(np.count_nonzero(p) > 1 for p in ordinary)
+        stream = [ordinary[0], hot[1], ordinary[1], hot[3], hot[4], ordinary[2]]
+        calls = []
+
+        def recording(residual, jacobian, start, lower, upper):
+            calls.append(start[:, 0].copy())
+            return least_squares_box(residual, jacobian, start, lower, upper)
+
+        monkeypatch.setattr("qpecf.fitting.least_squares_box", recording)
+        best, corner, bins = _fit(reg, iter(stream), 1)
+        starts = np.concatenate(calls)
+        assert len(starts) == 2 * len(ordinary)
+        for i, p in hot.items():
+            y = int(np.argmax(p))
+            assert not np.any((starts > (y - 0.5) / M) & (starts < (y + 0.5) / M))
+            assert best.x[i, 0] == y / M and best.ssr[i] == 0.0
+            assert (best.iterations[i], best.converged[i], best.status[i]) == (0, True, "exact")
+            assert corner[i] == 1 and bins[i, 0] == y
+        for i, p in enumerate(stream):
+            if i in hot:
+                continue
+            lone_best, lone_corner, lone_bins = _fit(reg, [p], 1)
+            for name in ("x", "ssr", "iterations", "converged", "status"):
+                assert getattr(best, name)[i].tobytes() == getattr(lone_best, name)[0].tobytes()
+            assert corner[i] == lone_corner[0] and bins[i, 0] == lone_bins[0, 0]
+
+    def test_only_an_indicator_pmf_is_closed_form(self):
+        # (k - 1) / k rounds to 1.0 past k = 2**53, but a second bin holds
+        # counts; a lone bin below 1 is not P(y0 / M), so the solver fits both
+        reg = RegisterSpec(2)
+        k = 2**60
+        rounded = histogram_to_probs(ShotHistogram(reg, [k - 1, 1, 0, 0], k)).probs
+        assert rounded[0] == 1.0
+        short = OutcomeDistribution(reg, np.array([1 - 1e-11, 0.0, 0.0, 0.0])).probs
+        best, _, _ = _fit(reg, [rounded, short], 1)
+        assert "exact" not in best.status
+        assert np.all(best.iterations > 0)
+
+
 def dense_fit_single(dist: OutcomeDistribution) -> float:
     """fit_single's recipe on the all-bins residual: both starts, lower SSR, ties to the right."""
     reg = dist.reg
@@ -343,8 +411,9 @@ class TestObservedBins:
     )
     def test_readouts_match_dense_solves(self, n, theta, k, seed):
         # the iterates differ (the Jacobians differ), so the two stop at
-        # slightly different points; the one-hot readout, whose basin is
-        # quartic, differs most (4.1e-12)
+        # slightly different points; the one-hot readout differs most
+        # (1.1e-12): fit_single returns its bin exactly, and the dense
+        # solve, whose basin there is quartic, stops short of it
         dist = analytic_distribution(RegisterSpec(n), PhaseModel.single(theta))
         observed = histogram_to_probs(sample_shots(dist, k, seed))
         assert abs(fit_single(observed).phases[0] - dense_fit_single(observed)) <= 1e-11
