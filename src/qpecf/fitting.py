@@ -129,7 +129,8 @@ def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
     if J == 1:
 
         def residual(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            return _pmf_kernel(bin_phases, params[:, :1], M) - probs[rows // S]
+            P = _pmf_kernel(bin_phases, params[:, :1], M)
+            return np.subtract(P, probs[rows // S], out=P)
 
         def jacobian(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
             return _pmf_kernel(bin_phases, params[:, :1], M, pmf=False, grad=True)[:, :, None]

@@ -135,7 +135,11 @@ class OutcomeDistribution:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float).copy()
+        probs = np.asarray(self.probs)
+        # The float cast would drop an imaginary part.
+        if probs.dtype.kind == "c":
+            raise DomainError(f"probs must be real, got dtype {probs.dtype}")
+        probs = probs.astype(float)
         probs.setflags(write=False)
         if probs.shape != (self.reg.M,):
             raise DomainError(f"probs must have shape ({self.reg.M},), got {probs.shape}")

@@ -74,14 +74,19 @@ class ShotHistogram:
     shots: int = 0
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
+        shots = _check_shots(self.shots)
+        if counts.shape != (self.reg.M,):
+            raise DomainError(f"counts must have shape ({self.reg.M},), got {counts.shape}")
+        # The int64 cast would truncate fractional counts and turn bools
+        # into 0 and 1; reading the dtype alone costs O(1).
+        if counts.dtype.kind not in "iu":
+            raise DomainError(f"counts must be integers, got dtype {counts.dtype}")
+        counts = counts.astype(np.int64, copy=False)
         # Only an array no caller can write is kept uncopied: sample_shots' draw, 8 MB at n = 20.
         if counts.flags.writeable or not counts.flags.owndata:
             counts = counts.copy()
             counts.setflags(write=False)
-        shots = _check_shots(self.shots)
-        if counts.shape != (self.reg.M,):
-            raise DomainError(f"counts must have shape ({self.reg.M},), got {counts.shape}")
         if counts.min(initial=0) < 0:
             raise DomainError("counts must be non-negative")
         # The int64 sum wraps past 2**63 - 1. It cannot when no count exceeds

@@ -92,6 +92,9 @@ class TestModelTypes:
             OutcomeDistribution(reg, np.array([0.5, 0.5, 0.5, 0.5]))
         with pytest.raises(DomainError):
             OutcomeDistribution(reg, np.array([0.5, 0.5]))
+        # a float cast would drop the imaginary part with only a warning
+        with pytest.raises(DomainError, match="probs must be real"):
+            OutcomeDistribution(reg, np.array([0.25 + 0.25j, 0.25, 0.25, 0.25 - 0.25j]))
         dist = OutcomeDistribution(reg, np.array([0.25] * 4))
         with pytest.raises(ValueError):
             dist.probs[0] = 1.0  # stored read-only

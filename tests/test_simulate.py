@@ -213,6 +213,22 @@ class TestHistogram:
         with pytest.raises(DomainError):
             ShotHistogram(RegisterSpec(2), np.array([-1, 11, 0, 0]), 10)
 
+    def test_counts_must_be_integers(self):
+        # an int64 cast would keep [1, 2] of fractional counts, count bools as
+        # 0 and 1, and reject NaN only as a negative count
+        reg = RegisterSpec(1)
+        for counts, shots in (
+            (np.array([1.5, 2.5]), 3),
+            (np.array([2.0, 1.0]), 3),
+            (np.array([True, True]), 2),
+            (np.array([np.nan, 3.0]), 3),
+        ):
+            with pytest.raises(DomainError, match="counts must be integers"):
+                ShotHistogram(reg, counts, shots)
+        for dtype in (np.int32, np.uint8, np.uint64):
+            hist = ShotHistogram(reg, np.array([1, 2], dtype=dtype), 3)
+            assert hist.counts.dtype == np.int64 and hist.counts.tolist() == [1, 2]
+
     def test_json_roundtrip(self):
         hist = ShotHistogram(RegisterSpec(2), np.array([1, 2, 3, 4]), 10)
         restored = ShotHistogram.from_json_dict(hist.to_json_dict())

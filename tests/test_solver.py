@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpecf import solver
 from qpecf.errors import DomainError
 from qpecf.solver import least_squares_box
 
@@ -238,6 +239,57 @@ class TestLeastSquaresBox:
                     tried = []
             for before, after in zip(jacobian_at, jacobian_at[1:]):
                 assert ssr(after) < ssr(before)
+
+    def test_every_status_with_its_iteration_count(self, monkeypatch):
+        # one batch that ends in all four statuses: row 0 reaches a zero
+        # residual at iteration 11, row 1 stops on a short step at 6, row 2
+        # would reach gtol at iteration 22 but is cut at MAX_ITER = 12, row 3
+        # has a NaN residual at its start, and row 4 starts at its minimum
+        near = np.array([[1.0, 1.0], [1.0, 1.1], [0.0, 0.0], [0.0, 0.0]])
+        nearer = np.array([[1.0, 1.0], [1.0, 1.0001], [0.0, 0.0], [0.0, 0.0]])
+        bowl = np.eye(4, 2)
+        A = np.stack([near, bowl, nearer, bowl, bowl])
+        b = np.stack([
+            [1.0, 1.0, 0.0, 0.0],
+            [0.3, -0.4, 0.0, 0.0],
+            [1.0, 1.0, 0.0, 0.0],
+            np.full(4, np.nan),
+            [0.3, -0.4, 0.0, 0.0],
+        ])
+        start = np.array([[-1.0, 1.0], [0.1, 0.1], [0.1, 0.1], [0.0, 0.0], [0.3, -0.4]])
+        lower, upper = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
+        uncapped = solve_one(*linear(A[2:3], b[2:3]), start[2], lower, upper)
+        assert uncapped[2:] == (22, True, "gtol")
+
+        monkeypatch.setattr(solver, "MAX_ITER", 12)
+        result = least_squares_box(*linear(A, b), start, lower, upper)
+        assert result.iterations.tolist() == [11, 6, 12, 0, 1]
+        assert result.status.tolist() == ["gtol", "xtol", "maxiter", "nonfinite", "gtol"]
+        assert result.converged.tolist() == [True, True, False, False, True]
+        for i in range(len(A)):
+            alone = solve_one(*linear(A[i : i + 1], b[i : i + 1]), start[i], lower, upper)
+            assert np.array_equal(result.x[i], alone[0])
+            assert np.array_equal(result.ssr[i], alone[1], equal_nan=True)
+            assert (result.iterations[i], result.converged[i], result.status[i]) == alone[2:]
+
+    def test_one_parameter_step_division_equals_lapack_solve(self):
+        # the solver divides where p = 1 instead of calling np.linalg.solve,
+        # which holds only while LAPACK's 1x1 solve rounds as one division:
+        # damped systems (A + C) + lambda with positive terms, as the solver
+        # builds them, and gradients of either sign, over 10^-8 to 10^8
+        rng = np.random.default_rng(2024)
+        size = 5000
+
+        def magnitude(shape):
+            return 10.0 ** rng.uniform(-8.0, 8.0, shape)
+
+        eye = np.eye(1)
+        A, C, lam = magnitude((size, 1, 1)), magnitude((size, 1)), magnitude(size)
+        gh = magnitude((size, 1)) * rng.choice([-1.0, 1.0], (size, 1))
+        damped = (A + C[:, :, np.newaxis] * eye) + lam[:, np.newaxis, np.newaxis] * eye
+        divided = -gh / damped[:, :, 0]
+        solved = np.linalg.solve(damped, -gh[:, :, np.newaxis])[:, :, 0]
+        assert divided.tobytes() == solved.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(
