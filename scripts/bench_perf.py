@@ -21,6 +21,8 @@ Three parts, all single-process:
 3. The three perfbench workloads, each run as
    ``perfbench/run.py --workload W --seed 1 --seconds 30 --trace 0``,
    recording the reference-clocked trials_per_s, setup_s and peak_rss_mb.
+   A workload that exits non-zero or reports correct: false stops the
+   script with the tail of its stderr, and no point is written.
 
 The point also records the CPU count and the Python and numpy versions.
 """
@@ -109,10 +111,19 @@ def perfbench(workload: str) -> dict:
          "--seconds", "30", "--trace", "0"],
         cwd=REPO, capture_output=True, text=True,
     )
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    point = {name: metric["value"] for name, metric in result["metrics"].items()}
-    point["correct"] = result["correct"]
-    return point
+    lines = proc.stdout.strip().splitlines()
+    # A failed or incorrect run must not become a committed point.
+    if proc.returncode != 0 or not lines:
+        failure = f"exited {proc.returncode}"
+    else:
+        result = json.loads(lines[-1])
+        if result["correct"]:
+            point = {name: metric["value"] for name, metric in result["metrics"].items()}
+            point["correct"] = True
+            return point
+        failure = "reported correct: false"
+    tail = "\n".join(proc.stderr.strip().splitlines()[-10:])
+    sys.exit(f"perfbench workload {workload} {failure}\n{tail}")
 
 
 def main() -> None:

@@ -14,7 +14,6 @@ from .bench import (
     fit_scaling_exponents,
     records_to_csv,
     run_grid,
-    scaling_to_json,
     trial_seed,
 )
 from .errors import ConfigError, DomainError, FitError
@@ -73,7 +72,6 @@ __all__ = [
     "records_to_csv",
     "run_grid",
     "sample_shots",
-    "scaling_to_json",
     "score",
     "simulate_distribution",
     "trial_seed",

@@ -14,15 +14,14 @@ scheduling or worker count.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, product
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .fitting import _fit
-from .formatting import sig12
+from .formatting import render_csv, sig12
 from .model import (
     PhaseModel, RegisterSpec, _check_fields, _check_int, _check_seed, _check_shots, _check_theta,
 )
@@ -32,10 +31,13 @@ from .simulate import histogram_to_probs, sample_shots
 # A cell whose exclusion rate exceeds this fraction is flagged invalid.
 MAX_EXCLUDED_FRACTION = 0.01
 
-CSV_HEADER = (
-    "theta_true,n,M,k,trials,excluded,rmse,mean_abs_error,"
-    "crlb_rmse,ratio,traditional_error,depth_units"
-)
+# The campaign CSV's columns: each BenchRecord field, in published order, with its formatter.
+_CSV_COLUMNS = {
+    "theta_true": sig12, "n": str, "M": str, "k": str, "trials": str, "excluded": str,
+    "rmse": sig12, "mean_abs_error": sig12, "crlb_rmse": sig12, "ratio": sig12,
+    "traditional_error": sig12, "depth_units": str,
+}
+CSV_HEADER = ",".join(_CSV_COLUMNS)
 # The JSON type of each BenchGrid field.
 _GRID_FIELDS = {
     "phases": list, "n_values": list, "shot_values": list, "trials": int, "base_seed": int,
@@ -76,17 +78,11 @@ class BenchGrid:
         _check_fields(data, _GRID_FIELDS, "grid config")
         try:
             return cls(**{name: data[name] for name in _GRID_FIELDS})
-        except (DomainError, TypeError, ValueError, OverflowError) as exc:
+        except DomainError as exc:
             raise ConfigError(f"invalid grid config: {exc}") from exc
 
     def to_json_dict(self) -> dict:
-        return {
-            "phases": list(self.phases),
-            "n_values": list(self.n_values),
-            "shot_values": list(self.shot_values),
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-        }
+        return {name: kind(getattr(self, name)) for name, kind in _GRID_FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -232,11 +228,7 @@ class ScalingSummary:
     cells_used: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "slope_vs_k": self.slope_vs_k,
-            "slope_vs_M": self.slope_vs_M,
-            "cells_used": self.cells_used,
-        }
+        return asdict(self)
 
 
 def _group_slopes(records, key_fn, x_fn) -> tuple[list[float], set[int]]:
@@ -287,28 +279,4 @@ def fit_scaling_exponents(records: list[BenchRecord]) -> ScalingSummary:
 
 def records_to_csv(records: list[BenchRecord]) -> str:
     """Render records as CSV, one row per cell, floats at 12 significant digits."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    sig12(r.theta_true),
-                    str(r.n),
-                    str(r.M),
-                    str(r.k),
-                    str(r.trials),
-                    str(r.excluded),
-                    sig12(r.rmse),
-                    sig12(r.mean_abs_error),
-                    sig12(r.crlb_rmse),
-                    sig12(r.ratio),
-                    sig12(r.traditional_error),
-                    str(r.depth_units),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def scaling_to_json(summary: ScalingSummary) -> str:
-    return json.dumps(summary.to_json_dict()) + "\n"
+    return render_csv(_CSV_COLUMNS, ([getattr(r, name) for name in _CSV_COLUMNS] for r in records))

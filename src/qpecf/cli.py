@@ -13,11 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bench import BenchGrid, fit_scaling_exponents, records_to_csv, run_grid, scaling_to_json
+from .bench import BenchGrid, fit_scaling_exponents, records_to_csv, run_grid
 from .errors import ConfigError, DomainError, FitError
 from .fitting import fit_multi, fit_single
-from .formatting import sig12
-from .model import PhaseModel, RegisterSpec
+from .formatting import render_csv, sig12
+from .model import PhaseModel, RegisterSpec, _check_int
 from .pmf import fisher_information, pmf_vector
 from .simulate import ShotHistogram, SimUnitary, histogram_to_probs, sample_shots, simulate_distribution
 
@@ -76,6 +76,10 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
+def _write_json(path: str, obj) -> None:
+    _write_text(path, json.dumps(obj.to_json_dict()) + "\n")
+
+
 def _add_model_flags(sub) -> None:
     sub.add_argument("--theta", help="single eigenphase, decimal or 'p/q'")
     sub.add_argument(
@@ -89,9 +93,7 @@ def _add_model_flags(sub) -> None:
 def _cmd_pmf(args) -> int:
     reg = RegisterSpec(args.n)
     probs = pmf_vector(reg, _model_from_args(args))
-    lines = ["y,probability"]
-    lines += [f"{y},{sig12(p)}" for y, p in enumerate(probs)]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, render_csv({"y": str, "probability": sig12}, enumerate(probs)))
     return 0
 
 
@@ -99,29 +101,31 @@ def _cmd_simulate(args) -> int:
     reg = RegisterSpec(args.n)
     dist = simulate_distribution(reg, SimUnitary.from_model(_model_from_args(args)))
     hist = sample_shots(dist, args.shots, args.seed)
-    _write_text(args.out, json.dumps(hist.to_json_dict()) + "\n")
+    _write_json(args.out, hist)
     return 0
 
 
 def _cmd_fit(args) -> int:
+    _check_int(args.phases, "--phases", 1)
     dist = histogram_to_probs(ShotHistogram.from_json_dict(_read_json(args.counts)))
     if args.phases == 1:
         result = fit_single(dist)
     else:
         result = fit_multi(dist, args.phases)
-    _write_text(args.out, json.dumps(result.to_json_dict()) + "\n")
+    _write_json(args.out, result)
     return 0
 
 
 def _cmd_fisher(args) -> int:
     if args.n_min > args.n_max:
         raise ConfigError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
-    lines = ["n,M,fisher_information,crlb_rmse"]
+    columns = {"n": str, "M": str, "fisher_information": sig12, "crlb_rmse": sig12}
+    rows = []
     for n in range(args.n_min, args.n_max + 1):
         reg = RegisterSpec(n)
         fi = fisher_information(reg)
-        lines.append(f"{n},{reg.M},{sig12(fi)},{sig12(1.0 / np.sqrt(fi))}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+        rows.append((n, reg.M, fi, 1.0 / np.sqrt(fi)))
+    _write_text(args.out, render_csv(columns, rows))
     return 0
 
 
@@ -135,7 +139,7 @@ def _cmd_bench(args) -> int:
             # Well-formed inputs that cannot support the regression are a
             # computation-level failure, not a usage error.
             raise FitError(f"scaling fit failed: {exc}") from exc
-        _write_text(args.out_scaling, scaling_to_json(summary))
+        _write_json(args.out_scaling, summary)
     return 0
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,12 +34,23 @@ def _check_int(value, name: str, lo: int | None = None, hi: int | None = None) -
     return value
 
 
+def _check_real(value, name: str):
+    """value unchanged if it is a real number; bools, strings and other types are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _check_theta(value, name: str = "theta") -> float:
-    """A phase in revolutions: a float in [0, 1). NaN and infinities fail the comparison."""
-    theta = float(value)
-    if not 0.0 <= theta < 1.0:
+    """A phase in revolutions: a real number in [0, 1), as a float.
+
+    The range is compared before the float cast, so 10**400 is out of range
+    rather than an OverflowError, and again after it, since a Fraction just
+    below 1 rounds to 1.0. NaN and infinities fail the comparison.
+    """
+    if not (0 <= _check_real(value, name) < 1 and float(value) < 1):
         raise DomainError(f"{name} must lie in [0, 1), got {value!r}")
-    return theta + 0.0  # -0.0 becomes 0.0, so trial_seed and the CSV see one zero phase
+    return float(value) + 0.0  # -0.0 becomes 0.0, so trial_seed and the CSV see one zero phase
 
 
 def _check_shots(k) -> int:
@@ -85,10 +97,9 @@ class PhaseComponent:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", _check_theta(self.theta))
-        weight = float(self.weight)
-        if not 0.0 <= weight <= 1.0:
+        if not 0 <= _check_real(self.weight, "weight") <= 1:
             raise DomainError(f"weight must lie in [0, 1], got {self.weight!r}")
-        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "weight", float(self.weight))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ PUBLIC_NAMES = [
     "records_to_csv",
     "run_grid",
     "sample_shots",
-    "scaling_to_json",
     "score",
     "simulate_distribution",
     "trial_seed",

@@ -18,7 +18,6 @@ from qpecf.bench import (
     fit_scaling_exponents,
     records_to_csv,
     run_grid,
-    scaling_to_json,
     trial_seed,
 )
 from qpecf.errors import ConfigError, DomainError
@@ -402,13 +401,10 @@ class TestScalingExponents:
 
     def test_json_rendering(self):
         summary = ScalingSummary(slope_vs_k=-0.5, slope_vs_M=-1.0, cells_used=9)
-        text = scaling_to_json(summary)
-        assert text.endswith("\n")
-        assert json.loads(text) == {
-            "slope_vs_k": -0.5,
-            "slope_vs_M": -1.0,
-            "cells_used": 9,
-        }
+        # the key order is the published one
+        assert json.dumps(summary.to_json_dict()) == (
+            '{"slope_vs_k": -0.5, "slope_vs_M": -1.0, "cells_used": 9}'
+        )
 
 
 class TestGridConfig:
@@ -456,6 +452,11 @@ class TestGridConfig:
         ):
             with pytest.raises(ConfigError, match="invalid grid config"):
                 BenchGrid.from_json_dict({**self.GOOD, **patch})
+
+    @pytest.mark.parametrize("phase", ["0.5", False, True, None, [0.5]])
+    def test_phase_must_be_a_real_number(self, phase):
+        with pytest.raises(ConfigError, match="invalid grid config: theta must be a real number"):
+            BenchGrid.from_json_dict({**self.GOOD, "phases": [phase]})
 
     def test_single_qubit_register_is_rejected(self):
         # at n = 1, theta and 1 - theta give the same distribution, so a

@@ -68,6 +68,13 @@ class TestPmfCommand:
         for y, row in enumerate(proc.stdout.splitlines()[1:]):
             assert row.split(",")[1] == sig12(probs[y])
 
+    def test_mixture_text_is_frozen(self):
+        proc = cli("pmf", "--n", "2", "--component", "1/3:0.5", "--component", "1/2:0.5")
+        assert proc.returncode == 0
+        assert proc.stdout == (
+            "y,probability\n0,0.03125\n1,0.34987976321\n2,0.59375\n3,0.0251202367904\n"
+        )
+
     def test_out_file_matches_stdout(self, tmp_path):
         path = tmp_path / "pmf.csv"
         to_file = cli("pmf", "--n", "3", "--theta", "1/3", "--out", str(path))
@@ -239,6 +246,11 @@ class TestFitCommand:
         cli("simulate", "--n", "3", "--theta", "3/8", "--shots", "100", "--out", str(point_mass))
         assert_exits_one(cli("fit", "--counts", str(point_mass), "--phases", "2"))
 
+        for phases in ("0", "-1"):
+            proc = cli("fit", "--counts", str(point_mass), "--phases", phases)
+            assert_exits_one(proc, phases)
+            assert f"--phases must be >= 1, got {phases}" in proc.stderr
+
     def test_phase_count_past_the_cap_exits_one(self, tmp_path):
         # 2**24 corner solves would never end; the cap rejects them before
         # any is set up. A point mass also fails the nonzero-bin rule, so
@@ -326,9 +338,10 @@ class TestBenchCommand:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 9
-        summary = json.loads(scaling_path.read_text())
-        assert set(summary) == {"slope_vs_k", "slope_vs_M", "cells_used"}
-        assert summary["cells_used"] == 9
+        assert scaling_path.read_text() == (
+            '{"slope_vs_k": -0.25178458211630517, "slope_vs_M": -0.7145111682474142, '
+            '"cells_used": 9}\n'
+        )
 
     def test_thread_count_never_changes_the_csv(self, tmp_path):
         config = tmp_path / "grid.json"
@@ -361,6 +374,18 @@ class TestBenchCommand:
         proc = cli("bench", "--config", str(config), "--out-csv", str(tmp_path / "x.csv"))
         assert_exits_one(proc)
         assert "'trials'" in proc.stderr
+
+    @pytest.mark.parametrize("phase", ["0.5", False])
+    def test_phase_that_is_not_a_number_exits_one(self, tmp_path, phase):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({
+            "phases": [phase], "n_values": [3], "shot_values": [100], "trials": 2, "base_seed": 1,
+        }))
+        csv_path = tmp_path / "c.csv"
+        proc = cli("bench", "--config", str(config), "--out-csv", str(csv_path))
+        assert_exits_one(proc)
+        assert proc.stderr.startswith("error: invalid grid config: ")
+        assert not csv_path.exists()
 
     def test_unparseable_config_exits_one(self, tmp_path):
         config = tmp_path / "grid.json"

@@ -73,6 +73,24 @@ class TestModelTypes:
         with pytest.raises(DomainError):
             PhaseComponent(0.5, 1.5)
 
+    def test_component_values_must_be_real_numbers(self):
+        # a float cast would take True as 1.0 and "1" as 1.0
+        for theta, weight, name in (
+            (0.5, True, "weight"),
+            (0.5, "1", "weight"),
+            ("0.5", 1.0, "theta"),
+            (False, 1.0, "theta"),
+        ):
+            with pytest.raises(DomainError, match=f"{name} must be a real number"):
+                PhaseComponent(theta, weight)
+        assert PhaseComponent(Fraction(1, 3), np.float32(1)) == PhaseComponent(1 / 3, 1.0)
+
+    def test_phase_range_is_checked_on_both_sides_of_the_float_cast(self):
+        with pytest.raises(DomainError, match="must lie in"):
+            PhaseComponent(10**400, 1.0)  # float() would overflow
+        with pytest.raises(DomainError, match="must lie in"):
+            PhaseComponent(Fraction(2**60 - 1, 2**60), 1.0)  # rounds up to 1.0
+
     def test_model_sorts_and_normalizes(self):
         model = PhaseModel.from_pairs([(0.7, 0.25), (0.2, 0.75)])
         assert model.thetas == (0.2, 0.7)

@@ -3,11 +3,13 @@
 Also checks that the newest committed performance point has every field.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from conftest import src_env
 
 REPO = Path(__file__).resolve().parents[1]
@@ -51,3 +53,36 @@ def test_committed_bench_point_names_every_layer():
     assert all(entry["wall_s"] > 0 and entry["median_ref_s"] > 0 for entry in point["end_to_end"])
     assert set(point["perfbench"]) == {"campaign_few", "campaign_mega", "readout_wide"}
     assert all(run["trials_per_s"] > 0 for run in point["perfbench"].values())
+
+
+def load_bench_perf():
+    spec = importlib.util.spec_from_file_location("bench_perf", REPO / "scripts" / "bench_perf.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "returncode, stdout, failure",
+    [
+        (1, "", "exited 1"),
+        (0, "", "exited 0"),
+        (0, json.dumps({"correct": False, "metrics": {}}) + "\n", "reported correct: false"),
+    ],
+    ids=["nonzero-exit", "no-result-line", "incorrect"],
+)
+def test_bench_perf_stops_on_a_failed_workload(monkeypatch, returncode, stdout, failure):
+    bench_perf = load_bench_perf()
+    run = lambda args, **kw: subprocess.CompletedProcess(args, returncode, stdout, "warmup\nboom\n")
+    monkeypatch.setattr(bench_perf.subprocess, "run", run)
+    with pytest.raises(SystemExit) as exc:
+        bench_perf.perfbench("campaign_few")
+    assert str(exc.value) == f"perfbench workload campaign_few {failure}\nwarmup\nboom"
+
+
+def test_bench_perf_keeps_a_correct_workload(monkeypatch):
+    bench_perf = load_bench_perf()
+    line = json.dumps({"correct": True, "metrics": {"trials_per_s": {"value": 12.5}}})
+    run = lambda args, **kw: subprocess.CompletedProcess(args, 0, "log\n" + line + "\n", "")
+    monkeypatch.setattr(bench_perf.subprocess, "run", run)
+    assert bench_perf.perfbench("readout_wide") == {"trials_per_s": 12.5, "correct": True}
