@@ -4,7 +4,8 @@ Every fit follows the post-processing recipe: take the J highest-probability
 bins as coarse guesses, constrain each phase to half a bin either side of
 its bin, run the bounded solver from the corners of that box (nudged
 strictly inside), and keep the solve with the lowest sum of squared
-residuals (SSR); an exact tie goes to the later start. The single-phase fit
+residuals (SSR); an exact tie goes to the later start, and so does a
+single-phase histogram symmetric about its top bin. The single-phase fit
 is the J = 1 case, started from the left and the right end of its interval.
 
 The recipe has one exception: a single-phase pmf with all its mass in one
@@ -231,6 +232,11 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
     Smaller registers, and every J >= 2, keep the dense residual of
     _problem; _observed_problem gives the two ways its form failed there.
 
+    A single-phase histogram symmetric about its top bin y0,
+    p[(2 y0 - y) mod M] == p[y] for every y, holds mirror minima y0 +- delta
+    of equal SSR in exact arithmetic, so rounding would pick its winner; the
+    later start wins it by rule, unless that start failed.
+
     One-hot trials are the exception: a single-phase pmf that is the
     indicator of one bin y0 equals P(y0 / M), so its row is the exact
     minimiser, x = y0 / M with SSR 0, and it gets no solver problem. Its
@@ -252,7 +258,7 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
     observed_bins = J == 1 and reg.n >= OBSERVED_MIN_N
     size = S if observed_bins else max(1, BATCH_ELEMENTS // M)
 
-    def solve(probs: np.ndarray, bins: np.ndarray) -> tuple[np.ndarray, ...]:
+    def solve(probs: np.ndarray, bins: np.ndarray, mirror: np.ndarray) -> tuple[np.ndarray, ...]:
         """The winning start's x, SSR, iterations, convergence, status and corner of each trial."""
         T = len(probs)
         lo = (bins - 0.5) / M
@@ -275,8 +281,11 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
             for name in ("x", "ssr", "iterations", "converged", "status")
         )
         # The lowest SSR wins; argmin over the reversed starts gives a tie to the later one.
+        # A mirror row goes to the later start whenever that start did not fail.
         failed = (status == "nonfinite").reshape(T, S)
-        corner = S - 1 - np.argmin(np.where(failed, np.inf, ssr.reshape(T, S))[:, ::-1], axis=1)
+        key = np.where(failed, np.inf, ssr.reshape(T, S))
+        key[mirror & ~failed[:, -1], :-1] = np.inf
+        corner = S - 1 - np.argmin(key[:, ::-1], axis=1)
         won = np.arange(T) * S + corner
         corner[failed.all(axis=1)] = -1
         return x[won], ssr[won], iterations[won], converged[won], status[won], corner
@@ -287,16 +296,25 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
         probs = np.array(chunk)
         T = len(probs)
         bins = _top_bins(probs, J)
-        # One-hot: one nonzero bin, holding 1.0. A top bin of 1.0 alone would
-        # not do, since (k - 1) / k rounds to 1.0 past k = 2**53; the O(M)
-        # count runs only where some top bin is 1.0.
         exact = np.zeros(T, dtype=bool)
+        mirror = np.zeros(T, dtype=bool)
         if J == 1:
-            exact = probs[np.arange(T), bins[:, 0].astype(int)] == 1.0
+            trials, top = np.arange(T), bins[:, 0].astype(int)
+            # One-hot: one nonzero bin, holding 1.0. A top bin of 1.0 alone
+            # would not do, since (k - 1) / k rounds to 1.0 past k = 2**53;
+            # the O(M) count runs only where some top bin is 1.0.
+            exact = probs[trials, top] == 1.0
             if exact.any():
                 exact &= np.count_nonzero(probs, axis=1) == 1
+            # Mirror: p[(2 y0 - y) mod M] == p[y] for every y. The O(M)
+            # comparison runs only on rows whose two neighbours of y0 agree.
+            mirror = probs[trials, (top - 1) % M] == probs[trials, (top + 1) % M]
+            if mirror.any():
+                (screened,) = mirror.nonzero()
+                reflected = (2 * top[screened, None] - np.arange(M)) % M
+                mirror[screened] = (probs[screened[:, None], reflected] == probs[screened]).all(axis=1)
         if not exact.any():
-            rows.append((*solve(probs, bins), bins))
+            rows.append((*solve(probs, bins, mirror), bins))
             continue
         # The status column takes the solver's dtype, so a solved row's status fits.
         row = (
@@ -306,7 +324,7 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
         # Only a chunk that mixes one-hot and other trials is compacted; at
         # n >= OBSERVED_MIN_N a chunk is one trial, so no O(M) pmf is copied.
         if not exact.all():
-            for column, solved in zip(row, solve(probs[~exact], bins[~exact])):
+            for column, solved in zip(row, solve(probs[~exact], bins[~exact], mirror[~exact])):
                 column[~exact] = solved
         rows.append((*row, bins))
     x, ssr, iterations, converged, status, corner, bins = map(np.concatenate, zip(*rows))
@@ -342,8 +360,9 @@ def fit_single(dist: OutcomeDistribution) -> FitResult:
     """Recover one phase from an observed distribution.
 
     Runs the bounded solver from both ends of the half-bin interval around
-    the argmax bin and keeps the solve with the lower SSR; an exact tie
-    goes to the later, right start. At n = 1, theta and 1 - theta give the
+    the argmax bin and keeps the solve with the lower SSR; an exact tie,
+    and a histogram symmetric about its argmax bin, goes to the later, right
+    start. At n = 1, theta and 1 - theta give the
     same distribution, so the fit returns one of two equal minima: the one
     from the right start.
     """

@@ -146,6 +146,38 @@ class TestFitSingle:
         assert result.start_used == "right"
         assert abs(result.phases[0] - 0.6024163823495667) < 1e-12
 
+    @pytest.mark.parametrize(
+        "n, counts",
+        [
+            (2, {0: 2, 1: 6, 2: 2}),
+            (3, {1: 1, 2: 1, 3: 6, 4: 1, 5: 1}),
+            (4, {4: 1, 5: 8, 6: 1}),
+        ],
+    )
+    def test_a_mirror_histogram_goes_to_the_later_start(self, n, counts):
+        # symmetric about its top bin y0, so the box holds mirror minima
+        # y0 +- delta of equal SSR; the left start won each of these on
+        # rounding before the rule
+        reg = RegisterSpec(n)
+        hist = np.zeros(reg.M)
+        for y, c in counts.items():
+            hist[y] = c
+        y0 = int(np.argmax(hist))
+        result = fit_single(OutcomeDistribution(reg, hist / hist.sum()))
+        assert result.start_used == "right"
+        assert 0.0 < result.phases[0] * reg.M - y0 < 0.5
+
+    @pytest.mark.parametrize(
+        "counts, start_used", [({0: 2, 2: 1, 3: 6, 4: 1}, "left"), ({6: 2, 2: 1, 3: 6, 4: 1}, "right")]
+    )
+    def test_a_screened_row_that_is_not_a_mirror_keeps_the_ssr_rule(self, counts, start_used):
+        # both neighbours of y0 = 3 hold one count, but bin 0 (or 6) has no mirror
+        hist = np.zeros(8)
+        for y, c in counts.items():
+            hist[y] = c
+        result = fit_single(OutcomeDistribution(RegisterSpec(3), hist / hist.sum()))
+        assert result.start_used == start_used
+
     @settings(max_examples=60, deadline=None)
     @given(
         theta=st.floats(0.0, 1.0, exclude_max=True, allow_nan=False),
