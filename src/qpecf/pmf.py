@@ -41,6 +41,8 @@ from .model import (
 # n = 1, 2, 3, 5, 8, 12, 20 and 30; with the switch at 0.1 it reached
 # 9.5e-15 just past it (n = 8, |d| = 0.1001).
 NEAR_PEAK = 0.25
+# A ufunc reduction: ndarray.any adds a Python wrapper to each call.
+_any = np.logical_or.reduce
 # Series terms kept: at |d| = NEAR_PEAK the first term left out is below
 # 1e-19 of the sum for every M.
 PEAK_TERMS = 11
@@ -129,7 +131,7 @@ def _pmf_kernel(bin_phases: np.ndarray, theta, M: int, pmf: bool = True, grad: b
             t *= 2.0 * np.pi * num
             t -= (2.0 * np.pi / M) * (s * np.cos(x))
             t /= buf
-    if near_peak.any():
+    if _any(near_peak, axis=None):
         series = _horner(_peak_series(M), np.square(x).astype(complex))
         if pmf:
             np.copyto(P, series.real, where=near_peak)
