@@ -17,7 +17,7 @@ from .bench import BenchGrid, fit_scaling_exponents, records_to_csv, run_grid
 from .errors import ConfigError, DomainError, FitError
 from .fitting import fit_multi, fit_single
 from .formatting import render_csv, sig12
-from .model import PhaseModel, RegisterSpec, _check_int
+from .model import MAX_PHASES, PhaseModel, RegisterSpec, _check_int
 from .pmf import fisher_information, pmf_vector
 from .simulate import ShotHistogram, SimUnitary, histogram_to_probs, sample_shots, simulate_distribution
 
@@ -106,7 +106,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    _check_int(args.phases, "--phases", 1)
+    _check_int(args.phases, "--phases", 1, MAX_PHASES)
     dist = histogram_to_probs(ShotHistogram.from_json_dict(_read_json(args.counts)))
     if args.phases == 1:
         result = fit_single(dist)

@@ -8,6 +8,38 @@ residuals (SSR); an exact tie goes to the later start, and so does a
 single-phase histogram symmetric about its top bin. The single-phase fit
 is the J = 1 case, started from the left and the right end of its interval.
 
+A single-phase fit is a coarse solve and a polish. The solver stops each
+start at a step norm of COARSE_XTOL = 1e-5 bins (1e-5 / M in phase), where
+fits with J >= 2 keep the solver's XTOL = 1e-12. Then POLISH_STEPS = 2
+Newton steps on the derivative of the SSR over all M bins,
+
+    f'(theta) = S'(theta) - 2 sum_obs p_y P'_y(theta),
+
+take every start to the root of f' (_polish). S = sum_y P_y^2 has a closed
+form (pmf._pmf_square_sum), so a step costs O(observed bins) at any n. The
+winner is picked by each start's SSR at its polished point. Both choices
+were measured, against the roots that 6 Newton steps reach after a solve to
+1e-11 bins:
+
+* with the tolerance in bins, every register size starts Newton equally
+  close: the coarse solves ended within 3.4e-6 bins of the root on
+  configs/full_grid.json (n = 2-8) and within 5.6e-7 bins on readouts of
+  10**5 shots at n = 16-20. A tolerance of 1e-8 bins would cost 39 % more
+  solver iterations on the full grid, and 1e-4 bins leaves the first Newton
+  step 2.4e-10 bins short;
+* the second step moves no full-grid estimate by more than 1.9e-12 bins,
+  and a third by more than one float64 spacing of the phase (1.4e-14 bins
+  at n = 8); on the readouts neither moves anything.
+
+The polished fits are the float64 minimisers: the single-phase pinned
+cases at n = 2-8 lie within 3.9e-15 bins of their 50-digit minimisers
+(tests/test_fitting.py::TestPinnedEstimates::
+test_single_phase_fits_sit_on_their_minimisers asserts 5e-15), 91 sampled
+full-grid trials within 6.0e-15 bins, and an n = 17 fit on observed bins
+lies within half a float64 spacing of its minimiser (TestObservedBins::
+test_observed_bin_fit_is_float64_accurate). The solver alone stopped up to
+2.7e-11 bins short at n <= 8, and up to 5.6e-9 bins at n >= 16.
+
 The recipe has one exception: a single-phase pmf with all its mass in one
 bin y0 is P(y0 / M) itself, so its fit is y0 / M with SSR 0, and no solver
 runs.
@@ -23,7 +55,7 @@ import numpy as np
 from .errors import DomainError, FitError
 from .model import MAX_PHASES, OutcomeDistribution, RegisterSpec, _check_int
 from .pmf import _pmf_kernel, _pmf_square_sum
-from .solver import SolverResult, least_squares_box
+from .solver import XTOL, SolverResult, _dot, least_squares_box
 
 # Starts sit this fraction of a bin width inside the bounds; the solver
 # requires strict interiority while the recipe starts exactly at the bounds.
@@ -40,6 +72,10 @@ BATCH_ELEMENTS = 2**16
 # per solver call, on its observed bins (_observed_problem); every other
 # problem keeps the dense residual of _problem, whatever BATCH_ELEMENTS is.
 OBSERVED_MIN_N = 16
+# Single-phase solves stop at a step norm of COARSE_XTOL bins, and
+# POLISH_STEPS Newton steps on the SSR's derivative take them from there.
+COARSE_XTOL = 1e-5
+POLISH_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -153,7 +189,7 @@ def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
     return residual, jacobian
 
 
-def _observed_problem(reg: RegisterSpec, probs: np.ndarray):
+def _observed_problem(reg: RegisterSpec, bins: np.ndarray, p: np.ndarray):
     """Single-phase residual and Jacobian on the bins of one pmf that hold counts.
 
     The residual is P - p on the observed bins plus one lumped entry
@@ -163,8 +199,9 @@ def _observed_problem(reg: RegisterSpec, probs: np.ndarray):
     while an evaluation costs O(observed bins), not O(M). The Jacobian of t
     is (S' - 2 sum_obs P P') / (2t), set to 0 where t = 0; t is dropped when
     every bin is observed, where it is identically 0 and its derivative
-    0/0. probs is one (M,) pmf shared by every problem of the call, the
-    starts of one trial, so both callables ignore their rows argument.
+    0/0. bins and p are one pmf's nonzero bins and their probabilities,
+    shared by every problem of the call, the starts of one trial, so both
+    callables ignore their rows argument.
 
     _fit uses it only at n >= OBSERVED_MIN_N, one trial per solver call.
     Used on every register, it failed two ways: one set of observed bins
@@ -173,12 +210,15 @@ def _observed_problem(reg: RegisterSpec, probs: np.ndarray):
     rounding floor of S - sum_obs P^2 limits the resolution to about 1e-8
     over the root of the Gauss-Newton curvature, which shrinks as 1/M (about
     1e-14 at n >= 16), and moved two pinned fits by 2.9e-12 and 1.2e-10
-    (n = 5 and 7).
+    (n = 5 and 7). That floor left solves at n >= 16 up to 5.6e-9 bins from
+    the minimiser. It no longer reaches the estimate: the solve here is the
+    coarse one, and _polish finds the root of f' = S' - 2 sum_obs p P',
+    whose rounding error is about 1e-16 M against a curvature of order M^2.
+    The n = 17 fit of TestObservedBins::test_observed_bin_fit_is_float64_accurate
+    lies within half a float64 spacing of its 50-digit minimiser.
     """
     M = reg.M
-    bins = np.flatnonzero(probs)
     bin_phases = bins / M
-    p = probs[bins]
     m = bins.size
     lumped = m < M
 
@@ -205,6 +245,40 @@ def _observed_problem(reg: RegisterSpec, probs: np.ndarray):
         return out
 
     return residual, jacobian
+
+
+def _polish(reg: RegisterSpec, trial, bins, p, theta, lower, upper) -> np.ndarray:
+    """Newton steps on f'(theta) = S'(theta) - 2 sum_obs p_y P'_y(theta) from each single-phase start.
+
+    trial, bins and p list a call's observed entries in np.nonzero order of
+    its (T, M) pmfs; theta, lower and upper hold its 2 T problems' phases
+    and boxes, problem r from trial r // 2. S' is the closed form of
+    pmf._pmf_square_sum, so f' is the dense SSR's derivative in
+    O(observed bins). f'' is the forward difference of f' over 1e-7 / M,
+    each step is clipped to its box, and a start whose f'' is not positive
+    keeps its point. Each problem sums over its own trial's entries alone
+    (np.add.reduceat over its segment), so a point never depends on its
+    batchmates.
+    """
+    M = reg.M
+    P = len(theta)
+    counts = np.bincount(trial, minlength=P // 2)
+    # Problems 0..P-1 evaluate f' at theta, problems P..2P-1 at theta + h.
+    lengths = np.tile(np.repeat(counts, 2), 2)
+    first = np.cumsum(lengths) - lengths
+    problem = np.repeat(np.arange(2 * P), lengths)
+    segment = (np.cumsum(counts) - counts)[problem % P // 2]
+    element = np.arange(lengths.sum()) - first[problem] + segment
+    bin_phases, weights = bins[element] / M, p[element]
+    h = 1e-7 / M
+    for _ in range(POLISH_STEPS):
+        at = np.concatenate([theta, theta + h])
+        dP = _pmf_kernel(bin_phases, at[problem], M, pmf=False, grad=True)
+        slope = _pmf_square_sum(at, M)[1] - 2.0 * np.add.reduceat(weights * dP, first)
+        curvature = (slope[P:] - slope[:P]) / h
+        step = np.divide(slope[:P], curvature, out=np.zeros(P), where=curvature > 0)
+        theta = np.minimum(np.maximum(theta - step, lower), upper)
+    return theta
 
 
 def _corner_label(corner: tuple[int, ...]) -> str:
@@ -245,6 +319,12 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
     "exact", which no solve returns, and has corner 2**J - 1 ("right"): both
     starts would reach SSR 0, and the tie goes to the later one.
 
+    A single-phase solve is the coarse one, to COARSE_XTOL bins, and every
+    start that did not fail is polished (_polish) before the winner is
+    picked by its SSR over all M bins at the polished point: one dense
+    residual pass below OBSERVED_MIN_N, the lumped form of
+    _observed_problem from there on.
+
     Returns one row per trial, in trial order: the winning start's solve
     (x with its phases wrapped into [0, 1), SSR, iterations, convergence
     and status), its corner index into itertools.product((0, 1), repeat=J), or
@@ -257,6 +337,7 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
     S = len(corners)
     observed_bins = J == 1 and reg.n >= OBSERVED_MIN_N
     size = S if observed_bins else max(1, BATCH_ELEMENTS // M)
+    xtol = COARSE_XTOL / M if J == 1 else XTOL
 
     def solve(probs: np.ndarray, bins: np.ndarray, mirror: np.ndarray) -> tuple[np.ndarray, ...]:
         """The winning start's x, SSR, iterations, convergence, status and corner of each trial."""
@@ -269,17 +350,28 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
         )
         lower = np.repeat(np.concatenate([lo, np.zeros((T, J - 1))], axis=1), S, axis=0)
         upper = np.repeat(np.concatenate([hi, np.ones((T, J - 1))], axis=1), S, axis=0)
+        if J == 1:
+            # np.flatnonzero, since np.nonzero on the (T, M) array takes 1.5 times as long.
+            flat = np.flatnonzero(probs)
+            trial, observed = np.divmod(flat, M)
+            p = probs.reshape(-1)[flat]
         residual, jacobian = (
-            _observed_problem(reg, probs[0]) if observed_bins else _problem(reg, J, probs)
+            _observed_problem(reg, observed, p) if observed_bins else _problem(reg, J, probs)
         )
         results = [
-            least_squares_box(residual, jacobian, start[b], lower[b], upper[b])
+            least_squares_box(residual, jacobian, start[b], lower[b], upper[b], xtol=xtol)
             for b in (slice(first, first + size) for first in range(0, T * S, size))
         ]
         x, ssr, iterations, converged, status = (
             np.concatenate([getattr(result, name) for result in results])
             for name in ("x", "ssr", "iterations", "converged", "status")
         )
+        if J == 1:
+            # Polish every start that did not fail, then re-rank by the SSR over all M bins.
+            ok = status != "nonfinite"
+            x[ok, 0] = _polish(reg, trial, observed, p, x[:, 0], lower[:, 0], upper[:, 0])[ok]
+            r = residual(x[ok], np.flatnonzero(ok))
+            ssr[ok] = _dot(r, r)
         # The lowest SSR wins; argmin over the reversed starts gives a tie to the later one.
         # A mirror row goes to the later start whenever that start did not fail.
         failed = (status == "nonfinite").reshape(T, S)

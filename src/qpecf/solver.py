@@ -78,7 +78,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0, 0]
 
 
-def least_squares_box(residual, jacobian, start, lower, upper) -> SolverResult:
+def least_squares_box(residual, jacobian, start, lower, upper, xtol=XTOL) -> SolverResult:
     """Minimize sum(residual(x)**2) over the box [lower, upper], per problem.
 
     start is a (B, p) array with one problem per row, and lower and upper
@@ -93,9 +93,16 @@ def least_squares_box(residual, jacobian, start, lower, upper) -> SolverResult:
     A problem terminates when its normalized gradient drops below GTOL (the
     cosine of the angle between the residual and the Jacobian columns, so
     quartically flat basins where the raw gradient vanishes identically are
-    not mistaken for convergence), when its step norm drops below XTOL, or
+    not mistaken for convergence), when its step norm drops below xtol, or
     after MAX_ITER iterations. A non-finite residual at a start fails that
     problem alone (status "nonfinite").
+
+    xtol defaults to XTOL = 1e-12, which the multi-phase fits (J >= 2) use.
+    Single-phase fits pass a coarse 1e-5 bins (fitting.COARSE_XTOL) and
+    polish the result by Newton steps on the SSR's derivative; at XTOL the
+    solver stopped flat single-phase basins up to 2.7e-11 bins short of the
+    minimiser, while the polished fits lie within 3.9e-15 bins of it
+    (tests/test_fitting.py::TestPinnedEstimates).
     """
     x = np.array(start, dtype=float)
     if x.ndim != 2:
@@ -207,7 +214,7 @@ def least_squares_box(residual, jacobian, start, lower, upper) -> SolverResult:
         np.multiply(lam, nu, out=lam, where=rejected)
         np.multiply(nu, 2.0, out=nu, where=rejected)
         taken = np.where(accepted[:, np.newaxis], step, s)
-        small = np.sqrt(_dot(taken, taken)) < XTOL
+        small = np.sqrt(_dot(taken, taken)) < xtol
         if _any(small):
             stop = a[small]
             iterations[stop], status[stop] = it, "xtol"

@@ -254,12 +254,13 @@ class TestFitCommand:
     def test_phase_count_past_the_cap_exits_one(self, tmp_path):
         # 2**24 corner solves would never end; the cap rejects them before
         # any is set up. A point mass also fails the nonzero-bin rule, so
-        # the message must name the cap.
+        # the message must name the cap, and the flag that set it.
         hist = tmp_path / "point.json"
         cli("simulate", "--n", "6", "--theta", "0.5", "--shots", "100", "--out", str(hist))
-        proc = cli("fit", "--counts", str(hist), "--phases", "24")
-        assert_exits_one(proc)
-        assert "J must be <= 8" in proc.stderr
+        for phases in ("9", "24"):
+            proc = cli("fit", "--counts", str(hist), "--phases", phases)
+            assert_exits_one(proc)
+            assert f"--phases must be <= 8, got {phases}" in proc.stderr
 
 
 class TestFisherCommand:
@@ -339,7 +340,7 @@ class TestBenchCommand:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 9
         assert scaling_path.read_text() == (
-            '{"slope_vs_k": -0.25178458211630517, "slope_vs_M": -0.7145111682474142, '
+            '{"slope_vs_k": -0.25178458220319955, "slope_vs_M": -0.7145111679120912, '
             '"cells_used": 9}\n'
         )
 

@@ -1,6 +1,7 @@
 """Phase recovery by bounded curve fitting: single and multi-phase."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,8 +133,10 @@ class TestFitSingle:
 
     def test_both_start_failures_surface_as_fit_error(self, monkeypatch):
         # a residual that is NaN at both starts fails each problem of the batch
-        def nan_residual(residual, jacobian, *args):
-            return least_squares_box(lambda x, rows: residual(x, rows) * np.nan, jacobian, *args)
+        def nan_residual(residual, jacobian, *args, **kwargs):
+            return least_squares_box(
+                lambda x, rows: residual(x, rows) * np.nan, jacobian, *args, **kwargs
+            )
 
         monkeypatch.setattr("qpecf.fitting.least_squares_box", nan_residual)
         with pytest.raises(FitError, match="all starts failed: left: .*; right: "):
@@ -359,9 +362,9 @@ class TestOneHotRows:
         stream = [ordinary[0], hot[1], ordinary[1], hot[3], hot[4], ordinary[2]]
         calls = []
 
-        def recording(residual, jacobian, start, lower, upper):
+        def recording(residual, jacobian, start, lower, upper, **kwargs):
             calls.append(start[:, 0].copy())
-            return least_squares_box(residual, jacobian, start, lower, upper)
+            return least_squares_box(residual, jacobian, start, lower, upper, **kwargs)
 
         monkeypatch.setattr("qpecf.fitting.least_squares_box", recording)
         best, corner, bins = _fit(reg, iter(stream), 1)
@@ -422,7 +425,8 @@ class TestObservedBins:
         params = np.append((y + np.linspace(-0.5, 0.5, 9)) / M, 0.2718)[:, np.newaxis]
         rows = np.arange(len(params))
         dense_r, dense_j = _problem(reg, 1, np.broadcast_to(probs, (len(rows), M)))
-        sparse_r, sparse_j = _observed_problem(reg, probs)
+        bins = np.flatnonzero(probs)
+        sparse_r, sparse_j = _observed_problem(reg, bins, probs[bins])
         rd, jd = dense_r(params, rows), dense_j(params, rows)[:, :, 0]
         rs, js = sparse_r(params, rows), sparse_j(params, rows)[:, :, 0]
         assert rs.shape == (len(params), np.count_nonzero(probs) + 1)
@@ -458,6 +462,30 @@ class TestObservedBins:
         before = fit_single(observed)
         monkeypatch.setattr("qpecf.fitting.BATCH_ELEMENTS", 2**22)
         assert fit_single(observed) == before
+
+    # 10**4 shots of theta = 0.2718 at n = 17 (sample_shots seed 0), as
+    # counts by offset from bin 35625, and the least-squares minimiser of
+    # those probabilities: the root of f' by mpmath 1.3.0 at 50 digits
+    N17_COUNTS = {
+        -327: 1, -263: 1, -182: 1, -116: 1, -96: 1, -85: 1, -74: 1, -65: 1, -62: 2, -53: 1,
+        -50: 2, -47: 1, -45: 1, -42: 1, -38: 1, -36: 1, -35: 1, -34: 1, -32: 3, -31: 2, -29: 2,
+        -26: 1, -25: 2, -24: 2, -23: 2, -22: 1, -21: 3, -20: 1, -19: 3, -18: 5, -17: 1, -16: 3,
+        -15: 3, -14: 4, -13: 3, -12: 5, -11: 5, -10: 9, -9: 9, -8: 10, -7: 15, -6: 19, -5: 23,
+        -4: 46, -3: 74, -2: 160, -1: 439, 0: 6315, 1: 2112, 2: 330, 3: 141, 4: 54, 5: 27,
+        6: 27, 7: 14, 8: 16, 9: 7, 10: 7, 11: 12, 12: 8, 13: 8, 14: 2, 15: 2, 16: 2, 17: 1,
+        18: 3, 19: 2, 20: 4, 21: 3, 24: 2, 25: 1, 26: 1, 31: 2, 32: 1, 34: 1, 37: 1, 38: 1,
+        43: 1, 44: 2, 47: 1, 50: 1, 55: 1, 61: 1, 71: 1, 73: 1, 83: 1, 85: 1, 92: 1, 100: 1,
+        111: 1, 136: 1, 165: 1, 176: 1, 201: 1,
+    }
+    N17_MINIMIZER = "0.27179997131439320537083075014677076329134265043301"
+
+    def test_observed_bin_fit_is_float64_accurate(self):
+        # the fit is the minimiser rounded to float64: measured 2.4e-13 bins
+        # off, 0.03 of the 7.3e-12-bin float spacing at this theta; the
+        # lumped solve alone stood 1.76e-9 bins off
+        counts = {35625 + y: c for y, c in self.N17_COUNTS.items()}
+        theta = fit_single(counts_dist(17, counts)).phases[0]
+        assert abs(Fraction(theta) - Fraction(self.N17_MINIMIZER)) <= Fraction(np.spacing(theta)) / 2
 
     @pytest.mark.parametrize("n", [16, 18, 20])
     def test_one_hot_on_bin_histograms(self, n):
@@ -534,7 +562,8 @@ class TestJacobians:
         probs = histogram_to_probs(sample_shots(dist, 1000, 3)).probs
         assert np.count_nonzero(probs) < reg.M
         batch = (int(np.argmax(probs)) + rng.uniform(-0.5, 0.5, (12, 1))) / reg.M
-        self.assert_rows_evaluate_alone(*_observed_problem(reg, probs), batch, rng)
+        bins = np.flatnonzero(probs)
+        self.assert_rows_evaluate_alone(*_observed_problem(reg, bins, probs[bins]), batch, rng)
 
     @staticmethod
     def assert_rows_evaluate_alone(residual, jacobian, batch, rng):
@@ -685,6 +714,29 @@ PINNED = [
 ]
 
 
+# The least-squares minimisers of the single-phase PINNED cases at n = 2-8:
+# roots of f'(theta) = S'(theta) - 2 sum_obs p_y P'_y(theta) by mpmath 1.3.0
+# findroot at 50 digits, with p the case's float64 probabilities taken
+# exactly. (n = 1 holds two equal minima, theta and 1 - theta.)
+PINNED_MINIMIZERS = {
+    2: "0.19786389437298781752637099902530214515633625091694",
+    3: "0.33645293104554203639986170691806205367613496706946",
+    4: "0.14421989565752969690762368636274703496899787555669",
+    5: "0.98990701972019707830021461345388161075239406915372",
+    6: "0.11100575744353414593265356124293868922273473439353",
+    7: "0.61786361740269632187762186963403931097462659292514",
+    8: "0.33328618248933217956182217470837245562484937508562",
+}
+
+
+def counts_dist(n: int, counts: dict) -> OutcomeDistribution:
+    reg = RegisterSpec(n)
+    hist = np.zeros(reg.M)
+    for y, c in counts.items():
+        hist[y] = c
+    return OutcomeDistribution(reg, hist / hist.sum())
+
+
 class TestPinnedEstimates:
     @pytest.mark.parametrize(
         "n, counts, phases, weights, variance",
@@ -692,13 +744,18 @@ class TestPinnedEstimates:
         ids=[f"n{case[0]}-J{len(case[2])}-{i}" for i, case in enumerate(PINNED)],
     )
     def test_matches_recorded_estimates(self, n, counts, phases, weights, variance):
-        reg = RegisterSpec(n)
-        hist = np.zeros(reg.M)
-        for y, c in counts.items():
-            hist[y] = c
-        dist = OutcomeDistribution(reg, hist / hist.sum())
+        dist = counts_dist(n, counts)
         J = len(phases)
         result = fit_single(dist) if J == 1 else fit_multi(dist, J)
         assert np.max(np.abs(np.subtract(result.phases, phases))) < 1e-12
         assert np.max(np.abs(np.subtract(result.weights, weights))) < 1e-12
         assert abs(result.residual_variance - variance) < 1e-12
+
+    @pytest.mark.parametrize(
+        "n, counts", [case[:2] for case in PINNED if len(case[2]) == 1 and case[0] >= 2]
+    )
+    def test_single_phase_fits_sit_on_their_minimisers(self, n, counts):
+        # measured 8.6e-18, 3.6e-16, 2.4e-16, 1.4e-15, 2.9e-16, 3.9e-15 and
+        # 1.9e-15 bins at n = 2-8; the solver alone stopped up to 2.7e-11 bins short
+        theta = fit_single(counts_dist(n, counts)).phases[0]
+        assert abs(Fraction(theta) - Fraction(PINNED_MINIMIZERS[n])) * 2**n <= 5e-15

@@ -54,6 +54,20 @@ def solve_one(residual, jacobian, start, lower, upper):
     )
 
 
+def rosenbrock():
+    def residual(x, rows):
+        return np.stack([10.0 * (x[:, 1] - x[:, 0] ** 2), 1.0 - x[:, 0]], axis=1)
+
+    def jacobian(x, rows):
+        out = np.zeros((len(x), 2, 2))
+        out[:, 0, 0] = -20.0 * x[:, 0]
+        out[:, 0, 1] = 10.0
+        out[:, 1, 0] = -1.0
+        return out
+
+    return residual, jacobian
+
+
 # The straight-line fit of TestBoundedNls: a non-identity Jacobian.
 LINE_A = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
 LINE_B = np.array([0.1, 0.9, 2.2, 2.8])
@@ -88,22 +102,21 @@ class TestLeastSquaresBox:
         assert converged
 
     def test_rosenbrock_valley_in_box(self):
-        def residual(x, rows):
-            return np.stack([10.0 * (x[:, 1] - x[:, 0] ** 2), 1.0 - x[:, 0]], axis=1)
-
-        def jacobian(x, rows):
-            out = np.zeros((len(x), 2, 2))
-            out[:, 0, 0] = -20.0 * x[:, 0]
-            out[:, 0, 1] = 10.0
-            out[:, 1, 0] = -1.0
-            return out
-
         x, _, iterations, converged, _ = solve_one(
-            residual, jacobian, np.array([-1.2, 1.0]), np.array([-2.0, -2.0]), np.array([2.0, 2.0])
+            *rosenbrock(), np.array([-1.2, 1.0]), np.array([-2.0, -2.0]), np.array([2.0, 2.0])
         )
         assert np.max(np.abs(x - 1.0)) < 1e-8
         assert converged
         assert iterations < 200
+
+    def test_xtol_sets_the_step_norm_stop(self):
+        # the same path, stopped at its first step shorter than xtol
+        start, lower, upper = np.array([[-1.2, 1.0]]), np.full(2, -2.0), np.full(2, 2.0)
+        tight = least_squares_box(*rosenbrock(), start, lower, upper)
+        loose = least_squares_box(*rosenbrock(), start, lower, upper, xtol=1e-3)
+        assert (loose.status[0], loose.converged[0]) == ("xtol", True)
+        assert loose.iterations[0] < tight.iterations[0]
+        assert np.max(np.abs(loose.x[0] - 1.0)) < 1e-2
 
     def test_start_must_be_strictly_interior(self):
         residual, jacobian = quadratic([0.3])
