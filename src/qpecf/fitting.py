@@ -250,31 +250,38 @@ def _observed_problem(reg: RegisterSpec, bins: np.ndarray, p: np.ndarray):
 def _polish(reg: RegisterSpec, trial, bins, p, theta, lower, upper) -> np.ndarray:
     """Newton steps on f'(theta) = S'(theta) - 2 sum_obs p_y P'_y(theta) from each single-phase start.
 
-    trial, bins and p list a call's observed entries in np.nonzero order of
+    trial, bins and p list a call's observed entries in row-major order of
     its (T, M) pmfs; theta, lower and upper hold its 2 T problems' phases
     and boxes, problem r from trial r // 2. S' is the closed form of
     pmf._pmf_square_sum, so f' is the dense SSR's derivative in
     O(observed bins). f'' is the forward difference of f' over 1e-7 / M,
     each step is clipped to its box, and a start whose f'' is not positive
-    keeps its point. Each problem sums over its own trial's entries alone
-    (np.add.reduceat over its segment), so a point never depends on its
-    batchmates.
+    keeps its point.
+
+    The kernel runs on one row per problem, each trial's observed bins
+    padded to the call's longest row, since a per-element phase costs it
+    four times as much per element. The sum leaves the padding out: each
+    problem sums its own trial's entries alone, in bin order (np.add.reduceat
+    over its segment), so a point never depends on its batchmates.
     """
     M = reg.M
     P = len(theta)
     counts = np.bincount(trial, minlength=P // 2)
-    # Problems 0..P-1 evaluate f' at theta, problems P..2P-1 at theta + h.
-    lengths = np.tile(np.repeat(counts, 2), 2)
+    column = np.arange(trial.size) - (np.cumsum(counts) - counts)[trial]
+    phases = np.zeros((P // 2, counts.max()))
+    weights = np.zeros_like(phases)
+    phases[trial, column], weights[trial, column] = bins / M, p
+    # Rows 0..P-1 evaluate f' at theta, rows P..2P-1 at theta + h.
+    rows = np.arange(2 * P) % P // 2
+    phases, weights, lengths = phases[rows], weights[rows], counts[rows]
+    observed = np.arange(phases.shape[1]) < lengths[:, None]
     first = np.cumsum(lengths) - lengths
-    problem = np.repeat(np.arange(2 * P), lengths)
-    segment = (np.cumsum(counts) - counts)[problem % P // 2]
-    element = np.arange(lengths.sum()) - first[problem] + segment
-    bin_phases, weights = bins[element] / M, p[element]
     h = 1e-7 / M
     for _ in range(POLISH_STEPS):
         at = np.concatenate([theta, theta + h])
-        dP = _pmf_kernel(bin_phases, at[problem], M, pmf=False, grad=True)
-        slope = _pmf_square_sum(at, M)[1] - 2.0 * np.add.reduceat(weights * dP, first)
+        dP = _pmf_kernel(phases, at[:, None], M, pmf=False, grad=True)
+        terms = np.multiply(weights, dP, out=dP)[observed]
+        slope = _pmf_square_sum(at, M)[1] - 2.0 * np.add.reduceat(terms, first)
         curvature = (slope[P:] - slope[:P]) / h
         step = np.divide(slope[:P], curvature, out=np.zeros(P), where=curvature > 0)
         theta = np.minimum(np.maximum(theta - step, lower), upper)

@@ -446,8 +446,8 @@ class TestObservedBins:
         ],
     )
     def test_readouts_match_dense_solves(self, n, theta, k, seed):
-        # the iterates differ (the Jacobians differ), so the two stop at
-        # slightly different points; the one-hot readout differs most
+        # fit_single is polished onto the minimiser, and the dense solve
+        # alone stops short of it; the one-hot readout differs most
         # (1.1e-12): fit_single returns its bin exactly, and the dense
         # solve, whose basin there is quartic, stops short of it
         dist = analytic_distribution(RegisterSpec(n), PhaseModel.single(theta))
