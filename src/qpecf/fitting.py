@@ -248,7 +248,7 @@ def _observed_problem(reg: RegisterSpec, bins: np.ndarray, p: np.ndarray):
 
 
 def _polish(reg: RegisterSpec, trial, bins, p, theta, lower, upper) -> np.ndarray:
-    """Newton steps on f'(theta) = S'(theta) - 2 sum_obs p_y P'_y(theta) from each single-phase start.
+    """Newton steps on f' = S' - 2 sum_obs p_y P'_y, the SSR's derivative, from each J = 1 start.
 
     trial, bins and p list a call's observed entries in row-major order of
     its (T, M) pmfs; theta, lower and upper hold its 2 T problems' phases
@@ -411,7 +411,8 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
             if mirror.any():
                 (screened,) = mirror.nonzero()
                 reflected = (2 * top[screened, None] - np.arange(M)) % M
-                mirror[screened] = (probs[screened[:, None], reflected] == probs[screened]).all(axis=1)
+                same = probs[screened[:, None], reflected] == probs[screened]
+                mirror[screened] = same.all(axis=1)
         if not exact.any():
             rows.append((*solve(probs, bins, mirror), bins))
             continue

@@ -161,25 +161,18 @@ class TestFitSingle:
         # symmetric about its top bin y0, so the box holds mirror minima
         # y0 +- delta of equal SSR; the left start won each of these on
         # rounding before the rule
-        reg = RegisterSpec(n)
-        hist = np.zeros(reg.M)
-        for y, c in counts.items():
-            hist[y] = c
-        y0 = int(np.argmax(hist))
-        result = fit_single(OutcomeDistribution(reg, hist / hist.sum()))
+        y0 = max(counts, key=counts.get)
+        result = fit_single(counts_dist(n, counts))
         assert result.start_used == "right"
-        assert 0.0 < result.phases[0] * reg.M - y0 < 0.5
+        assert 0.0 < result.phases[0] * 2**n - y0 < 0.5
 
     @pytest.mark.parametrize(
-        "counts, start_used", [({0: 2, 2: 1, 3: 6, 4: 1}, "left"), ({6: 2, 2: 1, 3: 6, 4: 1}, "right")]
+        "counts, start_used",
+        [({0: 2, 2: 1, 3: 6, 4: 1}, "left"), ({6: 2, 2: 1, 3: 6, 4: 1}, "right")],
     )
     def test_a_screened_row_that_is_not_a_mirror_keeps_the_ssr_rule(self, counts, start_used):
         # both neighbours of y0 = 3 hold one count, but bin 0 (or 6) has no mirror
-        hist = np.zeros(8)
-        for y, c in counts.items():
-            hist[y] = c
-        result = fit_single(OutcomeDistribution(RegisterSpec(3), hist / hist.sum()))
-        assert result.start_used == start_used
+        assert fit_single(counts_dist(3, counts)).start_used == start_used
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -485,7 +478,8 @@ class TestObservedBins:
         # lumped solve alone stood 1.76e-9 bins off
         counts = {35625 + y: c for y, c in self.N17_COUNTS.items()}
         theta = fit_single(counts_dist(17, counts)).phases[0]
-        assert abs(Fraction(theta) - Fraction(self.N17_MINIMIZER)) <= Fraction(np.spacing(theta)) / 2
+        off = abs(Fraction(theta) - Fraction(self.N17_MINIMIZER))
+        assert off <= Fraction(np.spacing(theta)) / 2
 
     @pytest.mark.parametrize("n", [16, 18, 20])
     def test_one_hot_on_bin_histograms(self, n):
