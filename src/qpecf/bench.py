@@ -119,12 +119,33 @@ def trial_seed(base_seed: int, theta: float, n: int, k: int, trial: int) -> np.r
     """Seed for one trial, a pure function of the cell coordinates.
 
     theta enters through its float64 bit pattern, so any representable phase
-    hashes uniquely.
+    hashes uniquely. The entropy is the uint32 words SeedSequence would make
+    of the tuple (base_seed, theta_bits, n, k, trial): each int in
+    little-endian 32-bit words, 0 as one word. The pool and the stream are
+    the tuple's; only the coercion of Python ints is skipped.
     """
+    return next(_trial_seeds(base_seed, theta, n, k, (trial,)))
+
+
+def _uint32_words(*values: int) -> list[int]:
+    """SeedSequence's uint32 words for non-negative ints, concatenated."""
+    words = []
+    for value in values:
+        value = int(value)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(value & 0xFFFFFFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _trial_seeds(base_seed: int, theta: float, n: int, k: int, trials):
+    """trial_seed of each trial in trials, with the cell's words built once."""
     theta_bits = int(np.float64(theta).view(np.uint64))
-    return np.random.SeedSequence(
-        entropy=(int(base_seed), theta_bits, int(n), int(k), int(trial))
-    )
+    cell = _uint32_words(base_seed, theta_bits, n, k)
+    for trial in trials:
+        yield np.random.SeedSequence(np.array(cell + _uint32_words(trial), dtype=np.uint32))
 
 
 def _record(theta: float, reg: RegisterSpec, k: int, phases, failed) -> BenchRecord:
@@ -169,14 +190,15 @@ def _run_cells(job: tuple) -> list[BenchRecord]:
     """Records of the (theta, k) cells of one register, fit together."""
     n, cells, trials, base_seed = job
     reg = RegisterSpec(n)
-    dists = {theta: analytic_distribution(reg, PhaseModel.single(theta)) for theta, _ in cells}
+    dists = {
+        theta: analytic_distribution(reg, PhaseModel.single(theta))
+        for theta in dict.fromkeys(theta for theta, _ in cells)
+    }
     # Each trial's histogram is drawn from its own trial_seed when _fit reads it.
     pmfs = (
-        histogram_to_probs(
-            sample_shots(dists[theta], k, trial_seed(base_seed, theta, n, k, trial))
-        ).probs
+        histogram_to_probs(sample_shots(dists[theta], k, seed)).probs
         for theta, k in cells
-        for trial in range(trials)
+        for seed in _trial_seeds(base_seed, theta, n, k, range(trials))
     )
     best, corner, _ = _fit(reg, pmfs, 1)
     phases = best.x[:, 0].reshape(len(cells), trials)

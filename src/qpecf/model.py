@@ -150,15 +150,20 @@ class OutcomeDistribution:
         # The float cast would drop an imaginary part.
         if probs.dtype.kind == "c":
             raise DomainError(f"probs must be real, got dtype {probs.dtype}")
-        probs = probs.astype(float)
-        probs.setflags(write=False)
         if probs.shape != (self.reg.M,):
             raise DomainError(f"probs must have shape ({self.reg.M},), got {probs.shape}")
-        if not np.all(np.isfinite(probs)):
-            raise DomainError("probs must be finite")
-        if probs.min() < -PROB_ENTRY_TOL or probs.max() > 1.0 + PROB_ENTRY_TOL:
+        # Only a float64 array no caller can write is kept uncopied: histogram_to_probs' quotient.
+        if probs.dtype != np.float64 or probs.flags.writeable or not probs.flags.owndata:
+            probs = probs.astype(float)
+            probs.setflags(write=False)
+        # NaN and infinities fail the range comparison too, so isfinite runs only on failure.
+        lo = np.minimum.reduce(probs)
+        hi = np.maximum.reduce(probs)
+        if not (lo >= -PROB_ENTRY_TOL and hi <= 1.0 + PROB_ENTRY_TOL):
+            if not np.isfinite(probs).all():
+                raise DomainError("probs must be finite")
             raise DomainError("each probability must lie in [0, 1]")
-        total = float(probs.sum())
+        total = float(np.add.reduce(probs))
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise DomainError(f"probabilities must sum to 1 within {PROB_SUM_TOL}, got {total!r}")
         object.__setattr__(self, "probs", probs)

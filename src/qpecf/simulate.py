@@ -87,12 +87,12 @@ class ShotHistogram:
         if counts.flags.writeable or not counts.flags.owndata:
             counts = counts.copy()
             counts.setflags(write=False)
-        if counts.min(initial=0) < 0:
+        if np.minimum.reduce(counts, initial=0) < 0:
             raise DomainError("counts must be non-negative")
         # The int64 sum wraps past 2**63 - 1. It cannot when no count exceeds
         # shots and M * shots < 2**63; otherwise the sum is taken exactly.
-        if counts.max(initial=0) <= shots and counts.size * shots < 2**63:
-            total = int(counts.sum())
+        if np.maximum.reduce(counts, initial=0) <= shots and counts.size * shots < 2**63:
+            total = int(np.add.reduce(counts))
         else:
             total = sum(counts.tolist())
         if total != shots:
@@ -148,12 +148,16 @@ def sample_shots(dist: OutcomeDistribution, k: int, seed) -> ShotHistogram:
     if not isinstance(seed, np.random.SeedSequence):
         seed = _check_seed(seed)
     rng = np.random.Generator(np.random.Philox(seed))
-    p = np.clip(dist.probs, 0.0, None)
-    counts = rng.multinomial(k, p / p.sum())
+    p = np.maximum(dist.probs, 0.0)
+    p /= np.add.reduce(p)
+    counts = rng.multinomial(k, p)
     counts.setflags(write=False)
     return ShotHistogram(dist.reg, counts, k)
 
 
 def histogram_to_probs(hist: ShotHistogram) -> OutcomeDistribution:
     """Empirical distribution counts[y] / shots."""
-    return OutcomeDistribution(hist.reg, hist.counts / hist.shots)
+    probs = hist.counts / hist.shots
+    # Read-only before it is handed over, so OutcomeDistribution keeps it uncopied.
+    probs.setflags(write=False)
+    return OutcomeDistribution(hist.reg, probs)

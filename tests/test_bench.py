@@ -81,6 +81,9 @@ class TestCircularError:
         assert 0.0 <= d <= 0.5
 
 
+LAST_PHASE = float(np.nextafter(1.0, 0.0))
+
+
 class TestTrialSeed:
     def test_deterministic_for_equal_coordinates(self):
         first = trial_seed(12345, 1 / 3, 3, 1000, 7).generate_state(4)
@@ -104,6 +107,26 @@ class TestTrialSeed:
         a = trial_seed(1, 0.2, 3, 100, 0).generate_state(4)
         b = trial_seed(1, near, 3, 100, 0).generate_state(4)
         assert not np.array_equal(a, b)
+
+    # generate_state(4) of SeedSequence((base_seed, theta_bits, n, k, trial)),
+    # recorded from the tuple form: coordinates of 0 and past 2**32 take one
+    # and two uint32 words, and every campaign stream hangs on these words.
+    @pytest.mark.parametrize(
+        "coords, words",
+        [
+            ((0, 0.0, 2, 1, 0), [1679931629, 1434087467, 1830316578, 3132028911]),
+            ((2**40, 0.0, 2, 1, 0), [2001633766, 3184796379, 1207469783, 3344835838]),
+            ((0, LAST_PHASE, 2, 1, 0), [3767510450, 2040068732, 2337122659, 2527958528]),
+            ((0, 0.0, 2, 2**33, 0), [3586784781, 831902890, 813606323, 1978198282]),
+            ((0, 0.0, 2, 1, 2**32), [694128338, 1065413551, 3958812299, 179706217]),
+            ((2**40, LAST_PHASE, 30, 2**33, 2**32), [2739315945, 250970304, 1053038199, 3578767089]),
+            ((12345, 1 / 3, 3, 1000, 7), [2008295563, 3411863321, 627564757, 21031805]),
+        ],
+    )
+    def test_stream_is_pinned(self, coords, words):
+        seed = trial_seed(*coords)
+        assert isinstance(seed, np.random.SeedSequence)
+        assert seed.generate_state(4).tolist() == words
 
 
 def stub_fit(trials: int, failed: int):
@@ -237,6 +260,17 @@ class TestRunGrid:
         coords = [(r.theta_true, r.n, r.k) for r in records]
         want = [(t, n, k) for t in (0.2, 1 / 3) for n in (2, 3) for k in (50, 100)]
         assert coords == want
+
+    def test_one_distribution_per_phase(self, monkeypatch):
+        built = []
+
+        def counting(reg, model):
+            built.append((reg.n, model.thetas))
+            return analytic_distribution(reg, model)
+
+        monkeypatch.setattr("qpecf.bench.analytic_distribution", counting)
+        run_grid(BenchGrid((0.2, 1 / 3), (3,), (10, 100, 1000), 1, 11))
+        assert built == [(3, (0.2,)), (3, (1 / 3,))]
 
     def test_cell_records_do_not_depend_on_grid_shape(self):
         forward = BenchGrid((0.2, 1 / 3), (2, 3), (50, 100), 3, 11)

@@ -34,6 +34,7 @@ from qpecf.pmf import (
     pmf_vector,
     score,
 )
+from qpecf.simulate import ShotHistogram, histogram_to_probs
 
 # Reference single-shot Fisher information per register size.
 FISHER_REFERENCE = {
@@ -116,6 +117,21 @@ class TestModelTypes:
         dist = OutcomeDistribution(reg, np.array([0.25] * 4))
         with pytest.raises(ValueError):
             dist.probs[0] = 1.0  # stored read-only
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError, match="probs must be finite"):
+                OutcomeDistribution(reg, np.array([0.25, 0.25, 0.5, bad]))
+        with pytest.raises(DomainError, match=r"each probability must lie in \[0, 1\]"):
+            OutcomeDistribution(reg, np.array([0.5, 0.5 + 1e-9, 0.0, -1e-9]))
+        with pytest.raises(DomainError, match="probabilities must sum to 1"):
+            OutcomeDistribution(reg, np.array([0.25, 0.25, 0.25, 0.25 + 1e-9]))
+        # a caller's writable array is copied, so writing to it later moves nothing
+        probs = np.array([0.25] * 4)
+        dist = OutcomeDistribution(reg, probs)
+        probs[0] = 1.0
+        assert dist.probs.tolist() == [0.25] * 4
+        observed = histogram_to_probs(ShotHistogram(reg, np.array([1, 0, 2, 1]), 4))
+        with pytest.raises(ValueError):
+            observed.probs[0] = 1.0
 
 
 class TestPmfValues:
