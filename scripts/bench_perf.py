@@ -72,7 +72,8 @@ def layer_calls():
     for n, k in ((3, 10**6), (8, 10**6)):
         dist = analytic_distribution(RegisterSpec(n), PhaseModel.single(1 / 3))
         calls.append(("sample_shots", f"n={n} k={k}", lambda d=dist, k=k: sample_shots(d, k, 1)))
-    for n, k in ((3, 4000), (8, 4000), (12, 10**5), (16, 10**5), (20, 10**5)):
+    # n = 6 at k = 100 leaves most bins empty, where the observed-bin search gains most.
+    for n, k in ((3, 4000), (6, 100), (8, 4000), (12, 10**5), (16, 10**5), (20, 10**5)):
         dist = observed(n, ((1 / 3, 1.0),), k)
         calls.append(("fit_single", f"n={n} k={k}", lambda d=dist: fit_single(d)))
     for pairs, n in ((TWO, 3), (TWO, 8), (THREE, 5), (THREE, 10)):

@@ -5,10 +5,10 @@ estimation errors into an RMSE, compared against the square root of the
 Cramer-Rao bound and against the traditional nearest-bin error; its record
 also keeps the per-trial estimates. The cells of a grid that share a
 register size n are fit together: their trials are sampled one at a time
-as the fitter reads them, so cells share solver calls and a campaign holds
-one solver call's pmfs. Per-trial seeds are a pure function of
-(base_seed, theta, n, k, trial), and a fit does not depend on the solver
-call it lands in, so results are bit-identical regardless of grouping,
+as the fitter reads them, so cells share the fitter's chunks and a
+campaign holds one chunk's pmfs. Per-trial seeds are a pure function of
+(base_seed, theta, n, k, trial), and a fit does not depend on the chunk it
+lands in, so results are bit-identical regardless of grouping,
 scheduling or worker count.
 """
 
@@ -210,11 +210,11 @@ def run_grid(grid: BenchGrid, workers: int = 1) -> list[BenchRecord]:
     """Run every cell of the grid, in deterministic grid order.
 
     Cells that share n are fit together: each such group is one job, whose
-    trials stream through one _fit call and so share solver calls. With
+    trials stream through one _fit call and so share its chunks. With
     workers > 1, each group is split into min(cells, workers) contiguous
     runs, and the jobs are fanned out to spawned processes. Records are
     identical for any grouping and worker count, because seeds derive from
-    cell coordinates alone and a fit does not depend on its solver call.
+    cell coordinates alone and a fit does not depend on its chunk.
     """
     workers = _check_int(workers, "workers", 1)
     cells = list(product(grid.phases, grid.n_values, grid.shot_values))

@@ -2,47 +2,37 @@
 
 Every fit follows the post-processing recipe: take the J highest-probability
 bins as coarse guesses, constrain each phase to half a bin either side of
-its bin, run the bounded solver from the corners of that box (nudged
-strictly inside), and keep the solve with the lowest sum of squared
-residuals (SSR); an exact tie goes to the later start, and so does a
-single-phase histogram symmetric about its top bin. The single-phase fit
-is the J = 1 case, started from the left and the right end of its interval.
+its bin, descend from the corners of that box, and keep the end point with
+the lowest sum of squared residuals (SSR); an exact tie goes to the later
+start, and so does a single-phase histogram symmetric about its top bin.
+A fit with J >= 2 runs the bounded solver (solver.least_squares_box) on all
+M bins, from the 2**J corners nudged strictly inside.
 
-A single-phase fit is a coarse solve and a polish. The solver stops each
-start at a step norm of COARSE_XTOL = 1e-5 bins (1e-5 / M in phase), where
-fits with J >= 2 keep the solver's XTOL = 1e-12. Then POLISH_STEPS = 2
-Newton steps on the derivative of the SSR over all M bins,
+A single-phase fit is a root search of the SSR's derivative on the bins
+that hold counts,
 
     f'(theta) = S'(theta) - 2 sum_obs p_y P'_y(theta),
 
-take every start to the root of f' (_polish). S = sum_y P_y^2 has a closed
-form (pmf._pmf_square_sum), so a step costs O(observed bins) at any n. The
-winner is picked by each start's SSR at its polished point. Both choices
-were measured, against the roots that 6 Newton steps reach after a solve to
-1e-11 bins:
+which costs O(observed bins) at any n, since S = sum_y P_y^2 has a closed
+form (pmf._pmf_square_sum). The top bin y0 / M is always a local maximum of
+the SSR: f'(y0 / M) = 0, since P'_y and S' vanish on a bin. f' is scanned
+at SCAN_NODES, on each half of the box and denser toward y0, and only as far
+inward as a start needs: the left start descends from the lower end to the
+first node where f' >= 0, the right one from the upper end to the last node
+where f' <= 0, and Newton steps refine each bracket (_refine). The SSR over all M bins, sum_obs (P - p)^2 +
+max(S - sum_obs P^2, 0), picks the winner.
 
-* with the tolerance in bins, every register size starts Newton equally
-  close: the coarse solves ended within 3.4e-6 bins of the root on
-  configs/full_grid.json (n = 2-8) and within 5.6e-7 bins on readouts of
-  10**5 shots at n = 16-20. A tolerance of 1e-8 bins would cost 39 % more
-  solver iterations on the full grid, and 1e-4 bins leaves the first Newton
-  step 2.4e-10 bins short;
-* the second step moves no full-grid estimate by more than 1.9e-12 bins,
-  and a third by more than one float64 spacing of the phase (1.4e-14 bins
-  at n = 8); on the readouts neither moves anything.
-
-The polished fits are the float64 minimisers: the single-phase pinned
-cases at n = 2-8 lie within 3.9e-15 bins of their 50-digit minimisers
+The fits are the float64 minimisers: the single-phase pinned cases at
+n = 2-8 lie within 3.9e-15 bins of their 50-digit minimisers
 (tests/test_fitting.py::TestPinnedEstimates::
-test_single_phase_fits_sit_on_their_minimisers asserts 5e-15), 91 sampled
-full-grid trials within 6.0e-15 bins, and an n = 17 fit on observed bins
-lies within half a float64 spacing of its minimiser (TestObservedBins::
-test_observed_bin_fit_is_float64_accurate). The solver alone stopped up to
-2.7e-11 bins short at n <= 8, and up to 5.6e-9 bins at n >= 16.
+test_single_phase_fits_sit_on_their_minimisers asserts 5e-15), and an
+n = 17 fit within half a float64 spacing (TestObservedBins::
+test_observed_bin_fit_is_float64_accurate). Against the solve-and-polish
+path it replaced, no estimate of configs/full_grid.json or of the perfbench
+campaigns changed basin or moved by more than 1.4e-14 bins.
 
 The recipe has one exception: a single-phase pmf with all its mass in one
-bin y0 is P(y0 / M) itself, so its fit is y0 / M with SSR 0, and no solver
-runs.
+bin y0 is P(y0 / M) itself, so its fit is y0 / M with SSR 0, unsearched.
 """
 
 from __future__ import annotations
@@ -55,27 +45,27 @@ import numpy as np
 from .errors import DomainError, FitError
 from .model import MAX_PHASES, OutcomeDistribution, RegisterSpec, _check_int
 from .pmf import _pmf_kernel, _pmf_square_sum
-from .solver import XTOL, SolverResult, _dot, least_squares_box
+from .solver import SolverResult, least_squares_box
 
 # Starts sit this fraction of a bin width inside the bounds; the solver
 # requires strict interiority while the recipe starts exactly at the bounds.
 NUDGE = 1e-9
-# A solver call holds at most max(1, BATCH_ELEMENTS // M) problems, which
-# bounds its (problems, M) arrays: at n = 8, the two starts of 128 trials.
-# Only a trial whose starts alone exceed the cap (J = 5 at n = 14) is split
-# across calls. On one process of a 2-vCPU VM, medians of 10 alternating
-# rounds: configs/full_grid.json took 6.5 s at 2**14, 5.4 s at 2**16
-# (quartiles 5.1-5.7 s), 5.0 s at 2**18 and 5.3 s at 2**22, and
-# campaign_few's grid 0.45-0.52 s at all four.
+# A chunk of _fit holds the trials of max(1, BATCH_ELEMENTS // M) problems of
+# 2**J starts each, at least one trial, which bounds its (trials, M) pmfs and a
+# solver call's (problems, M) arrays: at n = 8, the two starts of 128 trials.
 BATCH_ELEMENTS = 2**16
-# Single-phase fits from this register size up run one trial, both starts,
-# per solver call, on its observed bins (_observed_problem); every other
-# problem keeps the dense residual of _problem, whatever BATCH_ELEMENTS is.
-OBSERVED_MIN_N = 16
-# Single-phase solves stop at a step norm of COARSE_XTOL bins, and
-# POLISH_STEPS Newton steps on the SSR's derivative take them from there.
-COARSE_XTOL = 1e-5
-POLISH_STEPS = 2
+# A single-phase trial's f' is scanned at these offsets from its top bin y0,
+# in bins: each half of the box, denser toward y0, which is a stationary
+# point of the SSR and so no node.
+SCAN_NODES = np.array([-0.5, -0.38, -0.26, -0.14, -0.06, -0.02, -0.005,
+                       0.005, 0.02, 0.06, 0.14, 0.26, 0.38, 0.5])
+# A single-phase root search stops at a step or bracket of STOP_ULPS units in
+# the last place of the box's upper end; or where two Newton steps in a row
+# predict a remaining error under SETTLED of that; or after MAX_STEPS
+# evaluations of f'.
+STOP_ULPS = 4
+SETTLED = 1 / 16
+MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -98,7 +88,7 @@ class FitBounds:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Estimated phases and weights with solver diagnostics."""
+    """Estimated phases and weights with fit diagnostics."""
 
     phases: tuple[float, ...]
     weights: tuple[float, ...]
@@ -149,30 +139,15 @@ def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
     (a, M) residuals and the Jacobian (a, M, p). Phases are in the unwrapped
     local coordinate of their intervals. The last weight is 1 minus the free
     weights, so weights sum to 1 by construction; for J >= 3 that trailing
-    weight is not box-constrained. J = 1 has no free weight, and its
-    residual and Jacobian are one kernel call each. For J >= 2 the
-    components of all problems are one (B, J, 1) phase array: the residual
-    is one kernel call summed over the component axis, and the Jacobian one
-    kernel call for P and dP/dtheta together, whatever J is.
-
-    Every bin is evaluated, so each iteration costs O(M); _fit uses
-    _observed_problem instead for single-phase problems at
-    n >= OBSERVED_MIN_N.
+    weight is not box-constrained. The components of all problems are one
+    (B, J, 1) phase array: the residual is one kernel call summed over the
+    component axis, and the Jacobian one kernel call for P and dP/dtheta
+    together, whatever J is. Every bin is evaluated, so each iteration
+    costs O(M). J >= 2 only: a single-phase fit runs no solver.
     """
     M = reg.M
     bin_phases = np.arange(M) / M
     S = 2**J
-
-    if J == 1:
-
-        def residual(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            P = _pmf_kernel(bin_phases, params[:, :1], M)
-            return np.subtract(P, probs[rows // S], out=P)
-
-        def jacobian(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            return _pmf_kernel(bin_phases, params[:, :1], M, pmf=False, grad=True)[:, :, None]
-
-        return residual, jacobian
 
     def residual(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
         P = _pmf_kernel(bin_phases, params[:, :J, None], M)
@@ -189,103 +164,166 @@ def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
     return residual, jacobian
 
 
-def _observed_problem(reg: RegisterSpec, bins: np.ndarray, p: np.ndarray):
-    """Single-phase residual and Jacobian on the bins of one pmf that hold counts.
+def _observed(probs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Nonzero entries of (T, M) pmfs, row-major: bin phases, p, each trial's count and first."""
+    M = probs.shape[1]
+    # np.flatnonzero, since np.nonzero on the (T, M) array takes 1.5 times as long.
+    flat = np.flatnonzero(probs)
+    trial, bins = np.divmod(flat, M)
+    counts = np.bincount(trial, minlength=len(probs))
+    return bins / M, probs.reshape(-1)[flat], counts, np.cumsum(counts) - counts
 
-    The residual is P - p on the observed bins plus one lumped entry
-    t = sqrt(max(S - sum_obs P^2, 0)), where S = sum_y P_y^2 over all M bins
-    has a closed form (pmf._pmf_square_sum). Its square is the SSR of the
-    empty bins, so r . r is the dense SSR and the minimiser is the same,
-    while an evaluation costs O(observed bins), not O(M). The Jacobian of t
-    is (S' - 2 sum_obs P P') / (2t), set to 0 where t = 0; t is dropped when
-    every bin is observed, where it is identically 0 and its derivative
-    0/0. bins and p are one pmf's nonzero bins and their probabilities,
-    shared by every problem of the call, the starts of one trial, so both
-    callables ignore their rows argument.
 
-    _fit uses it only at n >= OBSERVED_MIN_N, one trial per solver call.
-    Used on every register, it failed two ways: one set of observed bins
-    per batched call tied a trial's result to its batchmates (all three
-    mirror-tie cases of tests/test_bench.py moved); and the ~1e-16 absolute
-    rounding floor of S - sum_obs P^2 limits the resolution to about 1e-8
-    over the root of the Gauss-Newton curvature, which shrinks as 1/M (about
-    1e-14 at n >= 16), and moved two pinned fits by 2.9e-12 and 1.2e-10
-    (n = 5 and 7). That floor left solves at n >= 16 up to 5.6e-9 bins from
-    the minimiser. It no longer reaches the estimate: the solve here is the
-    coarse one, and _polish finds the root of f' = S' - 2 sum_obs p P',
-    whose rounding error is about 1e-16 M against a curvature of order M^2.
-    The n = 17 fit of TestObservedBins::test_observed_bin_fit_is_float64_accurate
-    lies within half a float64 spacing of its 50-digit minimiser.
+def _rows(observed: tuple, trials: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Kernel rows, one per entry of trials: their entries' bin phases, p and rows, row starts.
+
+    Every pmf has an entry, and a sum over a row is np.add.reduceat over its
+    own entries, in order, so it never depends on the other rows.
+    """
+    bin_phases, p, counts, first = observed
+    lengths = counts[trials]
+    starts = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(len(trials)), lengths)
+    entry = np.arange(owner.size) + (first[trials] - starts)[owner]
+    return bin_phases[entry], p[entry], owner, starts
+
+
+def _slope(rows: tuple, theta: np.ndarray, M: int, curv: bool = False) -> tuple[np.ndarray, ...]:
+    """(f',), or with curv (f', f''), at the phases theta of the kernel rows.
+
+    f' = S' - 2 sum_obs p_y P'_y is the derivative of the SSR over all M bins.
+    """
+    bin_phases, p, owner, starts = rows
+    dP = _pmf_kernel(bin_phases, theta, M, pmf=False, grad=True, curv=curv, rows=owner)
+    return tuple(
+        dS - 2.0 * np.add.reduceat(np.multiply(d, p, out=d), starts)
+        for d, dS in zip(dP if curv else (dP,), _pmf_square_sum(theta, M, curv=curv)[1:])
+    )
+
+
+def _ssr(rows: tuple, theta: np.ndarray, M: int) -> np.ndarray:
+    """The SSR over all M bins at the phases theta of the kernel rows.
+
+    The empty bins' share is max(S - sum_obs P^2, 0), from the closed form of S.
+    """
+    bin_phases, p, owner, starts = rows
+    P = _pmf_kernel(bin_phases, theta, M, rows=owner)
+    rest = _pmf_square_sum(theta, M)[0] - np.add.reduceat(np.square(P), starts)
+    return np.add.reduceat(np.square(P - p), starts) + np.maximum(rest, 0.0)
+
+
+def _single_rows(reg: RegisterSpec, probs: np.ndarray, top: np.ndarray):
+    """The winning start's x, SSR, iterations, convergence, status and corner of each J = 1 trial.
+
+    top holds each trial's top bin. f', f'' and the SSR are evaluated on
+    kernel rows (_rows), each a (trial, phase) pair, one call per batch.
     """
     M = reg.M
-    bin_phases = bins / M
-    m = bins.size
-    lumped = m < M
+    T = len(probs)
+    trials = np.arange(T)
+    # One-hot: one nonzero bin, holding 1.0. A top bin of 1.0 alone would
+    # not do, since (k - 1) / k rounds to 1.0 past k = 2**53; the O(M)
+    # count runs only where some top bin is 1.0.
+    exact = probs[trials, top] == 1.0
+    if exact.any():
+        exact &= np.count_nonzero(probs, axis=1) == 1
+    # Mirror: p[(2 y0 - y) mod M] == p[y] for every y. The O(M) comparison
+    # runs only on rows whose two neighbours of y0 agree.
+    mirror = probs[trials, (top - 1) % M] == probs[trials, (top + 1) % M]
+    if mirror.any():
+        (screened,) = mirror.nonzero()
+        reflected = (2 * top[screened, None] - np.arange(M)) % M
+        mirror[screened] = (probs[screened[:, None], reflected] == probs[screened]).all(axis=1)
+    observed = _observed(probs)
+    # f' at the scan nodes, inward from both ends of each box: the four outer
+    # nodes a side for every trial, the inner ones only where a start has met
+    # no sign change yet. One-hot trials are not scanned; a non-finite f'
+    # fails a trial.
+    nodes = (top[:, None] + SCAN_NODES) / M
+    f = np.zeros(nodes.shape)
+    scan = ~exact
+    for columns in (np.abs(SCAN_NODES) > 0.1, np.abs(SCAN_NODES) < 0.1):
+        if (cells := scan[:, None] & columns).any():
+            f[cells] = _slope(_rows(observed, cells.nonzero()[0]), nodes[cells], M)[0]
+        scan &= ~((f[:, :4] >= 0).any(axis=1) & (f[:, -4:] <= 0).any(axis=1))
+    ok = np.isfinite(f).all(axis=1)
+    # Each start's bracket between nodes a and b, a == b for a start that
+    # stays on a node: the left start descends from lo to the first node
+    # where f' >= 0, the right one from hi to the last node where f' <= 0.
+    last = SCAN_NODES.size - 1
+    pad = np.ones((T, 1), dtype=bool)
+    left = np.argmax(np.hstack([f >= 0, pad]), axis=1)
+    right = last - np.argmax(np.hstack([pad, f <= 0])[:, ::-1], axis=1)
+    right[~ok] = last  # a failed trial's right start stays on hi
+    a_node = np.stack([np.maximum(left - 1, 0), np.maximum(right, 0)], axis=1)
+    b_node = np.stack([np.minimum(left, last), np.minimum(right + 1, last)], axis=1)
+    x = np.take_along_axis(nodes, a_node, axis=1)
+    iterations = np.zeros((T, 2), dtype=int)
+    converged = np.ones((T, 2), dtype=bool)
+    solve = (a_node < b_node) & (ok & ~exact)[:, None]
+    tr = solve.nonzero()[0]
+    a, b = a_node[solve], b_node[solve]
+    xa, xb, fa, fb = nodes[tr, a], nodes[tr, b], f[tr, a], f[tr, b]
+    x[solve], iterations[solve], converged[solve] = _refine(
+        np.clip(xa - fa * ((xb - xa) / (fb - fa)), xa, xb), xa, xb,
+        STOP_ULPS * np.spacing(nodes[tr, last]), lambda running: _rows(observed, tr[running]), M,
+    )
 
-    def lumped_entry(P: np.ndarray, theta: np.ndarray):
-        S, dS = _pmf_square_sum(theta, M)
-        return np.sqrt(np.maximum(S - (P * P).sum(axis=1), 0.0)), dS
-
-    def residual(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        P = _pmf_kernel(bin_phases, params[:, :1], M)
-        out = np.empty((len(params), m + lumped))
-        out[:, :m] = P - p
-        if lumped:
-            out[:, m] = lumped_entry(P, params[:, 0])[0]
-        return out
-
-    def jacobian(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        P, dP = _pmf_kernel(bin_phases, params[:, :1], M, grad=True)
-        out = np.empty((len(params), m + lumped, 1))
-        out[:, :m, 0] = dP
-        if lumped:
-            t, dS = lumped_entry(P, params[:, 0])
-            slope = dS - 2.0 * (P * dP).sum(axis=1)
-            out[:, m, 0] = np.divide(slope, 2.0 * t, out=np.zeros_like(t), where=t > 0)
-        return out
-
-    return residual, jacobian
+    ssr = np.full((T, 2), np.nan)
+    ssr[ok] = _ssr(_rows(observed, np.repeat(ok.nonzero()[0], 2)), x[ok].ravel(), M).reshape(-1, 2)
+    x[exact], ssr[exact] = (top[exact] / M)[:, None], 0.0
+    # The lower SSR wins; an exact tie, such as both starts on one point or
+    # a one-hot row, and a mirror row go to the right start.
+    corner = np.where(mirror | ~(ssr[:, 0] < ssr[:, 1]), 1, 0)
+    won = (trials, corner)
+    status = np.where(converged[won], "xtol", "maxiter").astype("<U9")
+    status[exact], status[~ok], corner[~ok] = "exact", "nonfinite", -1
+    return x[won][:, None], ssr[won], iterations[won], converged[won] & ok, status, corner
 
 
-def _polish(reg: RegisterSpec, trial, bins, p, theta, lower, upper) -> np.ndarray:
-    """Newton steps on f' = S' - 2 sum_obs p_y P'_y, the SSR's derivative, from each J = 1 start.
+def _refine(x, a, b, tol, rows, M: int):
+    """Roots of f' in the brackets [a, b] from the points x, by Newton steps with bisection.
 
-    trial, bins and p list a call's observed entries in row-major order of
-    its (T, M) pmfs; theta, lower and upper hold its 2 T problems' phases
-    and boxes, problem r from trial r // 2. S' is the closed form of
-    pmf._pmf_square_sum, so f' is the dense SSR's derivative in
-    O(observed bins). f'' is the forward difference of f' over 1e-7 / M,
-    each step is clipped to its box, and a start whose f'' is not positive
-    keeps its point.
-
-    The kernel runs on one row per problem, each trial's observed bins
-    padded to the call's longest row, since a per-element phase costs it
-    four times as much per element. The sum leaves the padding out: each
-    problem sums its own trial's entries alone, in bin order (np.add.reduceat
-    over its segment), so a point never depends on its batchmates.
+    f' <= 0 at a and >= 0 at b. Every evaluation of f' and f'' moves one
+    end of the bracket onto the point, on the side its f' says; a Newton
+    step that leaves the bracket, or a curvature that is not positive,
+    gives way to bisection. A problem stops when its step or its bracket is
+    at most tol, when two Newton steps in a row predict a remaining error
+    under SETTLED * tol, or after MAX_STEPS evaluations. Only the running
+    problems are evaluated, on the kernel rows rows(running). Returns each
+    problem's root, evaluation count and convergence flag.
     """
-    M = reg.M
-    P = len(theta)
-    counts = np.bincount(trial, minlength=P // 2)
-    column = np.arange(trial.size) - (np.cumsum(counts) - counts)[trial]
-    phases = np.zeros((P // 2, counts.max()))
-    weights = np.zeros_like(phases)
-    phases[trial, column], weights[trial, column] = bins / M, p
-    # Rows 0..P-1 evaluate f' at theta, rows P..2P-1 at theta + h.
-    rows = np.arange(2 * P) % P // 2
-    phases, weights, lengths = phases[rows], weights[rows], counts[rows]
-    observed = np.arange(phases.shape[1]) < lengths[:, None]
-    first = np.cumsum(lengths) - lengths
-    h = 1e-7 / M
-    for _ in range(POLISH_STEPS):
-        at = np.concatenate([theta, theta + h])
-        dP = _pmf_kernel(phases, at[:, None], M, pmf=False, grad=True)
-        terms = np.multiply(weights, dP, out=dP)[observed]
-        slope = _pmf_square_sum(at, M)[1] - 2.0 * np.add.reduceat(terms, first)
-        curvature = (slope[P:] - slope[:P]) / h
-        step = np.divide(slope[:P], curvature, out=np.zeros(P), where=curvature > 0)
-        theta = np.minimum(np.maximum(theta - step, lower), upper)
-    return theta
+    root, converged = x.copy(), np.zeros(len(x), dtype=bool)
+    steps = np.full(len(x), MAX_STEPS)
+    running = np.arange(len(x))
+    segs = rows(running)
+    previous = np.zeros(len(x))
+    for step in range(1, MAX_STEPS + 1):
+        if not running.size:
+            break
+        g, curvature = _slope(segs, x, M, curv=True)
+        a = np.where(g < 0, x, a)
+        b = np.where(g > 0, x, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - g / curvature
+        inside = (curvature > 0) & (a <= newton) & (newton <= b)
+        newton = np.where(inside, newton, 0.5 * (a + b))
+        size = np.abs(newton - x)
+        # Two Newton steps in a row converging quadratically, s' = C s^2,
+        # leave C s'^2 = s'^3 / s^2 to go after the second.
+        settled = inside & (size**3 <= SETTLED * tol * previous**2)
+        stop = (size <= tol) | (b - a <= tol) | settled
+        previous = np.where(inside, size, 0.0)
+        done = running[stop]
+        root[done], steps[done], converged[done] = newton[stop], step, True
+        x = newton
+        if stop.any():
+            keep = ~stop
+            running, x, a, b, tol = running[keep], x[keep], a[keep], b[keep], tol[keep]
+            previous = previous[keep]
+            segs = rows(running)
+    root[running] = x
+    return root, steps, converged
 
 
 def _corner_label(corner: tuple[int, ...]) -> str:
@@ -297,42 +335,27 @@ def _corner_label(corner: tuple[int, ...]) -> str:
 def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.ndarray]:
     """Fit J phases and their weights to each of an iterable of (M,) pmfs.
 
-    Each trial's solver runs from the 2**J corners of its phase box, nudged
-    inside, with uniform weights; the finite solve with the lowest SSR wins,
-    and an exact SSR tie goes to the later start. pmfs is read one solver
-    call at a time, and a call holds whole trials: as many as fit in
-    max(1, BATCH_ELEMENTS // M) problems, or one trial whose starts are
-    split across calls where its 2**J starts alone exceed that. So a
-    campaign holds one call's pmfs, however many trials it streams through.
-    Problem t * 2**J + c of a call starts trial t from corner c; a split
-    trial's problems all lie below 2**J, so _problem reads them trial 0.
+    pmfs is read one chunk at a time (BATCH_ELEMENTS), so a campaign holds
+    one chunk's pmfs however many trials it streams through. A row never
+    depends on the other trials of its chunk.
 
-    A single-phase trial at n >= OBSERVED_MIN_N is solved alone, both starts
-    in one call, and fit on its observed bins (_observed_problem), in
-    O(observed bins) per iteration; its SSR is still over all M bins.
-    Smaller registers, and every J >= 2, keep the dense residual of
-    _problem; _observed_problem gives the two ways its form failed there.
+    For J >= 2 a solver call holds at most that many problems, so a trial
+    whose 2**J starts alone exceed the cap is split across calls. Problem
+    t * 2**J + c of a call starts trial t from corner c; a split trial's
+    problems all lie below 2**J, so _problem reads them trial 0.
 
-    A single-phase histogram symmetric about its top bin y0,
+    A single-phase chunk is searched by _single_rows; a row's iterations
+    count its evaluations of f', and its status is "xtol" or "maxiter". A
+    trial whose f' is not finite at some scan node fails alone (status
+    "nonfinite"). A single-phase histogram symmetric about its top bin y0,
     p[(2 y0 - y) mod M] == p[y] for every y, holds mirror minima y0 +- delta
     of equal SSR in exact arithmetic, so rounding would pick its winner; the
-    later start wins it by rule, unless that start failed.
+    later start wins it by rule. A one-hot pmf, the indicator of one bin y0,
+    equals P(y0 / M): its row is x = y0 / M with SSR 0, 0 iterations, status
+    "exact" and corner 1 ("right"), the tie of two starts at SSR 0, and it
+    is not searched: Newton steps converge only linearly in its quartic basin.
 
-    One-hot trials are the exception: a single-phase pmf that is the
-    indicator of one bin y0 equals P(y0 / M), so its row is the exact
-    minimiser, x = y0 / M with SSR 0, and it gets no solver problem. Its
-    basin is quartic, and each start would take 20-73 iterations to stop
-    short of y0 / M. The row has 0 iterations, is converged, has status
-    "exact", which no solve returns, and has corner 2**J - 1 ("right"): both
-    starts would reach SSR 0, and the tie goes to the later one.
-
-    A single-phase solve is the coarse one, to COARSE_XTOL bins, and every
-    start that did not fail is polished (_polish) before the winner is
-    picked by its SSR over all M bins at the polished point: one dense
-    residual pass below OBSERVED_MIN_N, the lumped form of
-    _observed_problem from there on.
-
-    Returns one row per trial, in trial order: the winning start's solve
+    Returns one row per trial, in trial order: the winning start's result
     (x with its phases wrapped into [0, 1), SSR, iterations, convergence
     and status), its corner index into itertools.product((0, 1), repeat=J), or
     -1 where every start failed (that row keeps the last start's values),
@@ -342,12 +365,12 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
     nudge = NUDGE / M
     corners = np.array(list(itertools.product((0, 1), repeat=J)), dtype=bool)
     S = len(corners)
-    observed_bins = J == 1 and reg.n >= OBSERVED_MIN_N
-    size = S if observed_bins else max(1, BATCH_ELEMENTS // M)
-    xtol = COARSE_XTOL / M if J == 1 else XTOL
+    size = max(1, BATCH_ELEMENTS // M)
 
-    def solve(probs: np.ndarray, bins: np.ndarray, mirror: np.ndarray) -> tuple[np.ndarray, ...]:
+    def solve(probs: np.ndarray, bins: np.ndarray) -> tuple[np.ndarray, ...]:
         """The winning start's x, SSR, iterations, convergence, status and corner of each trial."""
+        if J == 1:
+            return _single_rows(reg, probs, bins[:, 0].astype(int))
         T = len(probs)
         lo = (bins - 0.5) / M
         hi = (bins + 0.5) / M
@@ -357,33 +380,18 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
         )
         lower = np.repeat(np.concatenate([lo, np.zeros((T, J - 1))], axis=1), S, axis=0)
         upper = np.repeat(np.concatenate([hi, np.ones((T, J - 1))], axis=1), S, axis=0)
-        if J == 1:
-            # np.flatnonzero, since np.nonzero on the (T, M) array takes 1.5 times as long.
-            flat = np.flatnonzero(probs)
-            trial, observed = np.divmod(flat, M)
-            p = probs.reshape(-1)[flat]
-        residual, jacobian = (
-            _observed_problem(reg, observed, p) if observed_bins else _problem(reg, J, probs)
-        )
+        residual, jacobian = _problem(reg, J, probs)
         results = [
-            least_squares_box(residual, jacobian, start[b], lower[b], upper[b], xtol=xtol)
+            least_squares_box(residual, jacobian, start[b], lower[b], upper[b])
             for b in (slice(first, first + size) for first in range(0, T * S, size))
         ]
         x, ssr, iterations, converged, status = (
             np.concatenate([getattr(result, name) for result in results])
             for name in ("x", "ssr", "iterations", "converged", "status")
         )
-        if J == 1:
-            # Polish every start that did not fail, then re-rank by the SSR over all M bins.
-            ok = status != "nonfinite"
-            x[ok, 0] = _polish(reg, trial, observed, p, x[:, 0], lower[:, 0], upper[:, 0])[ok]
-            r = residual(x[ok], np.flatnonzero(ok))
-            ssr[ok] = _dot(r, r)
         # The lowest SSR wins; argmin over the reversed starts gives a tie to the later one.
-        # A mirror row goes to the later start whenever that start did not fail.
         failed = (status == "nonfinite").reshape(T, S)
         key = np.where(failed, np.inf, ssr.reshape(T, S))
-        key[mirror & ~failed[:, -1], :-1] = np.inf
         corner = S - 1 - np.argmin(key[:, ::-1], axis=1)
         won = np.arange(T) * S + corner
         corner[failed.all(axis=1)] = -1
@@ -393,40 +401,8 @@ def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.
     rows = []
     while chunk := list(itertools.islice(pmfs, max(1, size // S))):
         probs = np.array(chunk)
-        T = len(probs)
         bins = _top_bins(probs, J)
-        exact = np.zeros(T, dtype=bool)
-        mirror = np.zeros(T, dtype=bool)
-        if J == 1:
-            trials, top = np.arange(T), bins[:, 0].astype(int)
-            # One-hot: one nonzero bin, holding 1.0. A top bin of 1.0 alone
-            # would not do, since (k - 1) / k rounds to 1.0 past k = 2**53;
-            # the O(M) count runs only where some top bin is 1.0.
-            exact = probs[trials, top] == 1.0
-            if exact.any():
-                exact &= np.count_nonzero(probs, axis=1) == 1
-            # Mirror: p[(2 y0 - y) mod M] == p[y] for every y. The O(M)
-            # comparison runs only on rows whose two neighbours of y0 agree.
-            mirror = probs[trials, (top - 1) % M] == probs[trials, (top + 1) % M]
-            if mirror.any():
-                (screened,) = mirror.nonzero()
-                reflected = (2 * top[screened, None] - np.arange(M)) % M
-                same = probs[screened[:, None], reflected] == probs[screened]
-                mirror[screened] = same.all(axis=1)
-        if not exact.any():
-            rows.append((*solve(probs, bins, mirror), bins))
-            continue
-        # The status column takes the solver's dtype, so a solved row's status fits.
-        row = (
-            bins / M, np.zeros(T), np.zeros(T, dtype=int), np.ones(T, dtype=bool),
-            np.full(T, "exact", dtype="<U9"), np.full(T, S - 1),
-        )
-        # Only a chunk that mixes one-hot and other trials is compacted; at
-        # n >= OBSERVED_MIN_N a chunk is one trial, so no O(M) pmf is copied.
-        if not exact.all():
-            for column, solved in zip(row, solve(probs[~exact], bins[~exact], mirror[~exact])):
-                column[~exact] = solved
-        rows.append((*row, bins))
+        rows.append((*solve(probs, bins), bins))
     x, ssr, iterations, converged, status, corner, bins = map(np.concatenate, zip(*rows))
     x[:, :J] = np.mod(x[:, :J], 1.0)
     return SolverResult(x, ssr, iterations, converged, status), corner, bins
@@ -459,12 +435,12 @@ def _fit_one(dist: OutcomeDistribution, J: int) -> FitResult:
 def fit_single(dist: OutcomeDistribution) -> FitResult:
     """Recover one phase from an observed distribution.
 
-    Runs the bounded solver from both ends of the half-bin interval around
-    the argmax bin and keeps the solve with the lower SSR; an exact tie,
-    and a histogram symmetric about its argmax bin, goes to the later, right
-    start. At n = 1, theta and 1 - theta give the
-    same distribution, so the fit returns one of two equal minima: the one
-    from the right start.
+    Descends from both ends of the half-bin interval around the argmax bin
+    to a root of the SSR's derivative and keeps the end with the lower SSR;
+    an exact tie, and a histogram symmetric about its argmax bin, goes to
+    the later, right start. At n = 1, theta and 1 - theta give the same
+    distribution, so the fit returns one of two equal minima: the one from
+    the right start.
     """
     return _fit_one(dist, 1)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
@@ -144,18 +144,22 @@ class OutcomeDistribution:
 
     reg: RegisterSpec
     probs: np.ndarray = field(repr=False)
+    # Private: True keeps probs, a float64 array qpecf just made and shares with no one.
+    _: KW_ONLY
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _owned: bool) -> None:
         probs = np.asarray(self.probs)
         # The float cast would drop an imaginary part.
         if probs.dtype.kind == "c":
             raise DomainError(f"probs must be real, got dtype {probs.dtype}")
         if probs.shape != (self.reg.M,):
             raise DomainError(f"probs must have shape ({self.reg.M},), got {probs.shape}")
-        # Only a float64 array no caller can write is kept uncopied: histogram_to_probs' quotient.
-        if probs.dtype != np.float64 or probs.flags.writeable or not probs.flags.owndata:
+        # A caller's array is copied, even a read-only one, since its owner
+        # can make it writeable again.
+        if not _owned:
             probs = probs.astype(float)
-            probs.setflags(write=False)
+        probs.setflags(write=False)
         # NaN and infinities fail the range comparison too, so isfinite runs only on failure.
         lo = np.minimum.reduce(probs)
         hi = np.maximum.reduce(probs)

@@ -98,51 +98,83 @@ def _horner(coef: tuple, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pmf_kernel(bin_phases: np.ndarray, theta, M: int, pmf: bool = True, grad: bool = False):
-    """P at outcomes y for phases theta, dP/dtheta, or both.
+def _pmf_kernel(
+    bin_phases: np.ndarray, theta, M: int, pmf: bool = True, grad: bool = False,
+    curv: bool = False, rows=None,
+):
+    """P at outcomes y for phases theta, and its first and second phase derivatives.
 
     bin_phases holds the outcomes' phases y / M for integer y; theta
-    broadcasts against it, e.g. (..., J, 1) phases against (M,) bins. Every
-    element depends only on its own y and theta. Every caller's theta lies
-    in [-1/(2M), 1), where t at the peak bin is exactly x / M, so the peak
-    mask picks out exactly the elements whose offset is x / pi.
-    Returns P, dP/dtheta (pmf=False, grad=True) or the pair (P, dP/dtheta);
-    a value that is not asked for is not computed.
+    broadcasts against it, e.g. (..., J, 1) phases against (M,) bins. With
+    rows, theta holds one phase per row instead, element e of the (E,)
+    bin_phases belongs to row rows[e], and the terms of the phase alone are
+    computed once per row. Every element depends only on its own y and
+    theta. Every caller's theta lies in [-1/(2M), 1), where t at the peak
+    bin is exactly x / M, so the peak mask picks out exactly the elements
+    whose offset is x / pi. Returns those of P (pmf), dP/dtheta (grad) and
+    d2P/dtheta2 (curv) that are asked for, in that order, one alone bare.
+    Away from the peak, with N and C the numerators of P and dP/dtheta,
+
+        d2P/dtheta2 = (pi / sin t)^2 [2 cos 2x + 2 N - (4 / pi) C cot t + 6 N cot^2 t],
+
+    and next to it d2P/dtheta2 = (pi M)^2 d2P/dx2 = sum_k -pi M (2k + 1) g_k z^k;
+    it only steers the single-phase root search, which needs no last-place accuracy.
     """
     theta = np.asarray(theta, dtype=float)
     u = theta * M
     x = np.pi * (np.rint(u) - u)
     s = np.sin(x)
     num = np.square(s / M)
+    if grad or curv:
+        cross = (2.0 * np.pi / M) * (s * np.cos(x))
+    # Row terms reach the elements one at a time, so no more of them are held at once.
+    at = (lambda term: term) if rows is None else (lambda term: term[rows])
     with np.errstate(all="ignore"):
-        t = np.subtract(bin_phases, theta)
+        t = np.subtract(bin_phases, at(theta))
         buf = np.rint(t)
         t -= buf
         t *= np.pi
         near_peak = np.abs(t, out=buf) < np.pi * NEAR_PEAK / M
         np.sin(t, out=buf)
-        if grad:
+        if grad or curv:
             np.cos(t, out=t)
             t /= buf
         buf *= buf
+        out = []
         if pmf:
-            P = np.divide(num, buf, out=None if grad else buf)
+            out.append(np.divide(at(num), buf, out=None if grad or curv else buf))
+        if curv:
+            # pi^2 times the bracket of d2P/dtheta2, a quadratic in cot t
+            d2P = np.multiply(at(6.0 * np.pi**2 * num), t)
+            d2P -= at(4.0 * np.pi * cross)
+            d2P *= t
+            d2P += at(np.pi**2 * (2.0 * np.cos(2.0 * x) + 2.0 * num))
+            d2P /= buf
         if grad:
-            t *= 2.0 * np.pi * num
-            t -= (2.0 * np.pi / M) * (s * np.cos(x))
+            t *= at(2.0 * np.pi * num)
+            t -= at(cross)
             t /= buf
+            out.append(t)
+        if curv:
+            out.append(d2P)
     if _any(near_peak, axis=None):
-        series = _horner(_peak_series(M), np.square(x).astype(complex))
-        if pmf:
-            np.copyto(P, series.real, where=near_peak)
-        if grad:
-            np.copyto(t, x * series.imag, where=near_peak)
-    if not grad:
-        return P
-    return (P, t) if pmf else t
+        z = np.square(x)
+        series = _horner(_peak_series(M), z.astype(complex))
+        peak = ([series.real] if pmf else []) + ([x * series.imag] if grad else [])
+        if curv:
+            coef = [-np.pi * M * (2 * k + 1) * c.imag for k, c in enumerate(_peak_series(M))]
+            peak.append(_horner(coef, z))
+        if rows is not None:
+            (index,) = near_peak.nonzero()  # at most one element per row
+        for value, term in zip(out, peak):
+            if rows is None:
+                np.copyto(value, term, where=near_peak)
+            else:
+                value[index] = term[rows[index]]
+    return out[0] if len(out) == 1 else tuple(out)
 
 
-def _pmf_square_sum(theta, M: int) -> tuple[np.ndarray, np.ndarray]:
+def _pmf_square_sum(theta, M: int, curv: bool = False) -> tuple[np.ndarray, ...]:
     """S = sum_y P_y(theta)^2 over all M outcomes, and dS/dtheta, in closed form.
 
     Counting the index quadruples of the two Dirichlet kernels whose
@@ -158,13 +190,16 @@ def _pmf_square_sum(theta, M: int) -> tuple[np.ndarray, np.ndarray]:
     n = 25. Both agree with the O(M) sums of P^2 and 2 P P' to 2e-15 (dS
     relative to its amplitude) for every n = 1..20, and with a 50-digit
     evaluation of this closed form to 4e-16 for n = 21..30, where
-    observed-bin fits still use it (tests/test_pmf.py).
+    observed-bin fits still use it (tests/test_pmf.py). With curv, the
+    second derivative -4 pi^2 (M^2 - 1) cos(2 pi u) / 3 follows as a third value.
     """
     u = np.asarray(theta, dtype=float) * M
     angle = 2.0 * np.pi * (u - np.rint(u))
     q = 1.0 / (M * M)
     S = ((2.0 + q) + (1.0 - q) * np.cos(angle)) / 3.0
     dS = -2.0 * np.pi * (M - 1.0 / M) * np.sin(angle) / 3.0
+    if curv:
+        return S, dS, -4.0 * np.pi**2 * (M * M - 1.0) * np.cos(angle) / 3.0
     return S, dS
 
 

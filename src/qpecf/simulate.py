@@ -11,7 +11,7 @@ performed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
@@ -72,8 +72,11 @@ class ShotHistogram:
     reg: RegisterSpec
     counts: np.ndarray = field(repr=False)
     shots: int = 0
+    # Private: True keeps counts, an int64 array qpecf just made and shares with no one.
+    _: KW_ONLY
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _owned: bool) -> None:
         counts = np.asarray(self.counts)
         shots = _check_shots(self.shots)
         if counts.shape != (self.reg.M,):
@@ -82,11 +85,11 @@ class ShotHistogram:
         # into 0 and 1; reading the dtype alone costs O(1).
         if counts.dtype.kind not in "iu":
             raise DomainError(f"counts must be integers, got dtype {counts.dtype}")
-        counts = counts.astype(np.int64, copy=False)
-        # Only an array no caller can write is kept uncopied: sample_shots' draw, 8 MB at n = 20.
-        if counts.flags.writeable or not counts.flags.owndata:
-            counts = counts.copy()
-            counts.setflags(write=False)
+        # A caller's array is copied, even a read-only one, since its owner
+        # can make it writeable again.
+        if not _owned:
+            counts = counts.astype(np.int64)
+        counts.setflags(write=False)
         if np.minimum.reduce(counts, initial=0) < 0:
             raise DomainError("counts must be non-negative")
         # The int64 sum wraps past 2**63 - 1. It cannot when no count exceeds
@@ -150,14 +153,9 @@ def sample_shots(dist: OutcomeDistribution, k: int, seed) -> ShotHistogram:
     rng = np.random.Generator(np.random.Philox(seed))
     p = np.maximum(dist.probs, 0.0)
     p /= np.add.reduce(p)
-    counts = rng.multinomial(k, p)
-    counts.setflags(write=False)
-    return ShotHistogram(dist.reg, counts, k)
+    return ShotHistogram(dist.reg, rng.multinomial(k, p), k, _owned=True)
 
 
 def histogram_to_probs(hist: ShotHistogram) -> OutcomeDistribution:
     """Empirical distribution counts[y] / shots."""
-    probs = hist.counts / hist.shots
-    # Read-only before it is handed over, so OutcomeDistribution keeps it uncopied.
-    probs.setflags(write=False)
-    return OutcomeDistribution(hist.reg, probs)
+    return OutcomeDistribution(hist.reg, hist.counts / hist.shots, _owned=True)

@@ -28,13 +28,10 @@ whichever of its batchmates are still running, because of three rules:
   association; A + diag(C + lambda) moved 27 of 304 two- and three-phase
   corner solves. Each problem's damping update is a Python float
   expression, since numpy's vectorised power can differ from the C
-  library's pow in the last place;
-* a one-parameter problem solves its damped 1x1 system by IEEE division,
-  -gh / damped, which gives the bits of LAPACK's 1x1 solve
-  (tests/test_solver.py checks it over 10^-8 to 10^8) without the
-  np.linalg.solve wrapper's 30 us per iteration; -gh * (1 / damped) does
-  not, since it matched 147 963 of 200 000 random systems. Problems with
-  two or more parameters keep np.linalg.solve.
+  library's pow in the last place.
+
+qpecf solves its multi-phase fits (J >= 2, 2J - 1 >= 3 parameters) here;
+a single-phase fit is a root search of its own (fitting._single_rows).
 """
 
 from __future__ import annotations
@@ -78,7 +75,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0, 0]
 
 
-def least_squares_box(residual, jacobian, start, lower, upper, xtol=XTOL) -> SolverResult:
+def least_squares_box(residual, jacobian, start, lower, upper) -> SolverResult:
     """Minimize sum(residual(x)**2) over the box [lower, upper], per problem.
 
     start is a (B, p) array with one problem per row, and lower and upper
@@ -93,16 +90,9 @@ def least_squares_box(residual, jacobian, start, lower, upper, xtol=XTOL) -> Sol
     A problem terminates when its normalized gradient drops below GTOL (the
     cosine of the angle between the residual and the Jacobian columns, so
     quartically flat basins where the raw gradient vanishes identically are
-    not mistaken for convergence), when its step norm drops below xtol, or
+    not mistaken for convergence), when its step norm drops below XTOL, or
     after MAX_ITER iterations. A non-finite residual at a start fails that
     problem alone (status "nonfinite").
-
-    xtol defaults to XTOL = 1e-12, which the multi-phase fits (J >= 2) use.
-    Single-phase fits pass a coarse 1e-5 bins (fitting.COARSE_XTOL) and
-    polish the result by Newton steps on the SSR's derivative; at XTOL the
-    solver stopped flat single-phase basins up to 2.7e-11 bins short of the
-    minimiser, while the polished fits lie within 3.9e-15 bins of it
-    (tests/test_fitting.py::TestPinnedEstimates).
     """
     x = np.array(start, dtype=float)
     if x.ndim != 2:
@@ -167,11 +157,7 @@ def least_squares_box(residual, jacobian, start, lower, upper, xtol=XTOL) -> Sol
             scale = np.maximum.reduce(np.diagonal(A, axis1=1, axis2=2) + C, axis=1)
             lam = np.where(scale > 0, 1e-3 * scale, 1e-3)
         damped = (A + C[:, :, np.newaxis] * eye) + lam[:, np.newaxis, np.newaxis] * eye
-        if p == 1:
-            sh = -gh / damped[:, :, 0]
-        else:
-            sh = np.linalg.solve(damped, -gh[:, :, np.newaxis])[:, :, 0]
-        s = d * sh
+        s = d * np.linalg.solve(damped, -gh[:, :, np.newaxis])[:, :, 0]
 
         # The trial point is the step clipped onto the box, rejected if its
         # residual is not finite: a NaN residual gives a NaN SSR, which
@@ -214,7 +200,7 @@ def least_squares_box(residual, jacobian, start, lower, upper, xtol=XTOL) -> Sol
         np.multiply(lam, nu, out=lam, where=rejected)
         np.multiply(nu, 2.0, out=nu, where=rejected)
         taken = np.where(accepted[:, np.newaxis], step, s)
-        small = np.sqrt(_dot(taken, taken)) < xtol
+        small = np.sqrt(_dot(taken, taken)) < XTOL
         if _any(small):
             stop = a[small]
             iterations[stop], status[stop] = it, "xtol"

@@ -218,13 +218,14 @@ def test_score_and_jacobian_match_finite_differences():
         worst_score = max(worst_score, abs(fd - analytic) / abs(analytic))
         accepted += 1
 
+    # the solver's Jacobian of a two-phase fit: both phases and the free weight
     worst_jac = 0.0
     for _ in range(500):
         n = int(rng.integers(2, 7))
         reg = RegisterSpec(n)
         probs = pmf_vector(reg, PhaseModel.single(float(rng.random())))
-        residual, jacobian = _problem(reg, 1, probs[np.newaxis])
-        point = np.array([float(rng.uniform(1e-6, 1 - 1e-6))])
+        residual, jacobian = _problem(reg, 2, probs[np.newaxis])
+        point = np.append(rng.uniform(1e-6, 1 - 1e-6, 2), rng.uniform(0.1, 0.9))
         rows = np.arange(1)
         fd = fd_jacobian(lambda q: residual(q[np.newaxis], rows)[0], point, h=step)
         analytic = jacobian(point[np.newaxis], rows)[0]

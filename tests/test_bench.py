@@ -176,10 +176,13 @@ class TestRunCell:
     # bins of its 50-digit minimiser. Re-recorded when single-phase fits
     # gained the Newton polish; before it they stood 6.6e-12, 1.1e-14 and
     # 5.2e-12 bins off, at 0.35313246502120277, 0.14130537722520042 and
-    # 0.11118764191304581.
+    # 0.11118764191304581. The n = 4 minimiser,
+    # 0.141305377225201133196673335, lies between two floats, 1.9e-16 and
+    # 2.5e-16 bins away; the Newton polish returned the upper one
+    # (0.14130537722520115), the root search returns the lower one.
     MIRROR_TIES = [
         (1 / 3, 2, 0, 0.3531324650195613),
-        (1 / 7, 4, 0, 0.14130537722520115),
+        (1 / 7, 4, 0, 0.14130537722520112),
         (1 / 9, 7, 5, 0.11118764191308615),
     ]
 
@@ -197,8 +200,8 @@ class TestRunCell:
         assert rec.estimates[trial] == estimate
 
     def test_observed_bin_cell_matches_fit_single_loop(self):
-        # at n = 16 every problem is alone in its solver call and is fit on
-        # its own trial's observed bins, so the cell still equals the loop
+        # at n = 16 every trial is alone in its chunk and is fit on its own
+        # observed bins, so the cell still equals the loop
         theta, reg, k = 1 / 3, RegisterSpec(16), 100
         dist = analytic_distribution(reg, PhaseModel.single(theta))
         one_by_one = [
@@ -323,7 +326,7 @@ class TestRunGrid:
 
 
 class TestStreaming:
-    """Trials stream through the fitter: a campaign holds one solver call's pmfs."""
+    """Trials stream through the fitter: a campaign holds one chunk's pmfs."""
 
     @pytest.fixture
     def call_shapes(self, monkeypatch):
@@ -337,15 +340,28 @@ class TestStreaming:
         monkeypatch.setattr("qpecf.fitting.least_squares_box", recording)
         return shapes
 
-    def test_solver_calls_hold_whole_trials(self, call_shapes):
-        # n = 16 fits on observed bins: one trial per call, both of its starts
+    @pytest.fixture
+    def single_chunks(self, monkeypatch):
+        sizes = []
+        search = fitting._single_rows
+
+        def recording(reg, probs, top):
+            sizes.append(len(probs))
+            return search(reg, probs, top)
+
+        monkeypatch.setattr("qpecf.fitting._single_rows", recording)
+        return sizes
+
+    def test_solver_calls_hold_whole_trials(self, call_shapes, single_chunks):
+        # single-phase chunks hold whole trials and reach no solver: one
+        # trial per chunk at n = 16, and 32 trials (64 starts) at n = 10
         dist = analytic_distribution(RegisterSpec(16), PhaseModel.single(1 / 3))
         fit_single(histogram_to_probs(sample_shots(dist, 1000, 1)))
-        assert call_shapes == [(2, 1)]
-        # 64 problems per call at n = 10: 32 whole trials of two starts each
-        call_shapes.clear()
+        assert single_chunks == [1]
+        single_chunks.clear()
         one_cell(1 / 3, 10, 100, 100, 1)
-        assert call_shapes == [(64, 1), (64, 1), (64, 1), (8, 1)]
+        assert single_chunks == [32, 32, 32, 4]
+        assert call_shapes == []
         # 8 problems per call at n = 13, so one trial's 16 corners take two calls
         call_shapes.clear()
         bins = ((819, 0.4), (2457, 0.3), (4505, 0.2), (6553, 0.1))

@@ -9,10 +9,11 @@ from conftest import fd_jacobian, random_phase_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpecf import fitting
 from qpecf.errors import DomainError, FitError
 from qpecf.fitting import (
-    NUDGE, FitBounds, _corner_label, _fit, _observed_problem, _problem, _top_bins, fit_multi,
-    fit_single,
+    NUDGE, FitBounds, _corner_label, _fit, _observed, _problem, _rows, _slope, _ssr, _top_bins,
+    fit_multi, fit_single,
 )
 from qpecf.model import MAX_PHASES, OutcomeDistribution, PhaseModel, RegisterSpec
 from qpecf.pmf import (
@@ -86,45 +87,50 @@ class TestFitSingle:
             assert result.bounds[0].contains(result.phases[0])
 
     def test_start_symmetry_on_exact_representable_data(self):
-        # the landscape is mirror-symmetric about a representable phase,
-        # so both nudged starts converge to the same interior minimum
-        for n, y in [(2, 1), (3, 2), (5, 10), (8, 85)]:
+        # reflecting a pmf about its top bin y0, a representable phase,
+        # reflects its f' about y0 / M and swaps the rules of the two
+        # starts, so the reflection's fit is the mirror image of the fit
+        for n, y, delta in [(2, 1, 0.3), (3, 2, -0.2), (4, 0, 0.2), (5, 10, 0.1), (8, 85, 0.45)]:
             reg = RegisterSpec(n)
-            probs = pmf_vector(reg, PhaseModel.single(y / reg.M))
-            residual, jacobian = _problem(reg, 1, probs[np.newaxis])
-            lo = (y - 0.5) / reg.M
-            hi = (y + 0.5) / reg.M
-            nudge = 1e-9 / reg.M
-            starts = np.array([[lo + nudge], [hi - nudge]])
-            ends = least_squares_box(residual, jacobian, starts, lo, hi).x[:, 0]
-            assert abs(ends[0] - ends[1]) < 1e-8
+            M = reg.M
+            probs = pmf_vector(reg, PhaseModel.single((y + delta) / M % 1.0))
+            mirrored = probs[(2 * y - np.arange(M)) % M]
+            fit, mirror_fit = (fit_single(OutcomeDistribution(reg, p)) for p in (probs, mirrored))
+            gap = (fit.phases[0] + mirror_fit.phases[0] - 2 * y / M + 0.5) % 1.0 - 0.5
+            assert abs(gap) * M < 1e-12
+            assert {fit.start_used, mirror_fit.start_used} == {"left", "right"}
 
-    def test_tie_break_selects_global_basin_on_exact_data(self):
-        # away from a representable phase the far start can descend into a
-        # spurious interior basin; the lower-SSR attempt is the one that
-        # recovers the true phase, which is why fit_single keeps both
+    def test_tie_break_selects_global_basin_on_exact_data(self, monkeypatch):
+        # away from a representable phase one start can end in a spurious
+        # interior basin; the lower-SSR start is the one that recovers the
+        # true phase, which is why fit_single keeps both
+        seen = []
+
+        def recording(rows, theta, M):
+            ssr = _ssr(rows, theta, M)
+            seen.append((theta.copy(), ssr))
+            return ssr
+
+        monkeypatch.setattr("qpecf.fitting._ssr", recording)
         for theta, n in [(1 / 3, 3), (1 / 5, 4), (1 / 7, 2)]:
-            reg = RegisterSpec(n)
-            probs = pmf_vector(reg, PhaseModel.single(theta))
-            residual, jacobian = _problem(reg, 1, probs[np.newaxis])
-            guess = int(np.argmax(probs))
-            lo = (guess - 0.5) / reg.M
-            hi = (guess + 0.5) / reg.M
-            nudge = 1e-9 / reg.M
-            starts = np.array([[lo + nudge], [hi - nudge]])
-            result = least_squares_box(residual, jacobian, starts, lo, hi)
-            best = int(np.argmin(result.ssr))
-            assert abs(result.x[best, 0] - theta) < 1e-9
+            seen.clear()
+            fit = fit_single(exact_dist(n, [(theta, 1.0)]))
+            ((ends, ssr),) = seen
+            best = int(np.argmin(ssr))
+            assert abs(ends[best] - theta) < 1e-9 and abs(ends[1 - best] - theta) > 1e-3
+            assert fit.phases[0] == ends[best] % 1.0
 
     def test_jacobian_is_pmf_times_score(self):
-        # the solver's analytic Jacobian equals P * d(log P)/d(theta)
+        # the solver's analytic Jacobian holds w_j P(theta_j) d(log P)/d(theta_j)
+        # in the column of each phase
         reg = RegisterSpec(3)
-        _, jacobian = _problem(reg, 1, np.zeros((1, reg.M)))
-        theta = 0.337
-        jac = jacobian(np.array([[theta]]), np.arange(1))[0, :, 0]
+        _, jacobian = _problem(reg, 2, np.zeros((1, reg.M)))
+        thetas, w = (0.337, 0.58), 0.3
+        jac = jacobian(np.array([[*thetas, w]]), np.arange(1))[0]
         for y in range(reg.M):
-            want = pmf_single(reg, theta, y) * score(reg, theta, y)
-            assert abs(jac[y] - want) < 1e-12
+            for j, weight in enumerate((w, 1 - w)):
+                want = weight * pmf_single(reg, thetas[j], y) * score(reg, thetas[j], y)
+                assert abs(jac[y, j] - want) < 1e-12
 
     def test_start_used_reported(self):
         result = fit_single(exact_dist(3, [(1 / 3, 1.0)]))
@@ -132,13 +138,11 @@ class TestFitSingle:
         assert result.iterations >= 1
 
     def test_both_start_failures_surface_as_fit_error(self, monkeypatch):
-        # a residual that is NaN at both starts fails each problem of the batch
-        def nan_residual(residual, jacobian, *args, **kwargs):
-            return least_squares_box(
-                lambda x, rows: residual(x, rows) * np.nan, jacobian, *args, **kwargs
-            )
+        # an f' that is NaN at the scan nodes fails the trial, both starts
+        def nan_square_sum(theta, M, curv=False):
+            return tuple(np.full(np.shape(theta), np.nan) for _ in range(2 + curv))
 
-        monkeypatch.setattr("qpecf.fitting.least_squares_box", nan_residual)
+        monkeypatch.setattr("qpecf.fitting._pmf_square_sum", nan_square_sum)
         with pytest.raises(FitError, match="all starts failed: left: .*; right: "):
             fit_single(exact_dist(3, [(1 / 3, 1.0)]))
 
@@ -173,6 +177,24 @@ class TestFitSingle:
     def test_a_screened_row_that_is_not_a_mirror_keeps_the_ssr_rule(self, counts, start_used):
         # both neighbours of y0 = 3 hold one count, but bin 0 (or 6) has no mirror
         assert fit_single(counts_dist(3, counts)).start_used == start_used
+
+    @pytest.mark.parametrize(
+        "n, counts, estimate",
+        [
+            (3, {1: 99, 4: 1}, 1.051336753),
+            (6, {7: 99, 17: 1}, 7.050403326),
+            (6, {7: 99, 9: 1}, 7.052334477),
+            (6, {7: 99, 12: 1}, 7.050637553),
+            (3, {1: 99, 5: 1}, 1.051105500),  # a mirror histogram
+        ],
+    )
+    def test_close_minima_keep_the_right_start_minimum(self, n, counts, estimate):
+        # both minima and the maximum at y0 between them lie within a
+        # tenth of a bin, so a coarse scan of f' puts all three in one
+        # bracket; SCAN_NODES crowd toward y0 to keep each start on its own side
+        result = fit_single(counts_dist(n, counts))
+        assert result.start_used == "right"
+        assert abs(result.phases[0] * 2**n - estimate) < 1e-9
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -302,6 +324,23 @@ class TestFitRows:
                 assert np.array_equal(getattr(best, name)[i], getattr(lone_best, name)[0])
             assert corner[i] == lone_corner[0] and np.array_equal(bins[i], lone_bins[0])
 
+    def test_a_single_phase_row_does_not_depend_on_its_batchmates(self):
+        # one chunk mixes trials of 10, 4000 and 10**6 shots, whose observed
+        # bins range from a few to all M; each row equals the trial's row
+        # fit alone, bit for bit
+        reg = RegisterSpec(6)
+        dist = analytic_distribution(reg, PhaseModel.single(0.3))
+        pmfs = [
+            histogram_to_probs(sample_shots(dist, k, seed)).probs
+            for seed, k in enumerate((10, 4000, 10**6, 10, 10**6, 4000))
+        ]
+        best, corner, bins = _fit(reg, pmfs, 1)
+        for i, p in enumerate(pmfs):
+            lone_best, lone_corner, lone_bins = _fit(reg, [p], 1)
+            for name in ("x", "ssr", "iterations", "converged", "status"):
+                assert getattr(best, name)[i].tobytes() == getattr(lone_best, name)[0].tobytes()
+            assert corner[i] == lone_corner[0] and bins[i, 0] == lone_bins[0, 0]
+
     def test_phases_are_wrapped_across_the_seam(self):
         # at theta = 0.975 and n = 3 the top bin is 0, so the box is
         # [-1/16, 1/16] and the solver's coordinate of the phase is negative
@@ -340,8 +379,7 @@ class TestOneHotRows:
 
     @pytest.mark.parametrize("n", [5, 17])
     def test_the_solver_never_sees_a_one_hot_trial(self, n, monkeypatch):
-        # n = 5 puts the whole stream in one dense call; n = 17 fits one
-        # trial per call on its observed bins
+        # n = 5 puts the whole stream in one chunk; n = 17 one trial per chunk
         reg = RegisterSpec(n)
         M = reg.M
         ordinary = [
@@ -353,19 +391,20 @@ class TestOneHotRows:
         hot = {i: np.eye(1, M, y)[0] for i, y in ((1, 0), (3, M // 3), (4, M - 1))}
         assert all(np.count_nonzero(p) > 1 for p in ordinary)
         stream = [ordinary[0], hot[1], ordinary[1], hot[3], hot[4], ordinary[2]]
-        calls = []
+        brackets = []
+        search = fitting._refine
 
-        def recording(residual, jacobian, start, lower, upper, **kwargs):
-            calls.append(start[:, 0].copy())
-            return least_squares_box(residual, jacobian, start, lower, upper, **kwargs)
+        def recording(x, a, b, *args):
+            brackets.append((a.copy(), b.copy()))
+            return search(x, a, b, *args)
 
-        monkeypatch.setattr("qpecf.fitting.least_squares_box", recording)
+        monkeypatch.setattr("qpecf.fitting._refine", recording)
         best, corner, bins = _fit(reg, iter(stream), 1)
-        starts = np.concatenate(calls)
-        assert len(starts) == 2 * len(ordinary)
+        lower, upper = map(np.concatenate, zip(*brackets))
+        assert len(lower) == 2 * len(ordinary)
         for i, p in hot.items():
             y = int(np.argmax(p))
-            assert not np.any((starts > (y - 0.5) / M) & (starts < (y + 0.5) / M))
+            assert not np.any((upper > (y - 0.5) / M) & (lower < (y + 0.5) / M))
             assert best.x[i, 0] == y / M and best.ssr[i] == 0.0
             assert (best.iterations[i], best.converged[i], best.status[i]) == (0, True, "exact")
             assert corner[i] == 1 and bins[i, 0] == y
@@ -390,43 +429,72 @@ class TestOneHotRows:
         assert np.all(best.iterations > 0)
 
 
+def dense_problem(reg: RegisterSpec, probs: np.ndarray):
+    """The single-phase residual P - p over all M bins and its Jacobian, for the solver."""
+    M = reg.M
+    bin_phases = np.arange(M) / M
+
+    def residual(params, rows):
+        return _pmf_kernel(bin_phases, params[:, :1], M) - probs
+
+    def jacobian(params, rows):
+        return _pmf_kernel(bin_phases, params[:, :1], M, pmf=False, grad=True)[:, :, None]
+
+    return residual, jacobian
+
+
 def dense_fit_single(dist: OutcomeDistribution) -> float:
-    """fit_single's recipe on the all-bins residual: both starts, lower SSR, ties to the right."""
+    """fit_single's recipe by the solver on all M bins: both starts, lower SSR, ties right."""
     reg = dist.reg
     M = reg.M
     y = int(np.argmax(dist.probs))
     lo, hi = (y - 0.5) / M, (y + 0.5) / M
     starts = np.array([[lo + NUDGE / M], [hi - NUDGE / M]])
-    residual, jacobian = _problem(reg, 1, dist.probs[np.newaxis])
-    result = least_squares_box(residual, jacobian, starts, lo, hi)
+    result = least_squares_box(*dense_problem(reg, dist.probs), starts, lo, hi)
     best = 1 if result.ssr[1] <= result.ssr[0] else 0
     return float(result.x[best, 0] % 1.0)
 
 
+def dense_ssr(residual, point: np.ndarray) -> np.ndarray:
+    """The all-bins SSR at one single-phase point, as a length-1 array."""
+    r = residual(point[np.newaxis], None)[0]
+    return np.array([r @ r])
+
+
+def single_callables(reg: RegisterSpec, probs: np.ndarray):
+    """f' and f'' of the single-phase search as (points, rows) callables, row r for trial r // 2."""
+    observed = _observed(np.atleast_2d(probs))
+
+    def at(points, rows):
+        return _slope(_rows(observed, rows // 2), points[:, 0], reg.M, curv=True)
+
+    return (lambda points, rows: at(points, rows)[0]), (lambda points, rows: at(points, rows)[1])
+
+
 class TestObservedBins:
-    """Single-phase fits at n >= 16 run on the bins that hold counts."""
+    """Single-phase fits run on the bins that hold counts."""
 
     def test_lumped_residual_is_the_dense_objective(self):
-        # r . r and J^T r over the observed bins plus the lumped entry equal
-        # the all-bins SSR and gradient; t^2 = S - sum_obs P^2 rounds at
-        # about 1e-16 absolute (S is near 1), and S' to 2e-15 of its amplitude
+        # the SSR and f' on the observed bins, with the empty bins lumped
+        # into S, equal the all-bins SSR and its derivative 2 sum (P - p) P';
+        # S - sum_obs P^2 rounds at about 1e-16 absolute (S is near 1), and
+        # S' to 2e-15 of its amplitude
         reg = RegisterSpec(16)
         M = reg.M
         dist = analytic_distribution(reg, PhaseModel.single(0.2718))
         probs = histogram_to_probs(sample_shots(dist, 10**5, 3)).probs
         y = int(np.argmax(probs))
-        params = np.append((y + np.linspace(-0.5, 0.5, 9)) / M, 0.2718)[:, np.newaxis]
-        rows = np.arange(len(params))
-        dense_r, dense_j = _problem(reg, 1, np.broadcast_to(probs, (len(rows), M)))
-        bins = np.flatnonzero(probs)
-        sparse_r, sparse_j = _observed_problem(reg, bins, probs[bins])
-        rd, jd = dense_r(params, rows), dense_j(params, rows)[:, :, 0]
-        rs, js = sparse_r(params, rows), sparse_j(params, rows)[:, :, 0]
-        assert rs.shape == (len(params), np.count_nonzero(probs) + 1)
+        theta = np.append((y + np.linspace(-0.5, 0.5, 9)) / M, 0.2718)
+        rows = _rows(_observed(probs[np.newaxis]), np.zeros(len(theta), dtype=int))
+        assert rows[0].size == len(theta) * np.count_nonzero(probs)
+        ssr, (slope,) = _ssr(rows, theta, M), _slope(rows, theta, M)
+        residual, jacobian = dense_problem(reg, probs)
+        points = theta[:, np.newaxis]
+        rd, jd = residual(points, None), jacobian(points, None)[:, :, 0]
         amplitude = 2 * np.pi * (M - 1 / M) / 3
-        for i in range(len(params)):
-            assert abs(rs[i] @ rs[i] - rd[i] @ rd[i]) <= 2e-15
-            assert abs(js[i] @ rs[i] - jd[i] @ rd[i]) <= 2e-15 * amplitude
+        for i in range(len(theta)):
+            assert abs(ssr[i] - rd[i] @ rd[i]) <= 2e-15
+            assert abs(slope[i] - 2 * jd[i] @ rd[i]) <= 4e-15 * amplitude
 
     @pytest.mark.parametrize(
         "n, theta, k, seed",
@@ -439,17 +507,17 @@ class TestObservedBins:
         ],
     )
     def test_readouts_match_dense_solves(self, n, theta, k, seed):
-        # fit_single is polished onto the minimiser, and the dense solve
-        # alone stops short of it; the one-hot readout differs most
-        # (1.1e-12): fit_single returns its bin exactly, and the dense
-        # solve, whose basin there is quartic, stops short of it
+        # fit_single finds the minimiser, and the dense solve stops short
+        # of it; the one-hot readout differs most (1.1e-12): fit_single
+        # returns its bin exactly, and the dense solve, whose basin there is
+        # quartic, stops short of it
         dist = analytic_distribution(RegisterSpec(n), PhaseModel.single(theta))
         observed = histogram_to_probs(sample_shots(dist, k, seed))
         assert abs(fit_single(observed).phases[0] - dense_fit_single(observed)) <= 1e-11
 
     def test_batch_cap_does_not_move_observed_bin_fits(self, monkeypatch):
-        # the observed-bin rule keys on n, not on the batch cap: with a cap
-        # that would put 64 n = 16 problems in one call, the fit is unchanged
+        # with a cap that puts 32 n = 16 trials in one chunk, not one, the
+        # fit is unchanged
         dist = analytic_distribution(RegisterSpec(16), PhaseModel.single(1 / 3))
         observed = histogram_to_probs(sample_shots(dist, 10**5, 1))
         before = fit_single(observed)
@@ -474,8 +542,8 @@ class TestObservedBins:
 
     def test_observed_bin_fit_is_float64_accurate(self):
         # the fit is the minimiser rounded to float64: measured 2.4e-13 bins
-        # off, 0.03 of the 7.3e-12-bin float spacing at this theta; the
-        # lumped solve alone stood 1.76e-9 bins off
+        # off, 0.03 of the 7.3e-12-bin float spacing at this theta; a solve
+        # on the lumped residual alone stood 1.76e-9 bins off
         counts = {35625 + y: c for y, c in self.N17_COUNTS.items()}
         theta = fit_single(counts_dist(17, counts)).phases[0]
         off = abs(Fraction(theta) - Fraction(self.N17_MINIMIZER))
@@ -492,16 +560,20 @@ class TestObservedBins:
 
 class TestJacobians:
     def test_single_jacobian_matches_finite_differences(self):
+        # the single-phase search's f' is the derivative of the all-bins
+        # SSR, and its f'' the derivative of f'
         rng = np.random.default_rng(41)
         reg = RegisterSpec(3)
         probs = pmf_vector(reg, PhaseModel.single(1 / 3))
-        residual, jacobian = _problem(reg, 1, probs[np.newaxis])
+        residual, _ = dense_problem(reg, probs)
+        slope, curvature = single_callables(reg, probs)
         rows = np.arange(1)
         for _ in range(50):
             params = np.array([(3 + rng.uniform(-0.45, 0.45)) / reg.M])
-            analytic = jacobian(params[np.newaxis], rows)[0]
-            fd = fd_jacobian(lambda q: residual(q[np.newaxis], rows)[0], params)
-            assert np.allclose(analytic, fd, rtol=1e-5, atol=1e-9)
+            fd = fd_jacobian(lambda q: dense_ssr(residual, q), params)[0, 0]
+            assert np.isclose(slope(params[np.newaxis], rows)[0], fd, rtol=1e-5, atol=1e-9)
+            fd = fd_jacobian(lambda q: slope(q[np.newaxis], rows), params)[0, 0]
+            assert np.isclose(curvature(params[np.newaxis], rows)[0], fd, rtol=1e-5, atol=1e-7)
 
     def test_multi_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -532,19 +604,21 @@ class TestJacobians:
             weights = rng.dirichlet(np.ones(J), size=B)[:, : J - 1]
             return np.concatenate([rng.random((B, J)), weights], axis=1)
 
+        # J = 1 has the single-phase search's f' and f'' in their place
+        problem = _problem if J > 1 else lambda reg, J, probs: single_callables(reg, probs)
         probs = rng.dirichlet(np.ones(reg.M), size=12)
-        self.assert_rows_evaluate_alone(*_problem(reg, J, probs), points(12), rng)
+        self.assert_rows_evaluate_alone(*problem(reg, J, probs), points(12), rng)
         # a call of T trials has 2**J problems per trial, and row r reads
         # trial r // 2**J: its values are those of that trial's pmf alone
         S, T = 2**J, 4
         chunk = rng.dirichlet(np.ones(reg.M), size=T)
         batch = points(T * S)
         rows = np.arange(T * S)
-        residual, jacobian = _problem(reg, J, chunk)
+        residual, jacobian = problem(reg, J, chunk)
         self.assert_rows_evaluate_alone(residual, jacobian, batch, rng)
         got_r, got_j = residual(batch, rows), jacobian(batch, rows)
         for r in rows:
-            lone_r, lone_j = _problem(reg, J, chunk[[r // S]])
+            lone_r, lone_j = problem(reg, J, chunk[[r // S]])
             start = np.array([r % S])
             assert np.array_equal(got_r[r], lone_r(batch[[r]], start)[0])
             assert np.array_equal(got_j[r], lone_j(batch[[r]], start)[0])
@@ -556,8 +630,8 @@ class TestJacobians:
         probs = histogram_to_probs(sample_shots(dist, 1000, 3)).probs
         assert np.count_nonzero(probs) < reg.M
         batch = (int(np.argmax(probs)) + rng.uniform(-0.5, 0.5, (12, 1))) / reg.M
-        bins = np.flatnonzero(probs)
-        self.assert_rows_evaluate_alone(*_observed_problem(reg, bins, probs[bins]), batch, rng)
+        same = np.broadcast_to(probs, (6, reg.M))  # row r reads trial r // 2
+        self.assert_rows_evaluate_alone(*single_callables(reg, same), batch, rng)
 
     @staticmethod
     def assert_rows_evaluate_alone(residual, jacobian, batch, rng):

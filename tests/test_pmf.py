@@ -133,6 +133,27 @@ class TestModelTypes:
         with pytest.raises(ValueError):
             observed.probs[0] = 1.0
 
+    def test_a_read_only_array_is_copied_too(self):
+        # its owner can make it writeable again, so it is not kept
+        reg = RegisterSpec(2)
+        probs = np.array([0.25] * 4)
+        probs.setflags(write=False)
+        dist = OutcomeDistribution(reg, probs)
+        probs.setflags(write=True)
+        probs[0] = 7.0
+        assert dist.probs.tolist() == [0.25] * 4
+        counts = np.array([1, 0, 2, 1])
+        counts.setflags(write=False)
+        hist = ShotHistogram(reg, counts, 4)
+        counts.setflags(write=True)
+        counts[0] = -5
+        assert hist.counts.tolist() == [1, 0, 2, 1]
+        # qpecf's own fresh arrays are kept: the private path skips the copy
+        quotient = np.array([0.25] * 4)
+        assert OutcomeDistribution(reg, quotient, _owned=True).probs is quotient
+        draw = np.array([1, 0, 2, 1])
+        assert ShotHistogram(reg, draw, 4, _owned=True).counts is draw
+
 
 class TestPmfValues:
     def test_exact_alignment_is_one(self):
@@ -234,6 +255,41 @@ class TestKernels:
         for j, (P_row, dP_row) in enumerate(by_row):
             assert np.array_equal(both[0][j], P_row)
             assert np.array_equal(both[1][j], dP_row)
+
+    @pytest.mark.parametrize("n", [2, 8, 20])
+    def test_row_mode_matches_a_phase_per_element(self, n):
+        # rows gathers each row's phase terms to its elements; the values are
+        # those of a call with the phase repeated per element, bit for bit,
+        # next to the peak and away from it
+        M = 2**n
+        rng = np.random.default_rng(n)
+        y0 = M // 3
+        theta = np.array([(y0 + d) / M for d in (0.0, 0.2, -0.4, 0.005)] + [-0.5 / M])
+        lengths = rng.integers(1, 6, len(theta))
+        rows = np.repeat(np.arange(len(theta)), lengths)
+        y = (y0 + rng.integers(-3, 4, rows.size)) % M
+        for kw in ({}, {"pmf": False, "grad": True}, {"pmf": False, "grad": True, "curv": True}):
+            got = _pmf_kernel(y / M, theta, M, rows=rows, **kw)
+            want = _pmf_kernel(y / M, theta[rows], M, **kw)
+            for g, w in zip(*(v if isinstance(v, tuple) else (v,) for v in (got, want))):
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 20])
+    def test_curvature_matches_differences_of_the_gradient(self, n):
+        # d2P/dtheta2 from its closed form and, next to the peak, its series,
+        # against central differences of dP/dtheta, relative to the largest
+        # |d2P/dtheta2| of the row, 2 (pi M)^2 / 3: measured 1.3e-10
+        M = 2**n
+        rng = np.random.default_rng(n)
+        h = 1e-6 / M
+        scale = 2 * (np.pi * M) ** 2 / 3
+        for theta in list(rng.uniform(0, 0.9, 6)) + [(M // 3 + d) / M for d in (0.1, 0.3)]:
+            bin_phases = np.unique((np.rint(theta * M) + np.arange(-8, 9)) % M) / M
+            dP, d2P = _pmf_kernel(bin_phases, theta, M, pmf=False, grad=True, curv=True)
+            # theta + h rounds to the phase's float spacing, so divide by the step taken
+            ends = theta + h, theta - h
+            up, down = (_pmf_kernel(bin_phases, end, M, pmf=False, grad=True) for end in ends)
+            assert np.max(np.abs(d2P - (up - down) / (ends[0] - ends[1]))) <= 1e-9 * scale
 
     def test_peak_series_leading_terms(self):
         # P = 1 - (1 - 1/M^2) x^2 / 3 + ... and dP/dtheta = 2 pi M (1 - 1/M^2) x / 3 + ...

@@ -109,11 +109,12 @@ class TestLeastSquaresBox:
         assert converged
         assert iterations < 200
 
-    def test_xtol_sets_the_step_norm_stop(self):
-        # the same path, stopped at its first step shorter than xtol
+    def test_xtol_sets_the_step_norm_stop(self, monkeypatch):
+        # the same path, stopped at its first step shorter than XTOL
         start, lower, upper = np.array([[-1.2, 1.0]]), np.full(2, -2.0), np.full(2, 2.0)
         tight = least_squares_box(*rosenbrock(), start, lower, upper)
-        loose = least_squares_box(*rosenbrock(), start, lower, upper, xtol=1e-3)
+        monkeypatch.setattr(solver, "XTOL", 1e-3)
+        loose = least_squares_box(*rosenbrock(), start, lower, upper)
         assert (loose.status[0], loose.converged[0]) == ("xtol", True)
         assert loose.iterations[0] < tight.iterations[0]
         assert np.max(np.abs(loose.x[0] - 1.0)) < 1e-2
@@ -284,25 +285,6 @@ class TestLeastSquaresBox:
             assert np.array_equal(result.x[i], alone[0])
             assert np.array_equal(result.ssr[i], alone[1], equal_nan=True)
             assert (result.iterations[i], result.converged[i], result.status[i]) == alone[2:]
-
-    def test_one_parameter_step_division_equals_lapack_solve(self):
-        # the solver divides where p = 1 instead of calling np.linalg.solve,
-        # which holds only while LAPACK's 1x1 solve rounds as one division:
-        # damped systems (A + C) + lambda with positive terms, as the solver
-        # builds them, and gradients of either sign, over 10^-8 to 10^8
-        rng = np.random.default_rng(2024)
-        size = 5000
-
-        def magnitude(shape):
-            return 10.0 ** rng.uniform(-8.0, 8.0, shape)
-
-        eye = np.eye(1)
-        A, C, lam = magnitude((size, 1, 1)), magnitude((size, 1)), magnitude(size)
-        gh = magnitude((size, 1)) * rng.choice([-1.0, 1.0], (size, 1))
-        damped = (A + C[:, :, np.newaxis] * eye) + lam[:, np.newaxis, np.newaxis] * eye
-        divided = -gh / damped[:, :, 0]
-        solved = np.linalg.solve(damped, -gh[:, :, np.newaxis])[:, :, 0]
-        assert divided.tobytes() == solved.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(
