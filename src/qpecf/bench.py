@@ -200,8 +200,8 @@ def _run_cells(job: tuple) -> list[BenchRecord]:
         for theta, k in cells
         for seed in _trial_seeds(base_seed, theta, n, k, range(trials))
     )
-    best, corner, _ = _fit(reg, pmfs, 1)
-    phases = best.x[:, 0].reshape(len(cells), trials)
+    phase, *_, corner, _ = _fit(reg, pmfs)
+    phases = phase.reshape(len(cells), trials)
     failed = (corner < 0).reshape(len(cells), trials)
     return [_record(theta, reg, k, p, f) for (theta, k), p, f in zip(cells, phases, failed)]
 

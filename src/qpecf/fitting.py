@@ -5,10 +5,10 @@ bins as coarse guesses, constrain each phase to half a bin either side of
 its bin, descend from the corners of that box, and keep the end point with
 the lowest sum of squared residuals (SSR); an exact tie goes to the later
 start, and so does a single-phase histogram symmetric about its top bin.
-A fit with J >= 2 runs the bounded solver (solver.least_squares_box) on all
-M bins, from the 2**J corners nudged strictly inside.
-
-A single-phase fit is a root search of the SSR's derivative on the bins
+Each phase count has its own driver. fit_multi (J >= 2) runs the bounded
+solver (solver.least_squares_box) on all M bins of its one pmf, from the
+2**J corners nudged strictly inside. _fit streams single-phase trials, one
+chunk at a time, through a root search of the SSR's derivative on the bins
 that hold counts,
 
     f'(theta) = S'(theta) - 2 sum_obs p_y P'_y(theta),
@@ -19,8 +19,8 @@ the SSR: f'(y0 / M) = 0, since P'_y and S' vanish on a bin. f' is scanned
 at SCAN_NODES, on each half of the box and denser toward y0, and only as far
 inward as a start needs: the left start descends from the lower end to the
 first node where f' >= 0, the right one from the upper end to the last node
-where f' <= 0, and Newton steps refine each bracket (_refine). The SSR over all M bins, sum_obs (P - p)^2 +
-max(S - sum_obs P^2, 0), picks the winner.
+where f' <= 0, and Newton steps refine each bracket (_refine). The SSR over
+all M bins, sum_obs (P - p)^2 + max(S - sum_obs P^2, 0), picks the winner.
 
 The fits are the float64 minimisers: the single-phase pinned cases at
 n = 2-8 lie within 3.9e-15 bins of their 50-digit minimisers
@@ -45,14 +45,15 @@ import numpy as np
 from .errors import DomainError, FitError
 from .model import MAX_PHASES, OutcomeDistribution, RegisterSpec, _check_int
 from .pmf import _pmf_kernel, _pmf_square_sum
-from .solver import SolverResult, least_squares_box
+from .solver import least_squares_box
 
 # Starts sit this fraction of a bin width inside the bounds; the solver
 # requires strict interiority while the recipe starts exactly at the bounds.
 NUDGE = 1e-9
-# A chunk of _fit holds the trials of max(1, BATCH_ELEMENTS // M) problems of
-# 2**J starts each, at least one trial, which bounds its (trials, M) pmfs and a
-# solver call's (problems, M) arrays: at n = 8, the two starts of 128 trials.
+# A chunk of _fit holds max(1, BATCH_ELEMENTS // (2 M)) single-phase trials,
+# which bounds its (trials, M) pmfs: 128 trials at n = 8. A fit_multi solver
+# call holds max(1, BATCH_ELEMENTS // M) corner starts, which bounds its
+# (problems, M) arrays.
 BATCH_ELEMENTS = 2**16
 # A single-phase trial's f' is scanned at these offsets from its top bin y0,
 # in bins: each half of the box, denser toward y0, which is a stationary
@@ -113,14 +114,6 @@ class FitResult:
         }
 
 
-def _top_bins(probs: np.ndarray, J: int) -> np.ndarray:
-    """Each row's J most probable outcomes in descending order, ties to the lower index."""
-    if J == 1:
-        # A full sort of every row would slow the large-register readouts.
-        return np.argmax(probs, axis=1)[:, None].astype(float)
-    return np.argsort(-probs, axis=1, kind="stable")[:, :J].astype(float)
-
-
 def _weights(params: np.ndarray, J: int) -> np.ndarray:
     """All J weights of each row of (B, p) parameters; the last is 1 minus the free ones."""
     w = np.empty((len(params), J))
@@ -130,28 +123,26 @@ def _weights(params: np.ndarray, J: int) -> np.ndarray:
 
 
 def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
-    """Batched residual and Jacobian over [theta_1..theta_J, w_1..w_{J-1}].
+    """Batched residual and Jacobian of one (M,) pmf over [theta_1..theta_J, w_1..w_{J-1}].
 
-    probs holds the call's (T, M) trial pmfs, and problem row r fits trial
-    r // 2**J, the layout _fit builds: trial t from each of its 2**J starts.
     Both callables take (a, p) parameters and the rows of the batch they
-    belong to, as least_squares_box passes them; the residual returns
-    (a, M) residuals and the Jacobian (a, M, p). Phases are in the unwrapped
-    local coordinate of their intervals. The last weight is 1 minus the free
-    weights, so weights sum to 1 by construction; for J >= 3 that trailing
-    weight is not box-constrained. The components of all problems are one
-    (B, J, 1) phase array: the residual is one kernel call summed over the
-    component axis, and the Jacobian one kernel call for P and dP/dtheta
-    together, whatever J is. Every bin is evaluated, so each iteration
-    costs O(M). J >= 2 only: a single-phase fit runs no solver.
+    belong to, as least_squares_box passes them; every row fits probs, from
+    its own parameters alone. The residual returns (a, M) residuals and the
+    Jacobian (a, M, p). Phases are in the unwrapped local coordinate of
+    their intervals. The last weight is 1 minus the free weights, so weights
+    sum to 1 by construction; for J >= 3 that trailing weight is not
+    box-constrained. The components of all problems are one (B, J, 1) phase
+    array: the residual is one kernel call summed over the component axis,
+    and the Jacobian one kernel call for P and dP/dtheta together, whatever
+    J is. Every bin is evaluated, so each iteration costs O(M). J >= 2 only:
+    a single-phase fit runs no solver.
     """
     M = reg.M
     bin_phases = np.arange(M) / M
-    S = 2**J
 
     def residual(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
         P = _pmf_kernel(bin_phases, params[:, :J, None], M)
-        return (_weights(params, J)[:, :, None] * P).sum(axis=1) - probs[rows // S]
+        return (_weights(params, J)[:, :, None] * P).sum(axis=1) - probs
 
     def jacobian(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
         P, dP = _pmf_kernel(bin_phases, params[:, :J, None], M, grad=True)
@@ -213,7 +204,7 @@ def _ssr(rows: tuple, theta: np.ndarray, M: int) -> np.ndarray:
 
 
 def _single_rows(reg: RegisterSpec, probs: np.ndarray, top: np.ndarray):
-    """The winning start's x, SSR, iterations, convergence, status and corner of each J = 1 trial.
+    """The winning start's phase, SSR, iterations, convergence, status and corner of each trial.
 
     top holds each trial's top bin. f', f'' and the SSR are evaluated on
     kernel rows (_rows), each a (trial, phase) pair, one call per batch.
@@ -278,7 +269,7 @@ def _single_rows(reg: RegisterSpec, probs: np.ndarray, top: np.ndarray):
     won = (trials, corner)
     status = np.where(converged[won], "xtol", "maxiter").astype("<U9")
     status[exact], status[~ok], corner[~ok] = "exact", "nonfinite", -1
-    return x[won][:, None], ssr[won], iterations[won], converged[won] & ok, status, corner
+    return x[won], ssr[won], iterations[won], converged[won] & ok, status, corner
 
 
 def _refine(x, a, b, tol, rows, M: int):
@@ -326,108 +317,60 @@ def _refine(x, a, b, tol, rows, M: int):
     return root, steps, converged
 
 
-def _corner_label(corner: tuple[int, ...]) -> str:
-    if len(corner) == 1:
-        return ("left", "right")[corner[0]]
-    return "corner " + "".join("LR"[c] for c in corner)
+def _fit(reg: RegisterSpec, pmfs) -> tuple[np.ndarray, ...]:
+    """Fit one phase to each of an iterable of (M,) pmfs.
 
+    pmfs is read in chunks of max(1, BATCH_ELEMENTS // (2 M)) trials, so a
+    campaign holds one chunk's pmfs however many trials it streams through,
+    and each chunk is searched by _single_rows. A row never depends on the
+    other trials of its chunk.
 
-def _fit(reg: RegisterSpec, pmfs, J: int) -> tuple[SolverResult, np.ndarray, np.ndarray]:
-    """Fit J phases and their weights to each of an iterable of (M,) pmfs.
+    A row's iterations count its evaluations of f', and its status is
+    "xtol" or "maxiter". A trial whose f' is not finite at some scan node
+    fails alone (status "nonfinite"). A histogram symmetric about its top
+    bin y0, p[(2 y0 - y) mod M] == p[y] for every y, holds mirror minima
+    y0 +- delta of equal SSR in exact arithmetic, so rounding would pick its
+    winner; the later start wins it by rule. A one-hot pmf, the indicator of
+    one bin y0, equals P(y0 / M): its row is y0 / M with SSR 0, 0
+    iterations, status "exact" and corner 1 ("right"), the tie of two starts
+    at SSR 0, and it is not searched: Newton steps converge only linearly in
+    its quartic basin.
 
-    pmfs is read one chunk at a time (BATCH_ELEMENTS), so a campaign holds
-    one chunk's pmfs however many trials it streams through. A row never
-    depends on the other trials of its chunk.
-
-    For J >= 2 a solver call holds at most that many problems, so a trial
-    whose 2**J starts alone exceed the cap is split across calls. Problem
-    t * 2**J + c of a call starts trial t from corner c; a split trial's
-    problems all lie below 2**J, so _problem reads them trial 0.
-
-    A single-phase chunk is searched by _single_rows; a row's iterations
-    count its evaluations of f', and its status is "xtol" or "maxiter". A
-    trial whose f' is not finite at some scan node fails alone (status
-    "nonfinite"). A single-phase histogram symmetric about its top bin y0,
-    p[(2 y0 - y) mod M] == p[y] for every y, holds mirror minima y0 +- delta
-    of equal SSR in exact arithmetic, so rounding would pick its winner; the
-    later start wins it by rule. A one-hot pmf, the indicator of one bin y0,
-    equals P(y0 / M): its row is x = y0 / M with SSR 0, 0 iterations, status
-    "exact" and corner 1 ("right"), the tie of two starts at SSR 0, and it
-    is not searched: Newton steps converge only linearly in its quartic basin.
-
-    Returns one row per trial, in trial order: the winning start's result
-    (x with its phases wrapped into [0, 1), SSR, iterations, convergence
-    and status), its corner index into itertools.product((0, 1), repeat=J), or
-    -1 where every start failed (that row keeps the last start's values),
-    and the (T, J) top bins its box was built on.
+    Returns per-trial arrays in trial order: the winning start's phase,
+    wrapped into [0, 1), its SSR, iterations, convergence and status; its
+    corner, 0 for the left start and 1 for the right, or -1 where the trial
+    failed (that row keeps the right start's values); and the top bin its
+    box was built on, ties to the lower index.
     """
-    M = reg.M
-    nudge = NUDGE / M
-    corners = np.array(list(itertools.product((0, 1), repeat=J)), dtype=bool)
-    S = len(corners)
-    size = max(1, BATCH_ELEMENTS // M)
-
-    def solve(probs: np.ndarray, bins: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The winning start's x, SSR, iterations, convergence, status and corner of each trial."""
-        if J == 1:
-            return _single_rows(reg, probs, bins[:, 0].astype(int))
-        T = len(probs)
-        lo = (bins - 0.5) / M
-        hi = (bins + 0.5) / M
-        phase_start = np.where(corners[None], hi[:, None] - nudge, lo[:, None] + nudge)
-        start = np.concatenate(
-            [phase_start.reshape(T * S, J), np.full((T * S, J - 1), 1.0 / J)], axis=1
-        )
-        lower = np.repeat(np.concatenate([lo, np.zeros((T, J - 1))], axis=1), S, axis=0)
-        upper = np.repeat(np.concatenate([hi, np.ones((T, J - 1))], axis=1), S, axis=0)
-        residual, jacobian = _problem(reg, J, probs)
-        results = [
-            least_squares_box(residual, jacobian, start[b], lower[b], upper[b])
-            for b in (slice(first, first + size) for first in range(0, T * S, size))
-        ]
-        x, ssr, iterations, converged, status = (
-            np.concatenate([getattr(result, name) for result in results])
-            for name in ("x", "ssr", "iterations", "converged", "status")
-        )
-        # The lowest SSR wins; argmin over the reversed starts gives a tie to the later one.
-        failed = (status == "nonfinite").reshape(T, S)
-        key = np.where(failed, np.inf, ssr.reshape(T, S))
-        corner = S - 1 - np.argmin(key[:, ::-1], axis=1)
-        won = np.arange(T) * S + corner
-        corner[failed.all(axis=1)] = -1
-        return x[won], ssr[won], iterations[won], converged[won], status[won], corner
-
     pmfs = iter(pmfs)
-    rows = []
-    while chunk := list(itertools.islice(pmfs, max(1, size // S))):
+    chunks = []
+    while chunk := list(itertools.islice(pmfs, max(1, BATCH_ELEMENTS // (2 * reg.M)))):
         probs = np.array(chunk)
-        bins = _top_bins(probs, J)
-        rows.append((*solve(probs, bins), bins))
-    x, ssr, iterations, converged, status, corner, bins = map(np.concatenate, zip(*rows))
-    x[:, :J] = np.mod(x[:, :J], 1.0)
-    return SolverResult(x, ssr, iterations, converged, status), corner, bins
+        top = np.argmax(probs, axis=1)
+        chunks.append((*_single_rows(reg, probs, top), top))
+    phase, *rest = map(np.concatenate, zip(*chunks))
+    return (np.mod(phase, 1.0), *rest)
 
 
-def _fit_one(dist: OutcomeDistribution, J: int) -> FitResult:
-    """The FitResult of one pmf's _fit row, phases ascending; FitError names every failed start."""
-    M = dist.reg.M
-    best, (corner,), (bins,) = _fit(dist.reg, dist.probs[np.newaxis], J)
-    corners = list(itertools.product((0, 1), repeat=J))
-    if corner < 0:
-        raise FitError("all starts failed: " + "; ".join(
-            f"{_corner_label(c)}: non-finite residual at the starting point" for c in corners
-        ))
-    thetas = best.x[0, :J]
+def _result(M: int, x: np.ndarray, bins: np.ndarray, ssr, start_used: str, iterations,
+            converged) -> FitResult:
+    """The FitResult of a winning start's (2J - 1,) parameters x, phases wrapped and ascending.
+
+    bins holds the J top bins the start's box was built on, in the order of
+    its phases.
+    """
+    J = len(bins)
+    thetas = np.mod(x[:J], 1.0)
     ascending = np.argsort(thetas, kind="stable")
     lo = (bins[ascending] - 0.5) / M % 1.0
     hi = (bins[ascending] + 0.5) / M % 1.0
     return FitResult(
         phases=tuple(thetas[ascending].tolist()),
-        weights=tuple(_weights(best.x, J)[0, ascending].tolist()),
-        residual_variance=float(best.ssr[0]) / max(M - (2 * J - 1), 1),
-        start_used=_corner_label(corners[corner]),
-        iterations=int(best.iterations[0]),
-        converged=bool(best.converged[0]),
+        weights=tuple(_weights(x[np.newaxis], J)[0, ascending].tolist()),
+        residual_variance=float(ssr) / max(M - (2 * J - 1), 1),
+        start_used=start_used,
+        iterations=int(iterations),
+        converged=bool(converged),
         bounds=tuple(map(FitBounds, lo.tolist(), hi.tolist())),
     )
 
@@ -440,18 +383,28 @@ def fit_single(dist: OutcomeDistribution) -> FitResult:
     an exact tie, and a histogram symmetric about its argmax bin, goes to
     the later, right start. At n = 1, theta and 1 - theta give the same
     distribution, so the fit returns one of two equal minima: the one from
-    the right start.
+    the right start. A pmf on which f' is not finite at a scan node, such
+    as one holding NaN, fails both starts (FitError).
     """
-    return _fit_one(dist, 1)
+    phase, ssr, iterations, converged, _, (corner,), top = _fit(dist.reg, [dist.probs])
+    if corner < 0:
+        raise FitError("all starts failed: " + "; ".join(
+            f"{side}: f' not finite at a scan node" for side in ("left", "right")
+        ))
+    start_used = ("left", "right")[corner]
+    return _result(dist.reg.M, phase, top, ssr[0], start_used, iterations[0], converged[0])
 
 
 def fit_multi(dist: OutcomeDistribution, J: int) -> FitResult:
     """Recover J phases and their weights from an observed distribution.
 
     Starts are the 2**J corner combinations of the per-phase half-bin
-    intervals around the J highest-probability bins, with uniform weights;
-    the solve with the lowest SSR wins. J is at most MAX_PHASES, so at most
-    256 starts.
+    intervals around the J highest-probability bins (ties to the lower
+    index), nudged strictly inside, with uniform weights. J is at most
+    MAX_PHASES, so at most 256 starts; they are solved in calls of at most
+    max(1, BATCH_ELEMENTS // M) problems. The solve with the lowest SSR
+    wins, an exact tie going to the later start; FitError names every
+    corner when every start's residual is non-finite.
     """
     J = _check_int(J, "J", 2, MAX_PHASES)
     M = dist.reg.M
@@ -461,4 +414,32 @@ def fit_multi(dist: OutcomeDistribution, J: int) -> FitResult:
     nonzero = int(np.count_nonzero(dist.probs))
     if nonzero < J:
         raise DomainError(f"J = {J} phases but only {nonzero} nonzero bins")
-    return _fit_one(dist, J)
+    bins = np.argsort(-dist.probs, kind="stable")[:J]
+    lo, hi = (bins - 0.5) / M, (bins + 0.5) / M
+    corners = list(itertools.product("LR", repeat=J))
+    nudge = NUDGE / M
+    start = np.concatenate([
+        np.where(np.array(corners) == "R", hi - nudge, lo + nudge),
+        np.full((len(corners), J - 1), 1.0 / J),
+    ], axis=1)
+    lower = np.concatenate([lo, np.zeros(J - 1)])
+    upper = np.concatenate([hi, np.ones(J - 1)])
+    residual, jacobian = _problem(dist.reg, J, dist.probs)
+    size = max(1, BATCH_ELEMENTS // M)
+    results = [
+        least_squares_box(residual, jacobian, start[first:first + size], lower, upper)
+        for first in range(0, len(start), size)
+    ]
+    x, ssr, iterations, converged, status = (
+        np.concatenate([getattr(result, name) for result in results])
+        for name in ("x", "ssr", "iterations", "converged", "status")
+    )
+    failed = status == "nonfinite"
+    if failed.all():
+        raise FitError("all starts failed: " + "; ".join(
+            f"corner {''.join(c)}: non-finite residual at the starting point" for c in corners
+        ))
+    # The lowest SSR wins; argmin over the reversed starts gives a tie to the later one.
+    won = len(start) - 1 - int(np.argmin(np.where(failed, np.inf, ssr)[::-1]))
+    label = "corner " + "".join(corners[won])
+    return _result(M, x[won], bins, ssr[won], label, iterations[won], converged[won])

@@ -26,7 +26,6 @@ from qpecf.fitting import BATCH_ELEMENTS, fit_multi, fit_single
 from qpecf.model import PhaseModel, RegisterSpec
 from qpecf.pmf import analytic_distribution, circuit_depth_units, crlb_mse
 from qpecf.simulate import histogram_to_probs, sample_shots
-from qpecf.solver import SolverResult
 
 
 def synthetic_record(theta: float, n: int, k: int, rmse: float) -> BenchRecord:
@@ -131,14 +130,15 @@ class TestTrialSeed:
 
 def stub_fit(trials: int, failed: int):
     """_fit's return for trials whose first `failed` fits failed; the others estimate 0.3."""
-    best = SolverResult(
-        x=np.full((trials, 1), 0.3),
-        ssr=np.zeros(trials),
-        iterations=np.ones(trials, dtype=int),
-        converged=np.ones(trials, dtype=bool),
-        status=np.full(trials, "gtol"),
+    return (
+        np.full(trials, 0.3),  # phase
+        np.zeros(trials),  # SSR
+        np.ones(trials, dtype=int),  # iterations
+        np.ones(trials, dtype=bool),  # converged
+        np.full(trials, "xtol"),  # status
+        np.where(np.arange(trials) < failed, -1, 0),  # corner
+        np.zeros(trials, dtype=int),  # top bin
     )
-    return best, np.where(np.arange(trials) < failed, -1, 0), np.zeros((trials, 1))
 
 
 class TestRunCell:
@@ -226,7 +226,7 @@ class TestRunCell:
     def test_failed_fits_are_excluded_and_flagged(self, monkeypatch):
         calls = {"count": 0}
 
-        def flaky(reg, pmfs, J):
+        def flaky(reg, pmfs):
             calls["count"] += 1
             return stub_fit(len(list(pmfs)), failed=2)
 
@@ -239,7 +239,7 @@ class TestRunCell:
         assert calls["count"] == 1  # all trials of the cell in one fit call
 
     def test_all_fits_failing_yields_nan_rmse(self, monkeypatch):
-        def explode(reg, pmfs, J):
+        def explode(reg, pmfs):
             trials = len(list(pmfs))
             return stub_fit(trials, failed=trials)
 
@@ -285,13 +285,12 @@ class TestRunGrid:
             assert by_coord[(rec.theta_true, rec.n, rec.k)] == rec
 
     def test_grouped_fits_equal_the_per_cell_path(self):
-        # the six n = 10 cells are one group of 6 * 12 trials * 2 starts =
-        # 144 problems; at 64 problems (32 whole trials) per solver call,
-        # calls end inside the third and the sixth cell. Every split of the
-        # group by the worker pool moves those boundaries, and no record may
-        # move with them.
+        # the six n = 10 cells are one group of 6 * 12 = 72 trials; in
+        # chunks of 32 trials, chunks end inside the third and the sixth
+        # cell. Every split of the group by the worker pool moves those
+        # boundaries, and no record may move with them.
         grid = BenchGrid((1 / 3, 0.2), (3, 10), (10, 100, 1000), 12, 7)
-        assert BATCH_ELEMENTS // 2**10 == 64
+        assert BATCH_ELEMENTS // (2 * 2**10) == 32
         records = run_grid(grid)
         for rec in records:
             assert rec == one_cell(rec.theta_true, rec.n, rec.k, 12, 7)
@@ -354,7 +353,7 @@ class TestStreaming:
 
     def test_solver_calls_hold_whole_trials(self, call_shapes, single_chunks):
         # single-phase chunks hold whole trials and reach no solver: one
-        # trial per chunk at n = 16, and 32 trials (64 starts) at n = 10
+        # trial per chunk at n = 16, and 32 trials at n = 10
         dist = analytic_distribution(RegisterSpec(16), PhaseModel.single(1 / 3))
         fit_single(histogram_to_probs(sample_shots(dist, 1000, 1)))
         assert single_chunks == [1]

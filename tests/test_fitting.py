@@ -1,6 +1,5 @@
 """Phase recovery by bounded curve fitting: single and multi-phase."""
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +11,7 @@ from hypothesis import strategies as st
 from qpecf import fitting
 from qpecf.errors import DomainError, FitError
 from qpecf.fitting import (
-    NUDGE, FitBounds, _corner_label, _fit, _observed, _problem, _rows, _slope, _ssr, _top_bins,
-    fit_multi, fit_single,
+    NUDGE, FitBounds, _fit, _observed, _problem, _rows, _slope, _ssr, fit_multi, fit_single,
 )
 from qpecf.model import MAX_PHASES, OutcomeDistribution, PhaseModel, RegisterSpec
 from qpecf.pmf import (
@@ -38,13 +36,15 @@ class TestFitBounds:
             assert abs(result.bounds[0].width - 1.0 / 2**n) < 1e-15
 
     def test_tied_top_bins_go_to_the_lower_index(self):
-        # J = 1 takes one argmax per row, J >= 2 masks each pick in a copy;
-        # both give a tie to the lower outcome
+        # fit_single takes the argmax, fit_multi a stable sort of -p; both
+        # give a tie to the lower outcome, and a box is its bin +- half a bin
         probs = np.array([[0.1, 0.4, 0.1, 0.4], [0.3, 0.3, 0.2, 0.2], [0.25] * 4])
-        assert np.array_equal(_top_bins(probs, 1), [[1], [0], [0]])
-        assert np.array_equal(_top_bins(probs, 2), [[1, 3], [0, 1], [0, 1]])
-        tied = OutcomeDistribution(RegisterSpec(2), probs[0])
-        assert fit_single(tied).bounds[0] == FitBounds(0.125, 0.375)
+        box = {y: FitBounds((y - 0.5) / 4 % 1.0, (y + 0.5) / 4) for y in range(4)}
+        for p, single, multi in zip(probs, [1, 0, 0], [{1, 3}, {0, 1}, {0, 1}]):
+            tied = OutcomeDistribution(RegisterSpec(2), p)
+            assert fit_single(tied).bounds == (box[single],)
+            assert set(fit_multi(tied, 2).bounds) == {box[y] for y in multi}
+        assert box[1] == FitBounds(0.125, 0.375)
 
     def test_wrapped_contains(self):
         seam = FitBounds(0.9375, 0.0625)
@@ -124,7 +124,7 @@ class TestFitSingle:
         # the solver's analytic Jacobian holds w_j P(theta_j) d(log P)/d(theta_j)
         # in the column of each phase
         reg = RegisterSpec(3)
-        _, jacobian = _problem(reg, 2, np.zeros((1, reg.M)))
+        _, jacobian = _problem(reg, 2, np.zeros(reg.M))
         thetas, w = (0.337, 0.58), 0.3
         jac = jacobian(np.array([[*thetas, w]]), np.arange(1))[0]
         for y in range(reg.M):
@@ -143,8 +143,11 @@ class TestFitSingle:
             return tuple(np.full(np.shape(theta), np.nan) for _ in range(2 + curv))
 
         monkeypatch.setattr("qpecf.fitting._pmf_square_sum", nan_square_sum)
-        with pytest.raises(FitError, match="all starts failed: left: .*; right: "):
+        with pytest.raises(FitError, match="all starts failed: left: .*; right: ") as failure:
             fit_single(exact_dist(3, [(1 / 3, 1.0)]))
+        # the search fails at a scan node; it has no solver starting point
+        assert "scan node" in str(failure.value)
+        assert "starting point" not in str(failure.value)
 
     def test_exact_tie_goes_to_the_later_start(self):
         # at n = 1 the two starts reach mirror minima with the same SSR; the
@@ -260,19 +263,51 @@ class TestFitMulti:
 
     def test_phase_count_is_capped_before_any_solve(self, monkeypatch):
         # 2**J corner solves of O(M) each: J = 24 at n = 20 would be 16.7 M
-        # of them, so J past MAX_PHASES is rejected before _fit is reached
-        def no_fit(*args):
-            raise AssertionError("_fit reached")
+        # of them, so J past MAX_PHASES is rejected before the solver is reached
+        def no_solve(*args):
+            raise AssertionError("solver reached")
 
-        monkeypatch.setattr("qpecf.fitting._fit", no_fit)
+        monkeypatch.setattr("qpecf.fitting.least_squares_box", no_solve)
         # a point mass also fails the nonzero-bin rule, so the message must name the cap
         dist = exact_dist(20, [(3 / 2**20, 1.0)])
         for J in (MAX_PHASES + 1, 24):
             with pytest.raises(DomainError, match=f"J must be <= {MAX_PHASES}"):
                 fit_multi(dist, J)
         spread = exact_dist(6, [(0.1, 0.5), (0.6, 0.5)])
-        with pytest.raises(AssertionError, match="_fit reached"):
+        with pytest.raises(AssertionError, match="solver reached"):
             fit_multi(spread, MAX_PHASES)
+
+    @staticmethod
+    def fail_starts(monkeypatch, corners):
+        """Make the residual non-finite, at its starting point, for the starts of these rows."""
+        solve = fitting.least_squares_box
+
+        def failing(residual, jacobian, *args):
+            def broken(params, rows):
+                r = residual(params, rows)
+                r[np.isin(rows, corners)] = np.nan
+                return r
+
+            return solve(broken, jacobian, *args)
+
+        monkeypatch.setattr("qpecf.fitting.least_squares_box", failing)
+
+    def test_a_failing_start_fails_alone_in_its_solver_call(self, monkeypatch):
+        # the four corners share one solver call at n = 3; with every start
+        # but the winner failed, the winner's fit is unchanged, bit for bit
+        exact = exact_dist(3, [(1 / 3, 0.6), (0.7, 0.4)])
+        dist = histogram_to_probs(sample_shots(exact, 1000, 1))
+        whole = fit_multi(dist, 2)
+        labels = ["corner LL", "corner LR", "corner RL", "corner RR"]
+        self.fail_starts(monkeypatch, [i for i, c in enumerate(labels) if c != whole.start_used])
+        assert fit_multi(dist, 2) == whole
+
+    def test_every_failed_start_surfaces_as_fit_error(self, monkeypatch):
+        self.fail_starts(monkeypatch, range(4))
+        with pytest.raises(FitError, match="all starts failed: ") as failure:
+            fit_multi(exact_dist(3, [(1 / 3, 0.6), (0.7, 0.4)]), 2)
+        for corner in ("LL", "LR", "RL", "RR"):
+            assert f"corner {corner}: non-finite residual at the starting point" in str(failure.value)
 
     def test_a_reflected_step_that_wins_is_kept(self):
         # one iteration of this fit takes the reflection of a step that left
@@ -297,32 +332,26 @@ class TestFitMulti:
 
 
 class TestFitRows:
-    """_fit returns one row per trial; fit_single and fit_multi build the FitResult."""
+    """_fit returns per-trial arrays; fit_single builds the FitResult."""
 
-    @pytest.mark.parametrize("J", [1, 2])
-    def test_a_failing_trial_fails_alone_in_a_shared_call(self, J):
-        # all three trials share one solver call at n = 3
+    def test_a_failing_trial_fails_alone_in_a_shared_call(self):
+        # all three trials share one chunk at n = 3
         reg = RegisterSpec(3)
-        model = PhaseModel.from_pairs({1: ((0.2, 1.0),), 2: ((1 / 3, 0.6), (0.7, 0.4))}[J])
-        p_a, p_b = (
-            histogram_to_probs(sample_shots(analytic_distribution(reg, model), 1000, seed))
-            for seed in (1, 2)
-        )
-        best, corner, bins = _fit(reg, [p_a.probs, np.full(reg.M, np.nan), p_b.probs], J)
-        assert corner[1] == -1 and best.status[1] == "nonfinite"
+        exact = analytic_distribution(reg, PhaseModel.single(0.2))
+        p_a, p_b = (histogram_to_probs(sample_shots(exact, 1000, seed)) for seed in (1, 2))
+        rows = _fit(reg, [p_a.probs, np.full(reg.M, np.nan), p_b.probs])
+        phase, ssr, iterations, converged, status, corner, _ = rows
+        assert corner[1] == -1 and status[1] == "nonfinite"
         for i, dist in ((0, p_a), (2, p_b)):
-            lone = fit_single(dist) if J == 1 else fit_multi(dist, J)
-            assert tuple(sorted(np.mod(best.x[i, :J], 1.0).tolist())) == lone.phases
-            assert best.ssr[i] / (reg.M - (2 * J - 1)) == lone.residual_variance
-            assert best.iterations[i] == lone.iterations
-            assert best.converged[i] == lone.converged
-            corners = list(itertools.product((0, 1), repeat=J))
-            assert _corner_label(corners[corner[i]]) == lone.start_used
+            lone = fit_single(dist)
+            assert (phase[i],) == lone.phases
+            assert ssr[i] / (reg.M - 1) == lone.residual_variance
+            assert iterations[i] == lone.iterations
+            assert converged[i] == lone.converged
+            assert ("left", "right")[corner[i]] == lone.start_used
             # and the whole row equals the trial's lone _fit row
-            lone_best, lone_corner, lone_bins = _fit(reg, [dist.probs], J)
-            for name in ("x", "ssr", "iterations", "converged", "status"):
-                assert np.array_equal(getattr(best, name)[i], getattr(lone_best, name)[0])
-            assert corner[i] == lone_corner[0] and np.array_equal(bins[i], lone_bins[0])
+            for got, want in zip(rows, _fit(reg, [dist.probs])):
+                assert np.array_equal(got[i], want[0])
 
     def test_a_single_phase_row_does_not_depend_on_its_batchmates(self):
         # one chunk mixes trials of 10, 4000 and 10**6 shots, whose observed
@@ -334,16 +363,14 @@ class TestFitRows:
             histogram_to_probs(sample_shots(dist, k, seed)).probs
             for seed, k in enumerate((10, 4000, 10**6, 10, 10**6, 4000))
         ]
-        best, corner, bins = _fit(reg, pmfs, 1)
+        rows = _fit(reg, pmfs)
         for i, p in enumerate(pmfs):
-            lone_best, lone_corner, lone_bins = _fit(reg, [p], 1)
-            for name in ("x", "ssr", "iterations", "converged", "status"):
-                assert getattr(best, name)[i].tobytes() == getattr(lone_best, name)[0].tobytes()
-            assert corner[i] == lone_corner[0] and bins[i, 0] == lone_bins[0, 0]
+            for got, want in zip(rows, _fit(reg, [p])):
+                assert got[i].tobytes() == want[0].tobytes()
 
     def test_phases_are_wrapped_across_the_seam(self):
         # at theta = 0.975 and n = 3 the top bin is 0, so the box is
-        # [-1/16, 1/16] and the solver's coordinate of the phase is negative
+        # [-1/16, 1/16] and the search's coordinate of the phase is negative
         reg = RegisterSpec(3)
 
         def sample(theta, seed):
@@ -355,14 +382,14 @@ class TestFitRows:
         assert abs(want[0] - 0.975) < 1e-3
         shared = [sample(0.3, 2).probs, dist.probs, sample(0.6, 3).probs]
         for pmfs, i in (([dist.probs], 0), (shared, 1)):
-            best, _, bins = _fit(reg, pmfs, 1)
-            assert bins[i, 0] == 0
-            assert np.all((0 <= best.x[:, :1]) & (best.x[:, :1] < 1))
-            assert tuple(best.x[i, :1].tolist()) == want
+            phase, *_, top = _fit(reg, pmfs)
+            assert top[i] == 0
+            assert np.all((0 <= phase) & (phase < 1))
+            assert (phase[i],) == want
 
 
 class TestOneHotRows:
-    """A single-phase pmf with all its mass in one bin y0 is fit as y0 / M, with no solve."""
+    """A single-phase pmf with all its mass in one bin y0 is fit as y0 / M, with no search."""
 
     @pytest.mark.parametrize("n", [2, 3, 8, 16, 20])
     def test_one_hot_pmfs_are_fit_in_closed_form(self, n):
@@ -399,34 +426,33 @@ class TestOneHotRows:
             return search(x, a, b, *args)
 
         monkeypatch.setattr("qpecf.fitting._refine", recording)
-        best, corner, bins = _fit(reg, iter(stream), 1)
+        rows = _fit(reg, iter(stream))
+        phase, ssr, iterations, converged, status, corner, top = rows
         lower, upper = map(np.concatenate, zip(*brackets))
         assert len(lower) == 2 * len(ordinary)
         for i, p in hot.items():
             y = int(np.argmax(p))
             assert not np.any((upper > (y - 0.5) / M) & (lower < (y + 0.5) / M))
-            assert best.x[i, 0] == y / M and best.ssr[i] == 0.0
-            assert (best.iterations[i], best.converged[i], best.status[i]) == (0, True, "exact")
-            assert corner[i] == 1 and bins[i, 0] == y
+            assert phase[i] == y / M and ssr[i] == 0.0
+            assert (iterations[i], converged[i], status[i]) == (0, True, "exact")
+            assert corner[i] == 1 and top[i] == y
         for i, p in enumerate(stream):
             if i in hot:
                 continue
-            lone_best, lone_corner, lone_bins = _fit(reg, [p], 1)
-            for name in ("x", "ssr", "iterations", "converged", "status"):
-                assert getattr(best, name)[i].tobytes() == getattr(lone_best, name)[0].tobytes()
-            assert corner[i] == lone_corner[0] and bins[i, 0] == lone_bins[0, 0]
+            for got, want in zip(rows, _fit(reg, [p])):
+                assert got[i].tobytes() == want[0].tobytes()
 
     def test_only_an_indicator_pmf_is_closed_form(self):
         # (k - 1) / k rounds to 1.0 past k = 2**53, but a second bin holds
-        # counts; a lone bin below 1 is not P(y0 / M), so the solver fits both
+        # counts; a lone bin below 1 is not P(y0 / M), so the search fits both
         reg = RegisterSpec(2)
         k = 2**60
         rounded = histogram_to_probs(ShotHistogram(reg, [k - 1, 1, 0, 0], k)).probs
         assert rounded[0] == 1.0
         short = OutcomeDistribution(reg, np.array([1 - 1e-11, 0.0, 0.0, 0.0])).probs
-        best, _, _ = _fit(reg, [rounded, short], 1)
-        assert "exact" not in best.status
-        assert np.all(best.iterations > 0)
+        _, _, iterations, _, status, _, _ = _fit(reg, [rounded, short])
+        assert "exact" not in status
+        assert np.all(iterations > 0)
 
 
 def dense_problem(reg: RegisterSpec, probs: np.ndarray):
@@ -579,7 +605,7 @@ class TestJacobians:
         rng = np.random.default_rng(42)
         reg = RegisterSpec(3)
         probs = pmf_vector(reg, PhaseModel.from_pairs([(1 / 3, 0.5), (0.5, 0.5)]))
-        residual, jacobian = _problem(reg, 2, probs[np.newaxis])
+        residual, jacobian = _problem(reg, 2, probs)
         rows = np.arange(1)
         for _ in range(50):
             params = np.array(
@@ -604,21 +630,24 @@ class TestJacobians:
             weights = rng.dirichlet(np.ones(J), size=B)[:, : J - 1]
             return np.concatenate([rng.random((B, J)), weights], axis=1)
 
-        # J = 1 has the single-phase search's f' and f'' in their place
-        problem = _problem if J > 1 else lambda reg, J, probs: single_callables(reg, probs)
+        # J = 1 has the single-phase search's f' and f'' in their place, on
+        # a chunk of trials whose row r reads trial r // 2; J >= 2 fits one pmf
+        def problem(pmfs):
+            return single_callables(reg, pmfs) if J == 1 else _problem(reg, J, pmfs[0])
+
         probs = rng.dirichlet(np.ones(reg.M), size=12)
-        self.assert_rows_evaluate_alone(*problem(reg, J, probs), points(12), rng)
-        # a call of T trials has 2**J problems per trial, and row r reads
-        # trial r // 2**J: its values are those of that trial's pmf alone
-        S, T = 2**J, 4
+        self.assert_rows_evaluate_alone(*problem(probs), points(12), rng)
+        # a call holds the 2**J starts of each of T trials, T = 1 for
+        # J >= 2: row r's values are those of its trial's pmf alone
+        S, T = 2**J, 4 if J == 1 else 1
         chunk = rng.dirichlet(np.ones(reg.M), size=T)
         batch = points(T * S)
         rows = np.arange(T * S)
-        residual, jacobian = problem(reg, J, chunk)
+        residual, jacobian = problem(chunk)
         self.assert_rows_evaluate_alone(residual, jacobian, batch, rng)
         got_r, got_j = residual(batch, rows), jacobian(batch, rows)
         for r in rows:
-            lone_r, lone_j = problem(reg, J, chunk[[r // S]])
+            lone_r, lone_j = problem(chunk[[r // S]])
             start = np.array([r % S])
             assert np.array_equal(got_r[r], lone_r(batch[[r]], start)[0])
             assert np.array_equal(got_j[r], lone_j(batch[[r]], start)[0])
@@ -653,7 +682,7 @@ class TestJacobians:
             [np.concatenate([rng.random(J), rng.dirichlet(np.ones(J))[: J - 1]]) for _ in range(10)]
         )
         rows = np.arange(len(batch))
-        residual, jacobian = _problem(reg, J, np.broadcast_to(probs, (len(rows), M)))
+        residual, jacobian = _problem(reg, J, probs)
         got_residual = residual(batch, rows)
         got = jacobian(batch, rows)
         assert got.flags.c_contiguous
