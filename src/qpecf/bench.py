@@ -4,9 +4,10 @@ Each cell repeats the simulate-sample-fit pipeline and aggregates circular
 estimation errors into an RMSE, compared against the square root of the
 Cramer-Rao bound and against the traditional nearest-bin error; its record
 also keeps the per-trial estimates. The cells of a grid that share a
-register size n are fit together: their trials are sampled one at a time
-as the fitter reads them, so cells share the fitter's chunks and a
-campaign holds one chunk's pmfs. Per-trial seeds are a pure function of
+register size n are fit together: each trial's counts are drawn one at a
+time as the fitter reads them, through the sampling core of
+simulate.sample_shots, so cells share the fitter's chunks and a campaign
+holds one chunk's pmfs. Per-trial seeds are a pure function of
 (base_seed, theta, n, k, trial), and a fit does not depend on the chunk it
 lands in, so results are bit-identical regardless of grouping,
 scheduling or worker count.
@@ -26,7 +27,7 @@ from .model import (
     PhaseModel, RegisterSpec, _check_fields, _check_int, _check_seed, _check_shots, _check_theta,
 )
 from .pmf import analytic_distribution, circuit_depth_units, crlb_mse
-from .simulate import histogram_to_probs, sample_shots
+from .simulate import _draw, _shot_weights
 
 # A cell whose exclusion rate exceeds this fraction is flagged invalid.
 MAX_EXCLUDED_FRACTION = 0.01
@@ -190,13 +191,16 @@ def _run_cells(job: tuple) -> list[BenchRecord]:
     """Records of the (theta, k) cells of one register, fit together."""
     n, cells, trials, base_seed = job
     reg = RegisterSpec(n)
-    dists = {
-        theta: analytic_distribution(reg, PhaseModel.single(theta))
+    weights = {
+        theta: _shot_weights(analytic_distribution(reg, PhaseModel.single(theta)).probs)
         for theta in dict.fromkeys(theta for theta, _ in cells)
     }
-    # Each trial's histogram is drawn from its own trial_seed when _fit reads it.
+    # Each trial's counts are drawn from its own trial_seed when _fit reads
+    # them, through sample_shots' core: counts / k are the bits of
+    # histogram_to_probs(sample_shots(...)).probs, with no ShotHistogram or
+    # OutcomeDistribution to check them again.
     pmfs = (
-        histogram_to_probs(sample_shots(dists[theta], k, seed)).probs
+        _draw(weights[theta], k, seed) / k
         for theta, k in cells
         for seed in _trial_seeds(base_seed, theta, n, k, range(trials))
     )

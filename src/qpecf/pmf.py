@@ -82,6 +82,12 @@ def _peak_series(M: int) -> tuple[complex, ...]:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _curv_series(M: int) -> tuple[float, ...]:
+    """Series of d2P/dtheta2 in z = x^2 next to the peak: -pi M (2k + 1) g_k."""
+    return tuple(-np.pi * M * (2 * k + 1) * c.imag for k, c in enumerate(_peak_series(M)))
+
+
 def _horner(coef: tuple, z: np.ndarray) -> np.ndarray:
     """sum_k coef[k] z^k by Horner's rule, from the highest term down.
 
@@ -162,8 +168,7 @@ def _pmf_kernel(
         series = _horner(_peak_series(M), z.astype(complex))
         peak = ([series.real] if pmf else []) + ([x * series.imag] if grad else [])
         if curv:
-            coef = [-np.pi * M * (2 * k + 1) * c.imag for k, c in enumerate(_peak_series(M))]
-            peak.append(_horner(coef, z))
+            peak.append(_horner(_curv_series(M), z))
         if rows is not None:
             (index,) = near_peak.nonzero()  # at most one element per row
         for value, term in zip(out, peak):

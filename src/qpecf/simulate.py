@@ -137,23 +137,41 @@ def simulate_distribution(reg: RegisterSpec, unitary: SimUnitary) -> OutcomeDist
     return OutcomeDistribution(reg, np.sum(np.abs(state) ** 2, axis=1))
 
 
+def _shot_weights(probs: np.ndarray) -> np.ndarray:
+    """Multinomial weights of a pmf: a new array, clipped at 0 and renormalised.
+
+    The tiny negative entries and sum error that OutcomeDistribution
+    tolerates are clipped and renormalised away, since multinomial rejects
+    both. The weights depend on the pmf alone, so one pmf's weights serve
+    every draw from it.
+    """
+    weights = np.maximum(probs, 0.0)
+    weights /= np.add.reduce(weights)
+    return weights
+
+
+def _draw(weights: np.ndarray, k: int, seed) -> np.ndarray:
+    """Counts of k outcomes in one multinomial draw from the Philox stream of seed.
+
+    This is the one place the random stream is defined: sample_shots and
+    the campaign trials both draw through it.
+    """
+    return np.random.Generator(np.random.Philox(seed)).multinomial(k, weights)
+
+
 def sample_shots(dist: OutcomeDistribution, k: int, seed) -> ShotHistogram:
     """Draw k outcomes from dist in one multinomial draw; deterministic for a fixed seed.
 
     seed is an int >= 0 or a numpy SeedSequence; an int seed and a
     SeedSequence built from it give the same counts. The counter-based
     Philox generator keeps streams reproducible regardless of how calls are
-    scheduled across processes. The tiny negative entries and sum error
-    that OutcomeDistribution tolerates are clipped and renormalised away,
-    since multinomial rejects both.
+    scheduled across processes. An entry below 0 that OutcomeDistribution
+    tolerates gets no counts (_shot_weights).
     """
     k = _check_shots(k)
     if not isinstance(seed, np.random.SeedSequence):
         seed = _check_seed(seed)
-    rng = np.random.Generator(np.random.Philox(seed))
-    p = np.maximum(dist.probs, 0.0)
-    p /= np.add.reduce(p)
-    return ShotHistogram(dist.reg, rng.multinomial(k, p), k, _owned=True)
+    return ShotHistogram(dist.reg, _draw(_shot_weights(dist.probs), k, seed), k, _owned=True)
 
 
 def histogram_to_probs(hist: ShotHistogram) -> OutcomeDistribution:

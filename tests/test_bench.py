@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -212,6 +213,40 @@ class TestRunCell:
         rec = one_cell(theta, 16, k, 3, 1)
         assert rec.excluded == 0
         assert np.array_equal(rec.estimates, one_by_one)
+
+    def test_campaign_fits_the_public_paths_pmfs(self, monkeypatch):
+        # every trial's pmf, bit for bit, is the one the public sampling
+        # path gives: an on-bin phase (one-hot at n = 3), 1/3 at n = 2,
+        # k = 1 and 10**6, and n = 16, where each chunk holds one trial
+        received = []
+        fit = fitting._fit
+
+        def recording(reg, pmfs):
+            pmfs = list(pmfs)
+            received.append((reg.n, pmfs))
+            return fit(reg, pmfs)
+
+        monkeypatch.setattr("qpecf.bench._fit", recording)
+        grid = BenchGrid((1 / 4, 1 / 3), (2, 3, 16), (1, 10**6), 3, 5)
+        assert BATCH_ELEMENTS // (2 * 2**16) == 0
+        run_grid(grid)
+        assert [n for n, _ in received] == [2, 3, 16]
+        for n, pmfs in received:
+            reg = RegisterSpec(n)
+            want = [
+                histogram_to_probs(sample_shots(
+                    analytic_distribution(reg, PhaseModel.single(theta)), k,
+                    trial_seed(5, theta, n, k, trial),
+                )).probs
+                for theta, k in product(grid.phases, grid.shot_values)
+                for trial in range(grid.trials)
+            ]
+            assert len(pmfs) == len(want)
+            for got, expected in zip(pmfs, want):
+                assert got.dtype == expected.dtype == np.float64
+                assert got.tobytes() == expected.tobytes()
+        one_hot = received[1][1][3]  # theta = 1/4, n = 3, k = 10**6, trial 0
+        assert one_hot.tolist() == [0, 0, 1, 0, 0, 0, 0, 0]
 
     def test_crlb_window_at_four_thousand_shots(self):
         rec = one_cell(1 / 3, 3, 4000, 100, base_seed=12345)

@@ -141,6 +141,35 @@ class TestSampling:
         for seed in (0, 1, 12345):
             assert sample_shots(dist, 10_000, seed).counts[1] == 0
 
+    # Literal counts of 1000 shots at seeds 0, 7 and 12345: every campaign
+    # and readout draws from this stream, so a change that moves it fails
+    # here. One pmf holds the tolerated -1e-12 entry; the other sums to
+    # 1 - 9.9e-11, just inside PROB_SUM_TOL.
+    PINNED_STREAMS = [
+        (
+            [0.3 + 1e-12, -1e-12, 0.2, 0.1, 0.15, 0.05, 0.12, 0.08],
+            [
+                [293, 0, 217, 98, 166, 46, 106, 74],
+                [308, 0, 205, 93, 139, 45, 124, 86],
+                [299, 0, 203, 94, 146, 50, 117, 91],
+            ],
+        ),
+        (
+            [0.05, 0.1, 0.2, 0.3, 0.15, 0.1, 0.06, 0.04 - 9.9e-11],
+            [
+                [48, 113, 230, 246, 156, 100, 63, 44],
+                [41, 108, 193, 290, 147, 106, 67, 48],
+                [53, 103, 186, 296, 150, 109, 55, 48],
+            ],
+        ),
+    ]
+
+    @pytest.mark.parametrize("probs, counts", PINNED_STREAMS)
+    def test_stream_is_pinned(self, probs, counts):
+        dist = OutcomeDistribution(RegisterSpec(3), np.array(probs))
+        for seed, want in zip((0, 7, 12345), counts):
+            assert sample_shots(dist, 1000, seed).counts.tolist() == want
+
     def test_zero_shots_rejected(self):
         dist = OutcomeDistribution(RegisterSpec(2), np.full(4, 0.25))
         for k in (0, 2**63):
