@@ -15,8 +15,8 @@ Three parts, all single-process:
    records the per-call median of 5 runs. pmf_vector runs at n = 20, not
    24: at n = 24 one call peaks at 800 MB resident.
 2. configs/smoke_grid.json end to end (median of 5 runs) and
-   configs/full_grid.json (median of FULL_GRID_RUNS runs, 4–5 s each on 2
-   vCPUs; single runs of equally fast code have read 20 % apart), on the
+   configs/full_grid.json (median of FULL_GRID_RUNS runs, 0.8–1.5 s each on
+   2 vCPUs; single runs of equally fast code have read 20 % apart), on the
    same reference clock, in wall and reference seconds.
 3. The three perfbench workloads, each run as
    ``perfbench/run.py --workload W --seed 1 --seconds 30 --trace 0``,

@@ -53,7 +53,7 @@ NUDGE = 1e-9
 # A chunk of _fit holds max(1, BATCH_ELEMENTS // (2 M)) single-phase trials,
 # which bounds its (trials, M) pmfs: 128 trials at n = 8. A fit_multi solver
 # call holds max(1, BATCH_ELEMENTS // M) corner starts, which bounds its
-# (problems, M) arrays.
+# (starts, M) arrays.
 BATCH_ELEMENTS = 2**16
 # A single-phase trial's f' is scanned at these offsets from its top bin y0,
 # in bins: each half of the box, denser toward y0, which is a stationary
@@ -123,15 +123,15 @@ def _weights(params: np.ndarray, J: int) -> np.ndarray:
 
 
 def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
-    """Batched residual and Jacobian of one (M,) pmf over [theta_1..theta_J, w_1..w_{J-1}].
+    """Residual and Jacobian of one (M,) pmf over [theta_1..theta_J, w_1..w_{J-1}].
 
-    Both callables take (a, p) parameters and the rows of the batch they
-    belong to, as least_squares_box passes them; every row fits probs, from
+    Both callables take (a, p) parameters, one point per row, as
+    least_squares_box passes the running starts; each row fits probs from
     its own parameters alone. The residual returns (a, M) residuals and the
     Jacobian (a, M, p). Phases are in the unwrapped local coordinate of
     their intervals. The last weight is 1 minus the free weights, so weights
     sum to 1 by construction; for J >= 3 that trailing weight is not
-    box-constrained. The components of all problems are one (B, J, 1) phase
+    box-constrained. The components of all rows are one (a, J, 1) phase
     array: the residual is one kernel call summed over the component axis,
     and the Jacobian one kernel call for P and dP/dtheta together, whatever
     J is. Every bin is evaluated, so each iteration costs O(M). J >= 2 only:
@@ -140,11 +140,11 @@ def _problem(reg: RegisterSpec, J: int, probs: np.ndarray):
     M = reg.M
     bin_phases = np.arange(M) / M
 
-    def residual(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def residual(params: np.ndarray) -> np.ndarray:
         P = _pmf_kernel(bin_phases, params[:, :J, None], M)
         return (_weights(params, J)[:, :, None] * P).sum(axis=1) - probs
 
-    def jacobian(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def jacobian(params: np.ndarray) -> np.ndarray:
         P, dP = _pmf_kernel(bin_phases, params[:, :J, None], M, grad=True)
         out = np.empty((len(params), M, 2 * J - 1))
         dP *= _weights(params, J)[:, :, None]
@@ -402,7 +402,7 @@ def fit_multi(dist: OutcomeDistribution, J: int) -> FitResult:
     intervals around the J highest-probability bins (ties to the lower
     index), nudged strictly inside, with uniform weights. J is at most
     MAX_PHASES, so at most 256 starts; they are solved in calls of at most
-    max(1, BATCH_ELEMENTS // M) problems. The solve with the lowest SSR
+    max(1, BATCH_ELEMENTS // M) starts. The solve with the lowest SSR
     wins, an exact tie going to the later start; FitError names every
     corner when every start's residual is non-finite.
     """

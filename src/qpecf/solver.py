@@ -1,6 +1,6 @@
-"""Batched bounded nonlinear least squares by a scaled trust-region method.
+"""Bounded nonlinear least squares from many starts by a scaled trust-region method.
 
-One call solves B independent problems of the same size. Each problem runs
+One call descends from B starts of one problem over one box. Each start runs
 the same algorithm on its own: Levenberg-Marquardt damping with Nielsen's
 update drives the step size, Coleman-Li distance-to-bound scaling shapes
 steps near the box faces (the defining ingredient of trust-region
@@ -10,23 +10,23 @@ only with a strictly lower SSR. Iterates therefore never leave the box, and
 coordinates pinned against a face with an inward-pointing gradient unstick
 on their own when the gradient reverses.
 
-Every problem keeps its own damping, iteration count, status and
-convergence flag. The solver carries only the problems still running: a
-problem leaves that working set when it stops, and from then on neither
+Every start keeps its own damping, iteration count, status and
+convergence flag. The solver carries only the starts still running: a
+start leaves that working set when it stops, and from then on neither
 its residual, its Jacobian nor its linear algebra is computed again.
 
-A problem's result is bit-identical to what a one-problem-per-call solver
-with the same algorithm returns, whatever batch it is solved in and
-whichever of its batchmates are still running, because of three rules:
+A start's result is bit-identical to what a one-start-per-call solver
+with the same algorithm returns, whatever starts it is solved with and
+whichever of them are still running, because of three rules:
 
-* every per-problem reduction (r @ r, J.T @ r, Jh.T @ Jh and the step
-  norms) goes through stacked matmul, which calls BLAS once per problem
+* every per-start reduction (r @ r, J.T @ r, Jh.T @ Jh and the step
+  norms) goes through stacked matmul, which calls BLAS once per start
   exactly as the 1-D expression does. np.einsum sums in another order: with
   it, 118 of the 1120 trials of a 112-cell campaign moved, some onto the
   bin mirror where the two starts' SSRs tie to the last few bits;
 * the damped matrix is formed as (A + diag(C)) + lambda I, the serial
   association; A + diag(C + lambda) moved 27 of 304 two- and three-phase
-  corner solves. Each problem's damping update is a Python float
+  corner solves. Each start's damping update is a Python float
   expression, since numpy's vectorised power can differ from the C
   library's pow in the last place.
 
@@ -52,11 +52,11 @@ _RHO_ACCEPT = 1e-4
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Per-problem results, one row or entry per row of the start array.
+    """Per-start results, one row or entry per row of the start array.
 
-    status is "gtol", "xtol", "maxiter", or "nonfinite" for a problem whose
-    residual was not finite at its start; such a problem keeps its start,
-    has ssr nan and 0 iterations, and is not converged.
+    status is "gtol", "xtol", "maxiter", or "nonfinite" for a start where
+    the residual was not finite; such a start keeps its point, has ssr nan
+    and 0 iterations, and is not converged.
     """
 
     x: np.ndarray
@@ -76,51 +76,52 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def least_squares_box(residual, jacobian, start, lower, upper) -> SolverResult:
-    """Minimize sum(residual(x)**2) over the box [lower, upper], per problem.
+    """Minimize sum(residual(x)**2) over the box [lower, upper] from each start.
 
-    start is a (B, p) array with one problem per row, and lower and upper
-    broadcast to it; every start must lie strictly inside its box.
-    residual(points, rows) maps an (a, p) array of points to their (a, m)
-    residuals, and jacobian(points, rows) to the (a, m, p) derivatives;
-    rows holds the a problems' indices in the batch, one per point. Both
-    are called only on running problems, so a row's values must depend on
-    that row's point and problem alone. The Jacobian is evaluated only at
-    starts and accepted points.
+    start is a (B, p) array with one start per row, and lower and upper
+    broadcast to (p,), one box for every start; every start must lie
+    strictly inside it. residual(points) maps an (a, p) array of points to
+    their (a, m) residuals, and jacobian(points) to the (a, m, p)
+    derivatives. Both are called only on the running starts' points, so a
+    row's values must depend on its point alone. The Jacobian is evaluated
+    only at starts and accepted points.
 
-    A problem terminates when its normalized gradient drops below GTOL (the
+    A start terminates when its normalized gradient drops below GTOL (the
     cosine of the angle between the residual and the Jacobian columns, so
     quartically flat basins where the raw gradient vanishes identically are
     not mistaken for convergence), when its step norm drops below XTOL, or
     after MAX_ITER iterations. A non-finite residual at a start fails that
-    problem alone (status "nonfinite").
+    start alone (status "nonfinite").
     """
     x = np.array(start, dtype=float)
     if x.ndim != 2:
-        raise DomainError(f"start must be a (problems, parameters) array, got shape {x.shape}")
+        raise DomainError(f"start must be a (starts, parameters) array, got shape {x.shape}")
+    B, p = x.shape
     try:
-        lb = np.broadcast_to(np.asarray(lower, dtype=float), x.shape)
-        ub = np.broadcast_to(np.asarray(upper, dtype=float), x.shape)
+        lb = np.broadcast_to(np.asarray(lower, dtype=float), (p,))
+        ub = np.broadcast_to(np.asarray(upper, dtype=float), (p,))
     except ValueError as exc:
-        raise DomainError("bounds must broadcast to the shape of start") from exc
+        raise DomainError(f"bounds must broadcast to one box of shape ({p},)") from exc
     if np.any(lb >= ub):
         raise DomainError("each lower bound must be below its upper bound")
     if np.any(x <= lb) or np.any(x >= ub):
         raise DomainError("start must lie strictly inside the bounds")
 
-    B, p = x.shape
     eye = np.eye(p)
-    r = np.asarray(residual(x, np.arange(B)), dtype=float)
+    r = np.asarray(residual(x), dtype=float)
     started = np.all(np.isfinite(r), axis=1)
     f = np.where(started, _dot(r, r), np.nan)
     iterations = np.zeros(B, dtype=int)
     status = np.where(started, "maxiter", "nonfinite").astype("<U9")
 
-    # The working set: a holds the batch rows of the running problems, and
-    # r, J, la, ua, lam and nu hold the values of exactly those rows. A
-    # problem's iteration count is stamped when it stops.
+    # The working set: a holds the rows of the running starts, and r, J,
+    # lam and nu hold the values of exactly those rows. A start's iteration
+    # count is stamped when it stops.
     a = np.flatnonzero(started)
-    r, la, ua = r[a], lb[a], ub[a]
-    J = np.array(jacobian(x[a], a), dtype=float)
+    r = r[a]
+    # C order whatever the callable returns: a broadcast Jacobian copied in
+    # numpy's default order puts the start axis innermost, off matmul's BLAS path.
+    J = np.array(jacobian(x[a]), dtype=float, order="C")
     lam = np.empty(a.size)  # set from A and C at the first iteration
     nu = np.full(a.size, 2.0)
 
@@ -137,9 +138,8 @@ def least_squares_box(residual, jacobian, start, lower, upper) -> SolverResult:
             stop = a[flat]
             iterations[stop], status[stop] = it, "gtol"
             keep = ~flat
-            a, r, J, g, C, la, ua, lam, nu = (
-                a[keep], r[keep], J[keep], g[keep], C[keep], la[keep], ua[keep], lam[keep], nu[keep]
-            )
+            a, r, J, g, C = a[keep], r[keep], J[keep], g[keep], C[keep]
+            lam, nu = lam[keep], nu[keep]
         if a.size == 0:
             break
         xa = x[a]
@@ -147,8 +147,8 @@ def least_squares_box(residual, jacobian, start, lower, upper) -> SolverResult:
         # Coleman-Li scaling: each coordinate is weighted by its distance to
         # the bound faced by the descent direction. The diagonal term g v',
         # with v' = -1 toward the upper bound and 1 toward the lower, is C.
-        v = np.subtract(xa, la)
-        np.subtract(ua, xa, out=v, where=g < 0)
+        v = np.subtract(xa, lb)
+        np.subtract(ub, xa, out=v, where=g < 0)
         d = np.sqrt(v)
         gh = d * g
         Jh = J * d[:, np.newaxis, :]
@@ -165,16 +165,16 @@ def least_squares_box(residual, jacobian, start, lower, upper) -> SolverResult:
         # step left the box, the reflected point replaces it only with a
         # strictly lower SSR.
         raw = xa + s
-        xc = np.minimum(np.maximum(raw, la), ua)
-        rc = np.asarray(residual(xc, a), dtype=float)
+        xc = np.minimum(np.maximum(raw, lb), ub)
+        rc = np.asarray(residual(xc), dtype=float)
         fc = _dot(rc, rc)
         fc[np.isnan(fc)] = np.inf
         out = _any(raw != xc, axis=1).nonzero()[0]
         if out.size:
-            ro, lo, uo = raw[out], la[out], ua[out]
-            xr = np.where(ro < lo, 2 * lo - ro, np.where(ro > uo, 2 * uo - ro, ro))
-            xr = np.minimum(np.maximum(xr, lo), uo)
-            rr = np.asarray(residual(xr, a[out]), dtype=float)
+            ro = raw[out]
+            xr = np.where(ro < lb, 2 * lb - ro, np.where(ro > ub, 2 * ub - ro, ro))
+            xr = np.minimum(np.maximum(xr, lb), ub)
+            rr = np.asarray(residual(xr), dtype=float)
             fr = _dot(rr, rr)
             won = fr < fc[out]
             best = out[won]
@@ -191,7 +191,7 @@ def least_squares_box(residual, jacobian, start, lower, upper) -> SolverResult:
             acc, xacc = a[accepted], xc[accepted]
             x[acc], f[acc] = xacc, fc[accepted]
             r[accepted] = rc[accepted]
-            J[accepted] = jacobian(xacc, acc)
+            J[accepted] = jacobian(xacc)
             lam[accepted] *= [
                 max(1.0 / 3.0, 1.0 - (2.0 * q - 1.0) ** 3) for q in rho[accepted].tolist()
             ]
@@ -205,9 +205,7 @@ def least_squares_box(residual, jacobian, start, lower, upper) -> SolverResult:
             stop = a[small]
             iterations[stop], status[stop] = it, "xtol"
             keep = ~small
-            a, r, J, la, ua, lam, nu = (
-                a[keep], r[keep], J[keep], la[keep], ua[keep], lam[keep], nu[keep]
-            )
+            a, r, J, lam, nu = a[keep], r[keep], J[keep], lam[keep], nu[keep]
     iterations[a] = MAX_ITER
 
     converged = (status == "gtol") | (status == "xtol")

@@ -126,7 +126,7 @@ class TestFitSingle:
         reg = RegisterSpec(3)
         _, jacobian = _problem(reg, 2, np.zeros(reg.M))
         thetas, w = (0.337, 0.58), 0.3
-        jac = jacobian(np.array([[*thetas, w]]), np.arange(1))[0]
+        jac = jacobian(np.array([[*thetas, w]]))[0]
         for y in range(reg.M):
             for j, weight in enumerate((w, 1 - w)):
                 want = weight * pmf_single(reg, thetas[j], y) * score(reg, thetas[j], y)
@@ -279,16 +279,21 @@ class TestFitMulti:
 
     @staticmethod
     def fail_starts(monkeypatch, corners):
-        """Make the residual non-finite, at its starting point, for the starts of these rows."""
+        """Make the residual non-finite at the start points of these corners.
+
+        Every corner shares one solver call at n = 3, so corner i starts from row i.
+        """
         solve = fitting.least_squares_box
 
-        def failing(residual, jacobian, *args):
-            def broken(params, rows):
-                r = residual(params, rows)
-                r[np.isin(rows, corners)] = np.nan
+        def failing(residual, jacobian, start, *args):
+            failed = start[list(corners)]
+
+            def broken(params):
+                r = residual(params)
+                r[(params[:, np.newaxis] == failed).all(axis=2).any(axis=1)] = np.nan
                 return r
 
-            return solve(broken, jacobian, *args)
+            return solve(broken, jacobian, start, *args)
 
         monkeypatch.setattr("qpecf.fitting.least_squares_box", failing)
 
@@ -460,10 +465,10 @@ def dense_problem(reg: RegisterSpec, probs: np.ndarray):
     M = reg.M
     bin_phases = np.arange(M) / M
 
-    def residual(params, rows):
+    def residual(params):
         return _pmf_kernel(bin_phases, params[:, :1], M) - probs
 
-    def jacobian(params, rows):
+    def jacobian(params):
         return _pmf_kernel(bin_phases, params[:, :1], M, pmf=False, grad=True)[:, :, None]
 
     return residual, jacobian
@@ -483,7 +488,7 @@ def dense_fit_single(dist: OutcomeDistribution) -> float:
 
 def dense_ssr(residual, point: np.ndarray) -> np.ndarray:
     """The all-bins SSR at one single-phase point, as a length-1 array."""
-    r = residual(point[np.newaxis], None)[0]
+    r = residual(point[np.newaxis])[0]
     return np.array([r @ r])
 
 
@@ -516,7 +521,7 @@ class TestObservedBins:
         ssr, (slope,) = _ssr(rows, theta, M), _slope(rows, theta, M)
         residual, jacobian = dense_problem(reg, probs)
         points = theta[:, np.newaxis]
-        rd, jd = residual(points, None), jacobian(points, None)[:, :, 0]
+        rd, jd = residual(points), jacobian(points)[:, :, 0]
         amplitude = 2 * np.pi * (M - 1 / M) / 3
         for i in range(len(theta)):
             assert abs(ssr[i] - rd[i] @ rd[i]) <= 2e-15
@@ -606,7 +611,6 @@ class TestJacobians:
         reg = RegisterSpec(3)
         probs = pmf_vector(reg, PhaseModel.from_pairs([(1 / 3, 0.5), (0.5, 0.5)]))
         residual, jacobian = _problem(reg, 2, probs)
-        rows = np.arange(1)
         for _ in range(50):
             params = np.array(
                 [
@@ -615,13 +619,13 @@ class TestJacobians:
                     rng.uniform(0.1, 0.9),
                 ]
             )
-            analytic = jacobian(params[np.newaxis], rows)[0]
-            fd = fd_jacobian(lambda q: residual(q[np.newaxis], rows)[0], params)
+            analytic = jacobian(params[np.newaxis])[0]
+            fd = fd_jacobian(lambda q: residual(q[np.newaxis])[0], params)
             assert np.allclose(analytic, fd, rtol=1e-5, atol=1e-9)
 
     @pytest.mark.parametrize("J", [1, 2, 3])
     def test_rows_evaluate_alone(self, J):
-        # the solver passes only its running problems, so a row's residual
+        # the solver passes only its running starts, so a row's residual
         # and Jacobian must not depend on its batchmates or its position
         rng = np.random.default_rng(44 + J)
         reg = RegisterSpec(5)
@@ -631,9 +635,13 @@ class TestJacobians:
             return np.concatenate([rng.random((B, J)), weights], axis=1)
 
         # J = 1 has the single-phase search's f' and f'' in their place, on
-        # a chunk of trials whose row r reads trial r // 2; J >= 2 fits one pmf
+        # a chunk of trials whose row r reads trial r // 2; J >= 2 fits one
+        # pmf, whose callables take the points alone
         def problem(pmfs):
-            return single_callables(reg, pmfs) if J == 1 else _problem(reg, J, pmfs[0])
+            if J == 1:
+                return single_callables(reg, pmfs)
+            residual, jacobian = _problem(reg, J, pmfs[0])
+            return (lambda x, rows: residual(x)), (lambda x, rows: jacobian(x))
 
         probs = rng.dirichlet(np.ones(reg.M), size=12)
         self.assert_rows_evaluate_alone(*problem(probs), points(12), rng)
@@ -681,10 +689,9 @@ class TestJacobians:
         batch = np.array(
             [np.concatenate([rng.random(J), rng.dirichlet(np.ones(J))[: J - 1]]) for _ in range(10)]
         )
-        rows = np.arange(len(batch))
         residual, jacobian = _problem(reg, J, probs)
-        got_residual = residual(batch, rows)
-        got = jacobian(batch, rows)
+        got_residual = residual(batch)
+        got = jacobian(batch)
         assert got.flags.c_contiguous
         for params, got_r, got_j in zip(batch, got_residual, got):
             w = np.append(params[J:], 1.0 - params[J:].sum())

@@ -5,6 +5,7 @@ Also checks that the newest committed performance point has every field.
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,22 @@ def test_fit_demo_prints_a_fitted_phase():
     fitted = [line for line in proc.stdout.splitlines() if line.startswith("fitted")]
     assert len(fitted) == 1
     assert 0.0 <= float(fitted[0].split()[1]) < 1.0
+
+
+def test_same_results_prints_one_digest_per_family():
+    proc = run_script("same_results.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [name for name, _ in lines] == [
+        "smoke_csv",
+        "smoke_scaling",
+        "full_csv",
+        "full_scaling",
+        "full_estimates",
+        "fit_single",
+        "fit_multi",
+    ]
+    assert all(re.fullmatch("[0-9a-f]{64}", sha) for _, sha in lines)
 
 
 def test_committed_bench_point_names_every_layer():

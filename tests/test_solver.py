@@ -1,7 +1,8 @@
 """Box-constrained least-squares solver on standalone problems.
 
-The solver is batched: each standalone problem goes in as a batch of one,
-and stacked problems must each come out exactly as they do alone.
+One call descends from many starts of one problem: each start goes in alone
+as a batch of one, and stacked starts must each come out exactly as they do
+alone.
 """
 
 import numpy as np
@@ -17,29 +18,38 @@ from qpecf.solver import least_squares_box
 def quadratic(center):
     center = np.asarray(center, dtype=float)
 
-    def residual(x, rows):
+    def residual(x):
         return x - center
 
-    def jacobian(x, rows):
+    def jacobian(x):
         return np.broadcast_to(np.eye(center.size), (len(x), center.size, center.size))
 
     return residual, jacobian
 
 
 def linear(A, b):
-    """Residual A x - b per problem; A is (m, p) or one (m, p) matrix per row of b."""
+    """Residual A x - b of an (m, p) matrix A."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
 
-    def residual(x, rows):
-        Ar = A if A.ndim == 2 else A[rows]
-        br = b if b.ndim == 1 else b[rows]
-        return (Ar @ x[:, :, np.newaxis])[:, :, 0] - br
+    def residual(x):
+        return (A @ x[:, :, np.newaxis])[:, :, 0] - b
 
-    def jacobian(x, rows):
-        return np.broadcast_to(A if A.ndim == 2 else A[rows], (len(x),) + A.shape[-2:])
+    def jacobian(x):
+        return np.broadcast_to(A, (len(x),) + A.shape)
 
     return residual, jacobian
+
+
+def nan_left_of(edge, residual, jacobian):
+    """The callables with the residual NaN wherever the first coordinate is below edge."""
+
+    def masked(x):
+        r = residual(x)
+        r[x[:, 0] < edge] = np.nan
+        return r
+
+    return masked, jacobian
 
 
 def solve_one(residual, jacobian, start, lower, upper):
@@ -55,10 +65,10 @@ def solve_one(residual, jacobian, start, lower, upper):
 
 
 def rosenbrock():
-    def residual(x, rows):
+    def residual(x):
         return np.stack([10.0 * (x[:, 1] - x[:, 0] ** 2), 1.0 - x[:, 0]], axis=1)
 
-    def jacobian(x, rows):
+    def jacobian(x):
         out = np.zeros((len(x), 2, 2))
         out[:, 0, 0] = -20.0 * x[:, 0]
         out[:, 0, 1] = 10.0
@@ -137,100 +147,119 @@ class TestLeastSquaresBox:
         with pytest.raises(DomainError):
             least_squares_box(residual, jacobian, np.array([[0.5]]), np.zeros(2), np.ones(2))
 
-    def test_nonfinite_residual_at_start_fails_only_that_problem(self):
-        # row 1's data is NaN, so its residual is non-finite at its start
-        A = np.stack([np.eye(4, 2), LINE_A, np.eye(4, 2)])
-        b = np.stack([[0.3, -0.4, 0.0, 0.0], np.full(4, np.nan), [3.0, 0.5, 0.0, 0.0]])
-        start = np.array([[0.1, 0.1], [0.5, 0.5], [-0.5, 1.5]])
+    def test_bounds_are_one_box_for_every_start(self):
+        # lower and upper broadcast to (p,); a bound per start is rejected
+        residual, jacobian = quadratic([0.3, 0.2])
+        start = np.array([[0.5, 0.5], [0.4, 0.6]])
+        for shape in ((2, 2), (1, 2)):
+            with pytest.raises(DomainError, match="one box"):
+                least_squares_box(residual, jacobian, start, np.zeros(shape), np.ones(2))
+            with pytest.raises(DomainError, match="one box"):
+                least_squares_box(residual, jacobian, start, np.zeros(2), np.ones(shape))
+        result = least_squares_box(residual, jacobian, start, 0.0, np.ones(2))
+        assert np.all(result.converged)
+
+    def test_nonfinite_residual_at_start_fails_only_that_start(self):
+        # the straight line's residual is NaN left of x0 = -1.5, so start 1's
+        # residual is non-finite at its start
+        problem = nan_left_of(-1.5, *linear(LINE_A, LINE_B))
+        start = np.array([[0.1, 0.1], [-1.9, 0.5], [-0.5, 1.5]])
         lower, upper = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
-        result = least_squares_box(*linear(A, b), start, lower, upper)
+        result = least_squares_box(*problem, start, lower, upper)
         assert result.status[1] == "nonfinite"
         assert not result.converged[1]
         assert result.iterations[1] == 0
         assert np.isnan(result.ssr[1])
         assert np.array_equal(result.x[1], start[1])
         for i in (0, 2):
-            alone = solve_one(*linear(A[i : i + 1], b[i : i + 1]), start[i], lower, upper)
+            alone = solve_one(*problem, start[i], lower, upper)
             got = (result.x[i], result.ssr[i], result.iterations[i], result.status[i])
             assert np.array_equal(got[0], alone[0])
             assert got[1:] == (alone[1], alone[2], alone[4])
             assert result.converged[i]
 
-    def test_stacked_problems_match_their_single_solves(self):
-        # one call on different data and starts with the same p: two interior
-        # bowls, a bowl whose minimum lies outside the box, and the straight
-        # line from both corners; each must end exactly as it does alone
+    def test_stacked_starts_match_their_single_solves(self):
+        # one call per problem, each from the same five starts: an interior
+        # bowl, a bowl whose minimum lies outside the box, the straight line
+        # and the Rosenbrock valley; each start must end exactly as it does alone
         bowl = np.eye(4, 2)
-        A = np.stack([bowl, bowl, bowl, LINE_A, LINE_A])
-        b = np.stack([
-            [0.3, -0.4, 0.0, 0.0],
-            [-1.1, 1.7, 0.0, 0.0],
-            [3.0, 0.5, 0.0, 0.0],
-            LINE_B,
-            LINE_B,
-        ])
         lower, upper = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
         start = np.array([[0.1, 0.1], [1.9, -1.9], [-0.5, 1.5], lower + 0.01, upper - 0.01])
-        result = least_squares_box(*linear(A, b), start, lower, upper)
-        assert np.all(result.converged)
-        assert abs(result.x[2, 0] - 2.0) < 1e-9
-        for i in range(len(A)):
-            alone = solve_one(*linear(A[i : i + 1], b[i : i + 1]), start[i], lower, upper)
-            assert np.array_equal(result.x[i], alone[0])
-            assert np.array_equal(result.ssr[i], alone[1])
-            assert np.array_equal(result.iterations[i], alone[2])
-            assert result.status[i] == alone[4]
+        problems = [
+            linear(bowl, [0.3, -0.4, 0.0, 0.0]),
+            linear(bowl, [3.0, 0.5, 0.0, 0.0]),
+            linear(LINE_A, LINE_B),
+            rosenbrock(),
+        ]
+        for k, problem in enumerate(problems):
+            result = least_squares_box(*problem, start, lower, upper)
+            assert np.all(result.converged)
+            if k == 1:
+                assert np.all(np.abs(result.x[:, 0] - 2.0) < 1e-9)
+            for i in range(len(start)):
+                alone = solve_one(*problem, start[i], lower, upper)
+                assert np.array_equal(result.x[i], alone[0])
+                assert np.array_equal(result.ssr[i], alone[1])
+                assert np.array_equal(result.iterations[i], alone[2])
+                assert result.status[i] == alone[4]
 
-    def test_callables_see_only_running_problems(self):
-        # problems that stop at different iterations: one starts at its
-        # minimum (gtol at once), one has a NaN residual, the rest stop by
-        # xtol after different numbers of steps
-        bowl = np.eye(4, 2)
-        A = np.stack([bowl, bowl, bowl, LINE_A, LINE_A, bowl])
-        b = np.stack([
-            [0.3, -0.4, 0.0, 0.0],
-            [-1.1, 1.7, 0.0, 0.0],
-            [3.0, 0.5, 0.0, 0.0],
-            LINE_B,
-            LINE_B,
-            np.full(4, np.nan),
-        ])
+    def test_callables_see_only_running_starts(self):
+        # starts that stop at different iterations of the Rosenbrock valley,
+        # NaN left of x0 = -1.5: start 0 sits on the minimum (gtol at once),
+        # start 5 has a NaN residual, the rest stop by xtol after different
+        # numbers of steps
         lower, upper = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
         start = np.array(
-            [[0.3, -0.4], [1.9, -1.9], [-0.5, 1.5], lower + 0.01, upper - 0.01, [0.0, 0.0]]
+            [[1.0, 1.0], [0.8, 1.6], [0.5, 1.5], [-0.4, 0.2], [-1.5, 1.2], [-1.9, 0.0]]
         )
+        residual, jacobian = nan_left_of(-1.5, *rosenbrock())
 
-        def recorded(residual, jacobian, events):
-            """The callables, logging (kind, point) per row of every call."""
+        def recorded(calls):
+            """The callables, logging each call as (kind, its points)."""
 
             def log(kind, fn):
-                def call(points, rows):
-                    assert len(rows) == len(points)
-                    assert len(set(rows.tolist())) == len(rows)
-                    for point, row in zip(points, rows.tolist()):
-                        events.setdefault(row, []).append((kind, tuple(point)))
-                    return fn(points, rows)
+                def call(points):
+                    calls.append((kind, [tuple(point) for point in points]))
+                    return fn(points)
 
                 return call
 
             return log("residual", residual), log("jacobian", jacobian)
 
-        residual, jacobian = linear(A, b)
-        events = {}
-        result = least_squares_box(*recorded(residual, jacobian, events), start, lower, upper)
+        # alone, the solver returns once the start stops, so its calls are
+        # exactly the (kind, point) events that start may cause
+        alone = []
+        for i in range(len(start)):
+            calls = []
+            least_squares_box(*recorded(calls), start[i : i + 1], lower, upper)
+            # a start that fails at its point leaves an empty Jacobian call
+            assert all(len(points) <= 1 for _, points in calls)
+            alone.append([(kind, points[0]) for kind, points in calls if points])
+        calls = []
+        result = least_squares_box(*recorded(calls), start, lower, upper)
         assert len(set(result.iterations.tolist())) >= 4
-        # the two problems that stop before any step appear in no later call
+        # each point of a call is the next event of exactly one start, which
+        # appears at most once in that call; a call on a start after its
+        # status became final would match no start's events
+        events = [[] for _ in start]
+        for kind, points in calls:
+            seen = set()
+            for point in points:
+                owners = [
+                    i for i in range(len(start))
+                    if i not in seen and alone[i][len(events[i]) : len(events[i]) + 1]
+                    == [(kind, point)]
+                ]
+                assert len(owners) == 1
+                events[owners[0]].append((kind, point))
+                seen.add(owners[0])
+        assert events == alone
+        # the two starts that stop before any step appear in no later call
         assert (result.status[0], result.status[5]) == ("gtol", "nonfinite")
-        assert events[0] == [("residual", (0.3, -0.4)), ("jacobian", (0.3, -0.4))]
-        assert events[5] == [("residual", (0.0, 0.0))]
+        assert events[0] == [("residual", (1.0, 1.0)), ("jacobian", (1.0, 1.0))]
+        assert events[5] == [("residual", (-1.9, 0.0))]
         for i in range(1, 5):
             assert result.status[i] == "xtol"
-            # alone, the solver returns once the problem stops, so a call on
-            # row i after its status became final would show up as a difference
-            alone = {}
-            alone_callables = recorded(*linear(A[i : i + 1], b[i : i + 1]), alone)
-            least_squares_box(*alone_callables, start[i : i + 1], lower, upper)
-            assert events[i] == alone[0]
             # a reflected candidate equal to the clipped one is not evaluated again
             for (kind, point), (next_kind, next_point) in zip(events[i], events[i][1:]):
                 assert not (kind == next_kind == "residual" and point == next_point)
@@ -238,7 +267,7 @@ class TestLeastSquaresBox:
             # the Jacobian is taken at the start and then only at a point just
             # evaluated that lowered the SSR; the last is the solver's result
             def ssr(point):
-                r = residual(np.array([point]), np.array([i]))[0]
+                r = residual(np.array([point]))[0]
                 return float(r @ r)
 
             jacobian_at = [point for kind, point in events[i] if kind == "jacobian"]
@@ -255,33 +284,24 @@ class TestLeastSquaresBox:
                 assert ssr(after) < ssr(before)
 
     def test_every_status_with_its_iteration_count(self, monkeypatch):
-        # one batch that ends in all four statuses: row 0 reaches a zero
-        # residual at iteration 11, row 1 stops on a short step at 6, row 2
-        # would reach gtol at iteration 22 but is cut at MAX_ITER = 12, row 3
-        # has a NaN residual at its start, and row 4 starts at its minimum
-        near = np.array([[1.0, 1.0], [1.0, 1.1], [0.0, 0.0], [0.0, 0.0]])
-        nearer = np.array([[1.0, 1.0], [1.0, 1.0001], [0.0, 0.0], [0.0, 0.0]])
-        bowl = np.eye(4, 2)
-        A = np.stack([near, bowl, nearer, bowl, bowl])
-        b = np.stack([
-            [1.0, 1.0, 0.0, 0.0],
-            [0.3, -0.4, 0.0, 0.0],
-            [1.0, 1.0, 0.0, 0.0],
-            np.full(4, np.nan),
-            [0.3, -0.4, 0.0, 0.0],
-        ])
-        start = np.array([[-1.0, 1.0], [0.1, 0.1], [0.1, 0.1], [0.0, 0.0], [0.3, -0.4]])
+        # one call on the Rosenbrock valley, NaN left of x0 = -1.5, that ends
+        # in all four statuses: start 0 reaches gtol at iteration 11, start 1
+        # stops on a short step at 8, start 2 would reach gtol at iteration
+        # 22 but is cut at MAX_ITER = 12, start 3 has a NaN residual, and
+        # start 4 sits on the minimum
+        problem = nan_left_of(-1.5, *rosenbrock())
+        start = np.array([[1.0, 1.7], [0.8, 1.6], [1.8, -1.6], [-1.9, 0.0], [1.0, 1.0]])
         lower, upper = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
-        uncapped = solve_one(*linear(A[2:3], b[2:3]), start[2], lower, upper)
+        uncapped = solve_one(*problem, start[2], lower, upper)
         assert uncapped[2:] == (22, True, "gtol")
 
         monkeypatch.setattr(solver, "MAX_ITER", 12)
-        result = least_squares_box(*linear(A, b), start, lower, upper)
-        assert result.iterations.tolist() == [11, 6, 12, 0, 1]
+        result = least_squares_box(*problem, start, lower, upper)
+        assert result.iterations.tolist() == [11, 8, 12, 0, 1]
         assert result.status.tolist() == ["gtol", "xtol", "maxiter", "nonfinite", "gtol"]
         assert result.converged.tolist() == [True, True, False, False, True]
-        for i in range(len(A)):
-            alone = solve_one(*linear(A[i : i + 1], b[i : i + 1]), start[i], lower, upper)
+        for i in range(len(start)):
+            alone = solve_one(*problem, start[i], lower, upper)
             assert np.array_equal(result.x[i], alone[0])
             assert np.array_equal(result.ssr[i], alone[1], equal_nan=True)
             assert (result.iterations[i], result.converged[i], result.status[i]) == alone[2:]
@@ -299,7 +319,7 @@ class TestLeastSquaresBox:
         start = lower + frac * (upper - lower)
         x, ssr, _, _, _ = solve_one(residual, jacobian, start, lower, upper)
         assert np.all(x >= lower) and np.all(x <= upper)
-        r0 = residual(start[np.newaxis], np.arange(1))[0]
+        r0 = residual(start[np.newaxis])[0]
         assert ssr <= r0 @ r0 + 1e-12
 
 
