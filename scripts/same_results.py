@@ -13,6 +13,11 @@ identical bytes in every family below.
 - fit_single: every FitResult field of seeded readouts at n = 2-20.
 - fit_multi: every FitResult field of seeded J = 2 and 3 readouts at
   n = 3-12, and of the four mixtures of perfbench's readout_wide workload.
+- pmf_kernel: the bytes of every _pmf_kernel output at phases on a bin,
+  within NEAR_PEAK of one and off-bin: dense P and P + dP/dtheta over all M
+  bins for each phase alone and all three together (J = 3) at n = 1, 3, 10
+  and 20, and the rows modes P, dP/dtheta and dP/dtheta + d2P/dtheta2 on
+  seven bins around each phase at n = 3, 10 and 30.
 
 Floats are hashed through .hex(), so a change in the last bit shows.
 """
@@ -27,7 +32,7 @@ import numpy as np
 from qpecf.bench import BenchGrid, fit_scaling_exponents, records_to_csv, run_grid
 from qpecf.fitting import fit_multi, fit_single
 from qpecf.model import PhaseModel, RegisterSpec
-from qpecf.pmf import analytic_distribution
+from qpecf.pmf import _pmf_kernel, analytic_distribution
 from qpecf.simulate import SimUnitary, histogram_to_probs, sample_shots, simulate_distribution
 
 REPO = Path(__file__).resolve().parents[1]
@@ -40,6 +45,8 @@ MIXTURES = (
     (12, ((1 / 3, 0.6), (0.7, 0.4))),
     (10, ((0.15, 0.5), (0.45, 0.3), (0.8, 0.2))),
 )
+# Phase offsets from a bin, in bins: on it, within NEAR_PEAK of it, off-bin.
+OFFSETS = np.array([0.0, -0.2, 0.45])
 # Seeded J = 2 and 3 mixtures: phases spread over the circle, unequal weights.
 SPREAD = {
     2: ((0.2718, 0.6), (0.6931, 0.4)),
@@ -97,12 +104,38 @@ def multi_fits():
             yield exact(fit_multi(observed, len(pairs)))
 
 
+def kernel_outputs():
+    for n in (1, 3, 10, 20):
+        M = 2**n
+        bin_phases = np.arange(M) / M
+        thetas = (M // 3 + OFFSETS) / M
+        for grad in (False, True):
+            for theta in (*thetas, thetas[:, None]):
+                yield _pmf_kernel(bin_phases, theta, M, grad=grad)
+    rows = np.repeat(np.arange(OFFSETS.size), 7)
+    for n in (3, 10, 30):
+        M = 2**n
+        bins = M // 3 + np.tile(np.arange(-3, 4), OFFSETS.size)
+        thetas = (M // 3 + OFFSETS) / M
+        for modes in ({}, {"pmf": False, "grad": True}, {"pmf": False, "grad": True, "curv": True}):
+            yield _pmf_kernel(bins % M / M, thetas, M, rows=rows, **modes)
+
+
+def kernel_digest() -> str:
+    sha = hashlib.sha256()
+    for out in kernel_outputs():
+        for value in out if isinstance(out, tuple) else (out,):
+            sha.update(value.tobytes())
+    return sha.hexdigest()
+
+
 def main() -> None:
     lines = [
         *grid_lines("smoke", "configs/smoke_grid.json"),
         *grid_lines("full", "configs/full_grid.json"),
         ("fit_single", digest(repr(list(single_fits())))),
         ("fit_multi", digest(repr(list(multi_fits())))),
+        ("pmf_kernel", kernel_digest()),
     ]
     for name, sha in lines:
         print(name, sha)

@@ -212,12 +212,10 @@ def _single_rows(reg: RegisterSpec, probs: np.ndarray, top: np.ndarray):
     M = reg.M
     T = len(probs)
     trials = np.arange(T)
+    observed = _observed(probs)
     # One-hot: one nonzero bin, holding 1.0. A top bin of 1.0 alone would
-    # not do, since (k - 1) / k rounds to 1.0 past k = 2**53; the O(M)
-    # count runs only where some top bin is 1.0.
-    exact = probs[trials, top] == 1.0
-    if exact.any():
-        exact &= np.count_nonzero(probs, axis=1) == 1
+    # not do, since (k - 1) / k rounds to 1.0 past k = 2**53.
+    exact = (probs[trials, top] == 1.0) & (observed[2] == 1)
     # Mirror: p[(2 y0 - y) mod M] == p[y] for every y. The O(M) comparison
     # runs only on rows whose two neighbours of y0 agree.
     mirror = probs[trials, (top - 1) % M] == probs[trials, (top + 1) % M]
@@ -225,7 +223,6 @@ def _single_rows(reg: RegisterSpec, probs: np.ndarray, top: np.ndarray):
         (screened,) = mirror.nonzero()
         reflected = (2 * top[screened, None] - np.arange(M)) % M
         mirror[screened] = (probs[screened[:, None], reflected] == probs[screened]).all(axis=1)
-    observed = _observed(probs)
     # f' at the scan nodes, inward from both ends of each box: the four outer
     # nodes a side for every trial, the inner ones only where a start has met
     # no sign change yet. One-hot trials are not scanned; a non-finite f'

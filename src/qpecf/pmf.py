@@ -49,17 +49,18 @@ PEAK_TERMS = 11
 
 
 @functools.lru_cache(maxsize=None)
-def _peak_series(M: int) -> tuple[complex, ...]:
-    """Series of P and dP/dtheta in z = x^2 at x = pi d, for register size M.
+def _peak_series(M: int) -> tuple[tuple[float, ...], ...]:
+    """Series in z = x^2 at x = pi d of P, dP/dtheta / x and d2P/dtheta2, for register size M.
 
-    Returns the coefficients p_k + 1j g_k of one complex series whose real
-    part is P = sum_k p_k z^k and whose imaginary part is dP/dtheta / x =
-    sum_k g_k z^k, so one Horner pass gives both. P is the square of
-    r(x) = sinc(x) / sinc(x / M), and r follows from
+    Returns the coefficient tuples p, g and c of P = sum_k p_k z^k,
+    dP/dtheta = x sum_k g_k z^k and d2P/dtheta2 = sum_k c_k z^k. P is the
+    square of r(x) = sinc(x) / sinc(x / M), and r follows from
     sinc(x) = r(x) sinc(x / M) term by term; dP/dtheta = -M pi dP/dx gives
-    g_k = -2 pi M (k + 1) p_(k+1). The arithmetic is exact in integers over
-    the common denominators below, so every coefficient is one correctly
-    rounded division (the factor pi is float pi), and p_0 = 1.
+    g_k = -2 pi M (k + 1) p_(k+1), and once more c_k = -pi M (2k + 1) g_k.
+    p_k and g_k are exact in integers over the common denominators below, so
+    each is one correctly rounded division (the factor pi is float pi), and
+    p_0 = 1; c_k is a product of floats, not one correctly rounded division,
+    since d2P/dtheta2 only steers the single-phase root search.
     """
     K = PEAK_TERMS + 1
     F = math.factorial(2 * K - 1)
@@ -73,29 +74,16 @@ def _peak_series(M: int) -> tuple[complex, ...]:
     # P = sum_k Q_k z^k / (F^(k+2) M^(2k))
     Q = [sum(R[j] * R[k - j] for j in range(k + 1)) for k in range(K)]
     pi_num, pi_den = math.pi.as_integer_ratio()
-    return tuple(
-        complex(
-            Q[k] / (F ** (k + 2) * M ** (2 * k)),
-            -2 * M * pi_num * (k + 1) * Q[k + 1] / (pi_den * F ** (k + 3) * M ** (2 * k + 2)),
-        )
+    p = tuple(Q[k] / (F ** (k + 2) * M ** (2 * k)) for k in range(PEAK_TERMS))
+    g = tuple(
+        -2 * M * pi_num * (k + 1) * Q[k + 1] / (pi_den * F ** (k + 3) * M ** (2 * k + 2))
         for k in range(PEAK_TERMS)
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _curv_series(M: int) -> tuple[float, ...]:
-    """Series of d2P/dtheta2 in z = x^2 next to the peak: -pi M (2k + 1) g_k."""
-    return tuple(-np.pi * M * (2 * k + 1) * c.imag for k, c in enumerate(_peak_series(M)))
+    return p, g, tuple(-math.pi * M * (2 * k + 1) * gk for k, gk in enumerate(g))
 
 
 def _horner(coef: tuple, z: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] z^k by Horner's rule, from the highest term down.
-
-    For complex coef and z with zero imaginary part, the real and imaginary
-    parts are each the real pass over their own coefficients, bit for bit:
-    every product with z's zero imaginary part adds an exact zero. z should
-    already be complex then, or every step casts it again.
-    """
+    """sum_k coef[k] z^k by Horner's rule, from the highest term down."""
     out = coef[-1] * z
     out += coef[-2]
     for c in coef[-3::-1]:
@@ -121,10 +109,11 @@ def _pmf_kernel(
     d2P/dtheta2 (curv) that are asked for, in that order, one alone bare.
     Away from the peak, with N and C the numerators of P and dP/dtheta,
 
-        d2P/dtheta2 = (pi / sin t)^2 [2 cos 2x + 2 N - (4 / pi) C cot t + 6 N cot^2 t],
+        d2P/dtheta2 = (pi / sin t)^2 [2 cos 2x + 2 N - (4 / pi) C cot t + 6 N cot^2 t].
 
-    and next to it d2P/dtheta2 = (pi M)^2 d2P/dx2 = sum_k -pi M (2k + 1) g_k z^k;
-    it only steers the single-phase root search, which needs no last-place accuracy.
+    Next to it, each output asked for is one real Horner pass of its
+    _peak_series table over the phase's z = x^2 (times x for dP/dtheta),
+    copied onto the peak elements.
     """
     theta = np.asarray(theta, dtype=float)
     u = theta * M
@@ -165,10 +154,12 @@ def _pmf_kernel(
             out.append(d2P)
     if _any(near_peak, axis=None):
         z = np.square(x)
-        series = _horner(_peak_series(M), z.astype(complex))
-        peak = ([series.real] if pmf else []) + ([x * series.imag] if grad else [])
+        p, g, c = _peak_series(M)
+        peak = [_horner(p, z)] if pmf else []
+        if grad:
+            peak.append(x * _horner(g, z))
         if curv:
-            peak.append(_horner(_curv_series(M), z))
+            peak.append(_horner(c, z))
         if rows is not None:
             (index,) = near_peak.nonzero()  # at most one element per row
         for value, term in zip(out, peak):

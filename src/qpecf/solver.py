@@ -118,6 +118,8 @@ def least_squares_box(residual, jacobian, start, lower, upper) -> SolverResult:
     # lam and nu hold the values of exactly those rows. A start's iteration
     # count is stamped when it stops.
     a = np.flatnonzero(started)
+    if a.size == 0:  # every start failed: no callable sees an empty point set
+        return SolverResult(x=x, ssr=f, iterations=iterations, converged=started, status=status)
     r = r[a]
     # C order whatever the callable returns: a broadcast Jacobian copied in
     # numpy's default order puts the start axis innermost, off matmul's BLAS path.

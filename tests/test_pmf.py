@@ -292,14 +292,16 @@ class TestKernels:
             assert np.max(np.abs(d2P - (up - down) / (ends[0] - ends[1]))) <= 1e-9 * scale
 
     def test_peak_series_leading_terms(self):
-        # P = 1 - (1 - 1/M^2) x^2 / 3 + ... and dP/dtheta = 2 pi M (1 - 1/M^2) x / 3 + ...
+        # P = 1 - (1 - 1/M^2) x^2 / 3 + ..., dP/dtheta = 2 pi M (1 - 1/M^2) x / 3 + ...
+        # and d2P/dtheta2 = -2 pi^2 (M^2 - 1) / 3 + ..., the curvature at the peak
         assert _horner((1.0, 2.0, 3.0), np.array([2.0]))[0] == 17.0
-        for n in (1, 3, 30):
+        for n in (1, 3, 20, 30):
             M = 2**n
-            series = _peak_series(M)
-            assert series[0].real == 1.0
-            assert series[1].real == pytest.approx(-(1 - 1 / M**2) / 3, rel=1e-15)
-            assert series[0].imag == pytest.approx(2 * np.pi * M * (1 - 1 / M**2) / 3, rel=1e-15)
+            p, g, c = _peak_series(M)
+            assert p[0] == 1.0
+            assert p[1] == pytest.approx(-(1 - 1 / M**2) / 3, rel=1e-15)
+            assert g[0] == pytest.approx(2 * np.pi * M * (1 - 1 / M**2) / 3, rel=1e-15)
+            assert c[0] == pytest.approx(-2 * np.pi**2 * (M * M - 1) / 3, rel=1e-15)
 
 
 # P and dP/dtheta next to the peak, from mpmath 1.3.0 at 50 digits on the

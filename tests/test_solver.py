@@ -178,6 +178,25 @@ class TestLeastSquaresBox:
             assert got[1:] == (alone[1], alone[2], alone[4])
             assert result.converged[i]
 
+    def test_every_start_nonfinite_calls_no_jacobian(self):
+        # every start lies left of x0 = -1.5, where the residual is NaN: the
+        # solver returns after the one residual call, before any Jacobian
+        residual, jacobian = nan_left_of(-1.5, *linear(LINE_A, LINE_B))
+        calls = []
+
+        def logged(points):
+            calls.append(points.shape)
+            return jacobian(points)
+
+        start = np.array([[-1.9, 0.5], [-1.6, -0.5]])
+        result = least_squares_box(residual, logged, start, [-2.0, -2.0], [2.0, 2.0])
+        assert calls == []
+        assert result.status.tolist() == ["nonfinite", "nonfinite"]
+        assert result.iterations.tolist() == [0, 0]
+        assert not result.converged.any()
+        assert np.isnan(result.ssr).all()
+        assert np.array_equal(result.x, start)
+
     def test_stacked_starts_match_their_single_solves(self):
         # one call per problem, each from the same five starts: an interior
         # bowl, a bowl whose minimum lies outside the box, the straight line
@@ -232,9 +251,8 @@ class TestLeastSquaresBox:
         for i in range(len(start)):
             calls = []
             least_squares_box(*recorded(calls), start[i : i + 1], lower, upper)
-            # a start that fails at its point leaves an empty Jacobian call
-            assert all(len(points) <= 1 for _, points in calls)
-            alone.append([(kind, points[0]) for kind, points in calls if points])
+            assert all(len(points) == 1 for _, points in calls)
+            alone.append([(kind, points[0]) for kind, points in calls])
         calls = []
         result = least_squares_box(*recorded(calls), start, lower, upper)
         assert len(set(result.iterations.tolist())) >= 4
