@@ -123,9 +123,13 @@ def trial_seed(base_seed: int, theta: float, n: int, k: int, trial: int) -> np.r
     hashes uniquely. The entropy is the uint32 words SeedSequence would make
     of the tuple (base_seed, theta_bits, n, k, trial): each int in
     little-endian 32-bit words, 0 as one word. The pool and the stream are
-    the tuple's; only the coercion of Python ints is skipped.
+    the tuple's; only the coercion of Python ints is skipped. The arguments
+    pass the package's input checks (DomainError), and -0.0 is read as 0.0,
+    as a campaign reads it.
     """
-    return next(_trial_seeds(base_seed, theta, n, k, (trial,)))
+    base_seed, theta = _check_seed(base_seed, "base_seed"), _check_theta(theta)
+    trials = (_check_int(trial, "trial", 0),)
+    return next(_trial_seeds(base_seed, theta, RegisterSpec(n).n, _check_shots(k), trials))
 
 
 def _uint32_words(*values: int) -> list[int]:
@@ -158,14 +162,11 @@ def _record(theta: float, reg: RegisterSpec, k: int, phases, failed) -> BenchRec
     estimates = phases[~failed]
     trials = len(phases)
     excluded = trials - estimates.size
-    if estimates.size:
-        d = np.abs(estimates - theta)
-        errors = np.minimum(d, 1.0 - d)
-        rmse = float(np.sqrt(np.mean(errors**2)))
-        mean_abs = float(np.mean(errors))
-    else:
-        rmse = float("nan")
-        mean_abs = float("nan")
+    d = np.abs(estimates - theta)
+    errors = np.minimum(d, 1.0 - d)
+    with np.errstate(invalid="ignore"):  # a cell with no estimates gets NaN, from 0 / 0
+        rmse = float(np.sqrt(np.add.reduce(errors**2) / errors.size))
+        mean_abs = float(np.add.reduce(errors) / errors.size)
     crlb_rmse = float(np.sqrt(crlb_mse(reg, k)))
     # Circular distance from theta to its nearest representable bin value.
     traditional_error = abs(theta * reg.M - round(theta * reg.M)) / reg.M

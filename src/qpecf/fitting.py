@@ -27,9 +27,7 @@ n = 2-8 lie within 3.9e-15 bins of their 50-digit minimisers
 (tests/test_fitting.py::TestPinnedEstimates::
 test_single_phase_fits_sit_on_their_minimisers asserts 5e-15), and an
 n = 17 fit within half a float64 spacing (TestObservedBins::
-test_observed_bin_fit_is_float64_accurate). Against the solve-and-polish
-path it replaced, no estimate of configs/full_grid.json or of the perfbench
-campaigns changed basin or moved by more than 1.4e-14 bins.
+test_observed_bin_fit_is_float64_accurate).
 
 The recipe has one exception: a single-phase pmf with all its mass in one
 bin y0 is P(y0 / M) itself, so its fit is y0 / M with SSR 0, unsearched.
@@ -203,15 +201,30 @@ def _ssr(rows: tuple, theta: np.ndarray, M: int) -> np.ndarray:
     return np.add.reduceat(np.square(P - p), starts) + np.maximum(rest, 0.0)
 
 
-def _single_rows(reg: RegisterSpec, probs: np.ndarray, top: np.ndarray):
-    """The winning start's phase, SSR, iterations, convergence, status and corner of each trial.
+def _single_rows(probs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Fit one phase to each row of a (T, M) chunk of pmfs; no row depends on the others.
 
-    top holds each trial's top bin. f', f'' and the SSR are evaluated on
-    kernel rows (_rows), each a (trial, phase) pair, one call per batch.
+    Each trial's box is built on its top bin y0, ties to the lower index.
+    f', f'' and the SSR are evaluated on kernel rows (_rows), each a
+    (trial, phase) pair, one kernel call per batch of rows. A row's
+    iterations count its evaluations of f', and its status is "xtol" or
+    "maxiter". A trial whose f' is not finite at some scan node fails alone
+    (status "nonfinite"). A histogram symmetric about y0,
+    p[(2 y0 - y) mod M] == p[y] for every y, holds mirror minima y0 +- delta
+    of equal SSR in exact arithmetic, so rounding would pick its winner; the
+    later start wins it by rule. A one-hot pmf, the indicator of y0, equals
+    P(y0 / M): its row is y0 / M with SSR 0, 0 iterations, status "exact"
+    and corner 1 ("right"), the tie of two starts at SSR 0, and it is not
+    searched: Newton steps converge only linearly in its quartic basin.
+
+    Returns per-trial arrays in trial order: the winning start's phase,
+    wrapped into [0, 1), its SSR, iterations, convergence and status; its
+    corner, 0 for the left start and 1 for the right, or -1 where the trial
+    failed (that row keeps the right start's values); and y0.
     """
-    M = reg.M
-    T = len(probs)
+    T, M = probs.shape
     trials = np.arange(T)
+    top = np.argmax(probs, axis=1)
     observed = _observed(probs)
     # One-hot: one nonzero bin, holding 1.0. A top bin of 1.0 alone would
     # not do, since (k - 1) / k rounds to 1.0 past k = 2**53.
@@ -266,7 +279,7 @@ def _single_rows(reg: RegisterSpec, probs: np.ndarray, top: np.ndarray):
     won = (trials, corner)
     status = np.where(converged[won], "xtol", "maxiter").astype("<U9")
     status[exact], status[~ok], corner[~ok] = "exact", "nonfinite", -1
-    return x[won], ssr[won], iterations[won], converged[won] & ok, status, corner
+    return np.mod(x[won], 1.0), ssr[won], iterations[won], converged[won] & ok, status, corner, top
 
 
 def _refine(x, a, b, tol, rows, M: int):
@@ -315,38 +328,16 @@ def _refine(x, a, b, tol, rows, M: int):
 
 
 def _fit(reg: RegisterSpec, pmfs) -> tuple[np.ndarray, ...]:
-    """Fit one phase to each of an iterable of (M,) pmfs.
+    """_single_rows's arrays for an iterable of (M,) pmfs, searched a chunk at a time.
 
     pmfs is read in chunks of max(1, BATCH_ELEMENTS // (2 M)) trials, so a
-    campaign holds one chunk's pmfs however many trials it streams through,
-    and each chunk is searched by _single_rows. A row never depends on the
-    other trials of its chunk.
-
-    A row's iterations count its evaluations of f', and its status is
-    "xtol" or "maxiter". A trial whose f' is not finite at some scan node
-    fails alone (status "nonfinite"). A histogram symmetric about its top
-    bin y0, p[(2 y0 - y) mod M] == p[y] for every y, holds mirror minima
-    y0 +- delta of equal SSR in exact arithmetic, so rounding would pick its
-    winner; the later start wins it by rule. A one-hot pmf, the indicator of
-    one bin y0, equals P(y0 / M): its row is y0 / M with SSR 0, 0
-    iterations, status "exact" and corner 1 ("right"), the tie of two starts
-    at SSR 0, and it is not searched: Newton steps converge only linearly in
-    its quartic basin.
-
-    Returns per-trial arrays in trial order: the winning start's phase,
-    wrapped into [0, 1), its SSR, iterations, convergence and status; its
-    corner, 0 for the left start and 1 for the right, or -1 where the trial
-    failed (that row keeps the right start's values); and the top bin its
-    box was built on, ties to the lower index.
+    campaign holds one chunk's pmfs however many trials it streams through.
     """
     pmfs = iter(pmfs)
     chunks = []
     while chunk := list(itertools.islice(pmfs, max(1, BATCH_ELEMENTS // (2 * reg.M)))):
-        probs = np.array(chunk)
-        top = np.argmax(probs, axis=1)
-        chunks.append((*_single_rows(reg, probs, top), top))
-    phase, *rest = map(np.concatenate, zip(*chunks))
-    return (np.mod(phase, 1.0), *rest)
+        chunks.append(_single_rows(np.array(chunk)))
+    return tuple(map(np.concatenate, zip(*chunks)))
 
 
 def _result(M: int, x: np.ndarray, bins: np.ndarray, ssr, start_used: str, iterations,

@@ -224,7 +224,7 @@ def test_score_and_jacobian_match_finite_differences():
         n = int(rng.integers(2, 7))
         reg = RegisterSpec(n)
         probs = pmf_vector(reg, PhaseModel.single(float(rng.random())))
-        residual, jacobian = _problem(reg, 2, probs[np.newaxis])
+        residual, jacobian = _problem(reg, 2, probs)
         point = np.append(rng.uniform(1e-6, 1 - 1e-6, 2), rng.uniform(0.1, 0.9))
         fd = fd_jacobian(lambda q: residual(q[np.newaxis])[0], point, h=step)
         analytic = jacobian(point[np.newaxis])[0]

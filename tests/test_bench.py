@@ -108,6 +108,17 @@ class TestTrialSeed:
         b = trial_seed(1, near, 3, 100, 0).generate_state(4)
         assert not np.array_equal(a, b)
 
+    def test_coordinates_are_checked(self):
+        # -0.0 is the campaign's zero phase, and each coordinate out of
+        # range or of the wrong type raises DomainError
+        good = (1, 0.2, 3, 10, 0)
+        assert np.array_equal(trial_seed(1, -0.0, 3, 10, 0).generate_state(4),
+                              trial_seed(1, 0.0, 3, 10, 0).generate_state(4))
+        bad = [(-1, True, 1.0), (1.5, -0.1, float("nan"), "0.2"), (0, 31, 3.0), (0, 10.0), (-1, 1.0)]
+        for i, value in ((i, v) for i, values in enumerate(bad) for v in values):
+            with pytest.raises(DomainError):
+                trial_seed(*good[:i], value, *good[i + 1:])
+
     # generate_state(4) of SeedSequence((base_seed, theta_bits, n, k, trial)),
     # recorded from the tuple form: coordinates of 0 and past 2**32 take one
     # and two uint32 words, and every campaign stream hangs on these words.
@@ -379,9 +390,9 @@ class TestStreaming:
         sizes = []
         search = fitting._single_rows
 
-        def recording(reg, probs, top):
+        def recording(probs):
             sizes.append(len(probs))
-            return search(reg, probs, top)
+            return search(probs)
 
         monkeypatch.setattr("qpecf.fitting._single_rows", recording)
         return sizes
@@ -396,7 +407,7 @@ class TestStreaming:
         one_cell(1 / 3, 10, 100, 100, 1)
         assert single_chunks == [32, 32, 32, 4]
         assert call_shapes == []
-        # 8 problems per call at n = 13, so one trial's 16 corners take two calls
+        # 8 starts per call at n = 13, so one trial's 16 corners take two calls
         call_shapes.clear()
         bins = ((819, 0.4), (2457, 0.3), (4505, 0.2), (6553, 0.1))
         model = PhaseModel.from_pairs(tuple(((b + 0.25) / 2**13, w) for b, w in bins))
@@ -414,7 +425,7 @@ class TestStreaming:
         whole = fit_multi(observed, J)
         assert call_shapes == [(2**J, 2 * J - 1)]
         call_shapes.clear()
-        monkeypatch.setattr("qpecf.fitting.BATCH_ELEMENTS", 2**n)  # one problem per call
+        monkeypatch.setattr("qpecf.fitting.BATCH_ELEMENTS", 2**n)  # one start per call
         assert fit_multi(observed, J) == whole
         assert call_shapes == [(1, 2 * J - 1)] * 2**J
 

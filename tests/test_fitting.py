@@ -492,16 +492,6 @@ def dense_ssr(residual, point: np.ndarray) -> np.ndarray:
     return np.array([r @ r])
 
 
-def single_callables(reg: RegisterSpec, probs: np.ndarray):
-    """f' and f'' of the single-phase search as (points, rows) callables, row r for trial r // 2."""
-    observed = _observed(np.atleast_2d(probs))
-
-    def at(points, rows):
-        return _slope(_rows(observed, rows // 2), points[:, 0], reg.M, curv=True)
-
-    return (lambda points, rows: at(points, rows)[0]), (lambda points, rows: at(points, rows)[1])
-
-
 class TestObservedBins:
     """Single-phase fits run on the bins that hold counts."""
 
@@ -597,14 +587,14 @@ class TestJacobians:
         reg = RegisterSpec(3)
         probs = pmf_vector(reg, PhaseModel.single(1 / 3))
         residual, _ = dense_problem(reg, probs)
-        slope, curvature = single_callables(reg, probs)
-        rows = np.arange(1)
+        rows = _rows(_observed(probs[np.newaxis]), np.zeros(1, dtype=int))
         for _ in range(50):
-            params = np.array([(3 + rng.uniform(-0.45, 0.45)) / reg.M])
-            fd = fd_jacobian(lambda q: dense_ssr(residual, q), params)[0, 0]
-            assert np.isclose(slope(params[np.newaxis], rows)[0], fd, rtol=1e-5, atol=1e-9)
-            fd = fd_jacobian(lambda q: slope(q[np.newaxis], rows), params)[0, 0]
-            assert np.isclose(curvature(params[np.newaxis], rows)[0], fd, rtol=1e-5, atol=1e-7)
+            theta = np.array([(3 + rng.uniform(-0.45, 0.45)) / reg.M])
+            slope, curvature = _slope(rows, theta, reg.M, curv=True)
+            fd = fd_jacobian(lambda q: dense_ssr(residual, q), theta)[0, 0]
+            assert np.isclose(slope[0], fd, rtol=1e-5, atol=1e-9)
+            fd = fd_jacobian(lambda q: _slope(rows, q, reg.M)[0], theta)[0, 0]
+            assert np.isclose(curvature[0], fd, rtol=1e-5, atol=1e-7)
 
     def test_multi_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -625,57 +615,55 @@ class TestJacobians:
 
     @pytest.mark.parametrize("J", [1, 2, 3])
     def test_rows_evaluate_alone(self, J):
-        # the solver passes only its running starts, so a row's residual
-        # and Jacobian must not depend on its batchmates or its position
+        # the solver passes only its running starts, and the single-phase
+        # search only its running trials' rows, so a row must not depend on
+        # its batchmates or its position: a subset of rows equals those rows
+        # of the full batch, and each row equals its point evaluated alone
         rng = np.random.default_rng(44 + J)
         reg = RegisterSpec(5)
-
-        def points(B):
-            weights = rng.dirichlet(np.ones(J), size=B)[:, : J - 1]
-            return np.concatenate([rng.random((B, J)), weights], axis=1)
-
-        # J = 1 has the single-phase search's f' and f'' in their place, on
-        # a chunk of trials whose row r reads trial r // 2; J >= 2 fits one
-        # pmf, whose callables take the points alone
-        def problem(pmfs):
-            if J == 1:
-                return single_callables(reg, pmfs)
-            residual, jacobian = _problem(reg, J, pmfs[0])
-            return (lambda x, rows: residual(x)), (lambda x, rows: jacobian(x))
-
-        probs = rng.dirichlet(np.ones(reg.M), size=12)
-        self.assert_rows_evaluate_alone(*problem(probs), points(12), rng)
-        # a call holds the 2**J starts of each of T trials, T = 1 for
-        # J >= 2: row r's values are those of its trial's pmf alone
-        S, T = 2**J, 4 if J == 1 else 1
-        chunk = rng.dirichlet(np.ones(reg.M), size=T)
-        batch = points(T * S)
-        rows = np.arange(T * S)
-        residual, jacobian = problem(chunk)
-        self.assert_rows_evaluate_alone(residual, jacobian, batch, rng)
-        got_r, got_j = residual(batch, rows), jacobian(batch, rows)
-        for r in rows:
-            lone_r, lone_j = problem(chunk[[r // S]])
-            start = np.array([r % S])
-            assert np.array_equal(got_r[r], lone_r(batch[[r]], start)[0])
-            assert np.array_equal(got_j[r], lone_j(batch[[r]], start)[0])
+        M = reg.M
+        idx = rng.permutation(12)[:7]
+        if J == 1:
+            # f' and f'' on a chunk of 6 trials, row r reading trial r // 2,
+            # and row r alone on its trial's pmf alone
+            chunk = rng.dirichlet(np.ones(M), size=6)
+            trials, theta = np.arange(12) // 2, rng.random(12)
+            observed = _observed(chunk)
+            got = _slope(_rows(observed, trials), theta, M, curv=True)
+            part = _slope(_rows(observed, trials[idx]), theta[idx], M, curv=True)
+            lone = [
+                _slope(_rows(_observed(chunk[[t]]), np.zeros(1, dtype=int)), theta[[r]], M, curv=True)
+                for r, t in enumerate(trials)
+            ]
+        else:
+            residual, jacobian = _problem(reg, J, rng.dirichlet(np.ones(M)))
+            weights = rng.dirichlet(np.ones(J), size=12)[:, : J - 1]
+            batch = np.concatenate([rng.random((12, J)), weights], axis=1)
+            got = residual(batch), jacobian(batch)
+            part = residual(batch[idx]), jacobian(batch[idx])
+            lone = [(residual(batch[[r]]), jacobian(batch[[r]])) for r in range(12)]
+        for whole, some in zip(got, part):
+            assert np.array_equal(some, whole[idx])
+        for r, alone in enumerate(lone):
+            for whole, one in zip(got, alone):
+                assert np.array_equal(whole[r], one[0])
 
     def test_observed_rows_evaluate_alone(self):
+        # the same subset check on a sampled pmf with empty bins, whose
+        # kernel rows hold only its observed bins
         rng = np.random.default_rng(47)
         reg = RegisterSpec(10)
         dist = analytic_distribution(reg, PhaseModel.single(0.2718))
         probs = histogram_to_probs(sample_shots(dist, 1000, 3)).probs
         assert np.count_nonzero(probs) < reg.M
-        batch = (int(np.argmax(probs)) + rng.uniform(-0.5, 0.5, (12, 1))) / reg.M
-        same = np.broadcast_to(probs, (6, reg.M))  # row r reads trial r // 2
-        self.assert_rows_evaluate_alone(*single_callables(reg, same), batch, rng)
-
-    @staticmethod
-    def assert_rows_evaluate_alone(residual, jacobian, batch, rng):
-        every = np.arange(len(batch))
-        idx = rng.permutation(len(batch))[:7]
-        assert np.array_equal(residual(batch[idx], idx), residual(batch, every)[idx])
-        assert np.array_equal(jacobian(batch[idx], idx), jacobian(batch, every)[idx])
+        theta = (int(np.argmax(probs)) + rng.uniform(-0.5, 0.5, 12)) / reg.M
+        observed = _observed(np.broadcast_to(probs, (6, reg.M)))  # row r reads trial r // 2
+        trials = np.arange(12) // 2
+        idx = rng.permutation(12)[:7]
+        got = _slope(_rows(observed, trials), theta, reg.M, curv=True)
+        part = _slope(_rows(observed, trials[idx]), theta[idx], reg.M, curv=True)
+        for whole, some in zip(got, part):
+            assert np.array_equal(some, whole[idx])
 
     @pytest.mark.parametrize("J", [2, 3, 4])
     def test_multi_problem_matches_component_loop(self, J):
