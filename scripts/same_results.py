@@ -18,6 +18,11 @@ identical bytes in every family below.
   bins for each phase alone and all three together (J = 3) at n = 1, 3, 10
   and 20, and the rows modes P, dP/dtheta and dP/dtheta + d2P/dtheta2 on
   seven bins around each phase at n = 3, 10 and 30.
+- draws: the bytes of sample_shots' counts at int and SeedSequence seeds,
+  and of every trial's counts in one campaign cell at each n in {2, 8, 16}
+  and k in {1, 10, 10**6}, drawn through the public trial_seed path, which
+  the campaign's own draws equal bit for bit (tests/test_bench.py). A
+  change to the random stream shows here as well as through the fits.
 
 Floats are hashed through .hex(), so a change in the last bit shows.
 """
@@ -25,11 +30,12 @@ Floats are hashed through .hex(), so a change in the last bit shows.
 import dataclasses
 import hashlib
 import json
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from qpecf.bench import BenchGrid, fit_scaling_exponents, records_to_csv, run_grid
+from qpecf.bench import BenchGrid, fit_scaling_exponents, records_to_csv, run_grid, trial_seed
 from qpecf.fitting import fit_multi, fit_single
 from qpecf.model import PhaseModel, RegisterSpec
 from qpecf.pmf import _pmf_kernel, analytic_distribution
@@ -121,9 +127,20 @@ def kernel_outputs():
             yield _pmf_kernel(bins % M / M, thetas, M, rows=rows, **modes)
 
 
-def kernel_digest() -> str:
+def draw_counts():
+    dist = analytic_distribution(RegisterSpec(3), PhaseModel.single(0.2718))
+    for seed in (*SEEDS, np.random.SeedSequence(2**70), np.random.SeedSequence((1, 2))):
+        yield sample_shots(dist, SHOTS, seed).counts
+    for n, k in product((2, 8, 16), (1, 10, 10**6)):
+        dist = analytic_distribution(RegisterSpec(n), PhaseModel.single(1 / 3))
+        for trial in range(10):
+            yield sample_shots(dist, k, trial_seed(12345, 1 / 3, n, k, trial)).counts
+
+
+def array_digest(outputs) -> str:
+    """sha256 of the bytes of every array, an output being an array or a tuple of them."""
     sha = hashlib.sha256()
-    for out in kernel_outputs():
+    for out in outputs:
         for value in out if isinstance(out, tuple) else (out,):
             sha.update(value.tobytes())
     return sha.hexdigest()
@@ -135,7 +152,8 @@ def main() -> None:
         *grid_lines("full", "configs/full_grid.json"),
         ("fit_single", digest(repr(list(single_fits())))),
         ("fit_multi", digest(repr(list(multi_fits())))),
-        ("pmf_kernel", kernel_digest()),
+        ("pmf_kernel", array_digest(kernel_outputs())),
+        ("draws", array_digest(draw_counts())),
     ]
     for name, sha in lines:
         print(name, sha)

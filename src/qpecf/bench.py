@@ -7,10 +7,12 @@ also keeps the per-trial estimates. The cells of a grid that share a
 register size n are fit together: each trial's counts are drawn one at a
 time as the fitter reads them, through the sampling core of
 simulate.sample_shots, so cells share the fitter's chunks and a campaign
-holds one chunk's pmfs. Per-trial seeds are a pure function of
-(base_seed, theta, n, k, trial), and a fit does not depend on the chunk it
-lands in, so results are bit-identical regardless of grouping,
-scheduling or worker count.
+holds one chunk's pmfs. A trial's stream is that of its trial_seed, a pure
+function of (base_seed, theta, n, k, trial). A job builds no SeedSequence
+per trial: it derives every trial's Philox key in one numpy pass
+(_trial_keys) and draws all its trials through one re-keyed Philox. A fit
+does not depend on the chunk it lands in, so results are bit-identical
+regardless of grouping, scheduling or worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .model import (
     PhaseModel, RegisterSpec, _check_fields, _check_int, _check_seed, _check_shots, _check_theta,
 )
 from .pmf import analytic_distribution, circuit_depth_units, crlb_mse
-from .simulate import _draw, _shot_weights
+from .simulate import _draws, _shot_weights
 
 # A cell whose exclusion rate exceeds this fraction is flagged invalid.
 MAX_EXCLUDED_FRACTION = 0.01
@@ -125,11 +127,15 @@ def trial_seed(base_seed: int, theta: float, n: int, k: int, trial: int) -> np.r
     little-endian 32-bit words, 0 as one word. The pool and the stream are
     the tuple's; only the coercion of Python ints is skipped. The arguments
     pass the package's input checks (DomainError), and -0.0 is read as 0.0,
-    as a campaign reads it.
+    as a campaign reads it. A campaign builds no SeedSequence per trial:
+    _trial_keys derives its Philox key from SeedSequence.pool of the cell's
+    words and two re-implemented steps, mix_entropy's for the trial's words
+    and generate_state.
     """
     base_seed, theta = _check_seed(base_seed, "base_seed"), _check_theta(theta)
-    trials = (_check_int(trial, "trial", 0),)
-    return next(_trial_seeds(base_seed, theta, RegisterSpec(n).n, _check_shots(k), trials))
+    trial = _check_int(trial, "trial", 0)
+    words = _cell_words(base_seed, theta, RegisterSpec(n).n, _check_shots(k)) + _uint32_words(trial)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def _uint32_words(*values: int) -> list[int]:
@@ -145,12 +151,61 @@ def _uint32_words(*values: int) -> list[int]:
     return words
 
 
-def _trial_seeds(base_seed: int, theta: float, n: int, k: int, trials):
-    """trial_seed of each trial in trials, with the cell's words built once."""
-    theta_bits = int(np.float64(theta).view(np.uint64))
-    cell = _uint32_words(base_seed, theta_bits, n, k)
-    for trial in trials:
-        yield np.random.SeedSequence(np.array(cell + _uint32_words(trial), dtype=np.uint32))
+def _cell_words(base_seed: int, theta: float, n: int, k: int) -> list[int]:
+    """The uint32 words a cell's trial entropy starts with: at least 4, one per coordinate."""
+    return _uint32_words(base_seed, int(np.float64(theta).view(np.uint64)), n, k)
+
+
+# numpy's SeedSequence constants, fixed so that seeded streams reproduce.
+# mix_entropy's j-th hashmix xors with INIT_A * MULT_A**j and multiplies by
+# INIT_A * MULT_A**(j + 1); generate_state's i-th word likewise with INIT_B, MULT_B.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MULT_A_POWERS = np.array([pow(_MULT_A, j, 2**32) for j in range(9)], dtype=np.uint32)
+_STATE_HASH = np.array([0x8B51F9DD * pow(0x58F38DED, i, 2**32) % 2**32 for i in range(5)],
+                       dtype=np.uint32)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _mix_word(pool: np.ndarray, word: np.ndarray, hashes: np.ndarray) -> np.ndarray:
+    """mix_entropy's step for one entropy word past the pool: the word,
+    hashmixed with the next four constants, is mixed into each pool word."""
+    value = (word[None, :, None] ^ hashes[..., :4]) * hashes[..., 1:]
+    value ^= value >> 16
+    pool = _MIX_L * pool - _MIX_R * value
+    pool ^= pool >> 16
+    return pool
+
+
+def _trial_keys(base_seed: int, n: int, cells, trials) -> np.ndarray:
+    """Philox key of trial_seed(base_seed, theta, n, k, trial) for each (theta, k) cell and
+    each trial index below 2**64: a (cells, trials, 2) uint64 array.
+
+    A key is SeedSequence(entropy).generate_state(2, np.uint64). A trial's
+    entropy is its cell's words, at least the pool size of 4, then its own
+    one or two words, so numpy mixes each cell's words once, in
+    SeedSequence(cell words).pool, with 4 hashmix calls per word. Two steps
+    run here for every trial at once: mix_entropy's for each trial word
+    (_mix_word), and generate_state. tests/test_bench.py holds the keys to
+    SeedSequence's own, so a change in numpy's mixing shows there.
+    """
+    pools, hashes = [], []
+    for theta, k in cells:
+        words = _cell_words(base_seed, theta, n, k)
+        pools.append(np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool)
+        hashes.append(_INIT_A * pow(_MULT_A, 4 * len(words), 2**32) % 2**32)
+    pool = np.array(pools)[:, None, :]
+    hashes = (np.array(hashes, dtype=np.uint32)[:, None] * _MULT_A_POWERS)[:, None, :]
+    trials = np.asarray(trials, dtype=np.uint64)
+    pool = _mix_word(pool, trials.astype(np.uint32), hashes[..., :5])  # the low words
+    high = trials >> 32
+    if high.any():
+        # a trial past 2**32 - 1 has a second word, which takes the next four constants
+        mixed = _mix_word(pool, high.astype(np.uint32), hashes[..., 4:])
+        pool = np.where(high[None, :, None] > 0, mixed, pool)
+    state = (pool ^ _STATE_HASH[:4]) * _STATE_HASH[1:]
+    state ^= state >> 16
+    # generate_state's uint64 words: pairs of uint32 words read little-endian
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def _record(theta: float, reg: RegisterSpec, k: int, phases, failed) -> BenchRecord:
@@ -196,15 +251,16 @@ def _run_cells(job: tuple) -> list[BenchRecord]:
         theta: _shot_weights(analytic_distribution(reg, PhaseModel.single(theta)).probs)
         for theta in dict.fromkeys(theta for theta, _ in cells)
     }
-    # Each trial's counts are drawn from its own trial_seed when _fit reads
-    # them, through sample_shots' core: counts / k are the bits of
-    # histogram_to_probs(sample_shots(...)).probs, with no ShotHistogram or
-    # OutcomeDistribution to check them again.
-    pmfs = (
-        _draw(weights[theta], k, seed) / k
-        for theta, k in cells
-        for seed in _trial_seeds(base_seed, theta, n, k, range(trials))
-    )
+    # Every trial's Philox key is built in one pass, and its counts are
+    # drawn with it when _fit reads them, through sample_shots' core:
+    # counts / k are the bits of histogram_to_probs(sample_shots(...,
+    # trial_seed(...))).probs, with no SeedSequence, ShotHistogram or
+    # OutcomeDistribution per trial.
+    keys = _trial_keys(base_seed, n, cells, np.arange(trials)).tolist()
+    draws = [
+        (weights[theta], k, key) for (theta, k), cell_keys in zip(cells, keys) for key in cell_keys
+    ]
+    pmfs = (counts / k for counts, (_, k, _) in zip(_draws(draws), draws))
     phase, *_, corner, _ = _fit(reg, pmfs)
     phases = phase.reshape(len(cells), trials)
     failed = (corner < 0).reshape(len(cells), trials)

@@ -150,28 +150,43 @@ def _shot_weights(probs: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _draw(weights: np.ndarray, k: int, seed) -> np.ndarray:
-    """Counts of k outcomes in one multinomial draw from the Philox stream of seed.
+def _draws(draws):
+    """Counts of each (weights, k, key) draw: k outcomes in one multinomial draw.
 
-    This is the one place the random stream is defined: sample_shots and
-    the campaign trials both draw through it.
+    key is a seed's Philox key, seed.generate_state(2, np.uint64). Each draw
+    re-keys one Philox at counter 0 through its state setter, so its counts
+    are those of Generator(Philox(seed)); each call builds its own, so
+    threads share none. This is the one place the random stream is defined:
+    sample_shots and the campaign trials both draw through it. A campaign's
+    keys come from bench._trial_keys, which reads SeedSequence.pool and
+    re-implements two steps: mix_entropy's past the pool, and generate_state.
     """
-    return np.random.Generator(np.random.Philox(seed)).multinomial(k, weights)
+    bits = np.random.Philox(key=0)
+    generator = np.random.Generator(bits)
+    state = bits.state
+    for weights, k, key in draws:
+        state["state"]["key"] = key
+        bits.state = state
+        yield generator.multinomial(k, weights)
 
 
 def sample_shots(dist: OutcomeDistribution, k: int, seed) -> ShotHistogram:
     """Draw k outcomes from dist in one multinomial draw; deterministic for a fixed seed.
 
     seed is an int >= 0 or a numpy SeedSequence; an int seed and a
-    SeedSequence built from it give the same counts. The counter-based
-    Philox generator keeps streams reproducible regardless of how calls are
+    SeedSequence built from it give the same counts, those of
+    Generator(Philox(seed)). The key is numpy's own, seed.generate_state(2,
+    np.uint64), where a campaign trial's key comes from SeedSequence.pool
+    and two re-implemented steps (_draws). The counter-based Philox
+    generator keeps streams reproducible regardless of how calls are
     scheduled across processes. An entry below 0 that OutcomeDistribution
     tolerates gets no counts (_shot_weights).
     """
     k = _check_shots(k)
     if not isinstance(seed, np.random.SeedSequence):
-        seed = _check_seed(seed)
-    return ShotHistogram(dist.reg, _draw(_shot_weights(dist.probs), k, seed), k, _owned=True)
+        seed = np.random.SeedSequence(_check_seed(seed))
+    (counts,) = _draws([(_shot_weights(dist.probs), k, seed.generate_state(2, np.uint64))])
+    return ShotHistogram(dist.reg, counts, k, _owned=True)
 
 
 def histogram_to_probs(hist: ShotHistogram) -> OutcomeDistribution:

@@ -15,6 +15,7 @@ from qpecf.bench import (
     BenchGrid,
     BenchRecord,
     ScalingSummary,
+    _trial_keys,
     circular_error,
     fit_scaling_exponents,
     records_to_csv,
@@ -138,6 +139,19 @@ class TestTrialSeed:
         seed = trial_seed(*coords)
         assert isinstance(seed, np.random.SeedSequence)
         assert seed.generate_state(4).tolist() == words
+
+    def test_vectorised_keys_match_seed_sequence(self):
+        # the campaign's keys re-implement two steps of SeedSequence's
+        # mixing, so a drift in numpy's shows here: cells of one to three
+        # words per coordinate, and trials of one and two words
+        cells = list(product((0.0, 0.999), (1, 2**32, 2**63 - 1)))
+        trials = [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**63 - 1]
+        for base_seed, n in product((7, 2**32 + 5, 2**63 - 1), (2, 30)):
+            keys = _trial_keys(base_seed, n, cells, trials)
+            assert keys.shape == (len(cells), len(trials), 2) and keys.dtype == np.uint64
+            for ((theta, k), trial), key in zip(product(cells, trials), keys.reshape(-1, 2)):
+                philox = np.random.Philox(trial_seed(base_seed, theta, n, k, trial))
+                assert key.tolist() == philox.state["state"]["key"].tolist()
 
 
 def stub_fit(trials: int, failed: int):

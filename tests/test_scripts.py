@@ -46,6 +46,7 @@ def test_same_results_prints_one_digest_per_family():
         "fit_single",
         "fit_multi",
         "pmf_kernel",
+        "draws",
     ]
     assert all(re.fullmatch("[0-9a-f]{64}", sha) for _, sha in lines)
 

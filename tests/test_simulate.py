@@ -14,6 +14,7 @@ from qpecf.simulate import (
     MAX_SIM_QUBITS,
     ShotHistogram,
     SimUnitary,
+    _draws,
     histogram_to_probs,
     sample_shots,
     simulate_distribution,
@@ -169,6 +170,21 @@ class TestSampling:
         dist = OutcomeDistribution(RegisterSpec(3), np.array(probs))
         for seed, want in zip((0, 7, 12345), counts):
             assert sample_shots(dist, 1000, seed).counts.tolist() == want
+
+    def test_draws_are_independent_per_call(self):
+        # two generators stepped in turn each give a key its solo counts,
+        # which are those of a Generator over Philox(SeedSequence)
+        weights = [np.full(4, 0.25), np.array([0.1, 0.2, 0.3, 0.4])]
+        seeds = [np.random.SeedSequence(s) for s in (0, 7, 12345, 2**70)]
+        draws = [(weights[i % 2], 10**i, s.generate_state(2, np.uint64)) for i, s in enumerate(seeds)]
+        solo = [next(_draws([draw])) for draw in draws]
+        for (w, k, _), seed, counts in zip(draws, seeds, solo):
+            want = np.random.Generator(np.random.Philox(seed)).multinomial(k, w)
+            assert counts.tolist() == want.tolist()
+        first, second = _draws(draws), _draws(draws[::-1])
+        interleaved = [(next(first), next(second)) for _ in draws]
+        assert [a.tolist() for a, _ in interleaved] == [c.tolist() for c in solo]
+        assert [b.tolist() for _, b in interleaved] == [c.tolist() for c in solo[::-1]]
 
     def test_zero_shots_rejected(self):
         dist = OutcomeDistribution(RegisterSpec(2), np.full(4, 0.25))
