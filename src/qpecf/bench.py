@@ -8,11 +8,9 @@ register size n are fit together: each trial's counts are drawn one at a
 time as the fitter reads them, through the sampling core of
 simulate.sample_shots, so cells share the fitter's chunks and a campaign
 holds one chunk's pmfs. A trial's stream is that of its trial_seed, a pure
-function of (base_seed, theta, n, k, trial). A job builds no SeedSequence
-per trial: it derives every trial's Philox key in one numpy pass
-(_trial_keys) and draws all its trials through one re-keyed Philox. A fit
-does not depend on the chunk it lands in, so results are bit-identical
-regardless of grouping, scheduling or worker count.
+function of (base_seed, theta, n, k, trial), keyed as _trial_keys derives
+it. A fit does not depend on the chunk it lands in, so results are
+bit-identical regardless of grouping, scheduling or worker count.
 """
 
 from __future__ import annotations
@@ -68,7 +66,8 @@ class BenchGrid:
                 "n_values must not contain 1: at n = 1, theta and 1 - theta "
                 "give the same distribution"
             )
-        trials = _check_int(self.trials, "trials", 1)
+        # so each trial index is one uint32 word of the trial's entropy (_trial_keys)
+        trials = _check_int(self.trials, "trials", 1, 2**32 - 1)
         base_seed = _check_seed(self.base_seed, "base_seed")
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "n_values", n_values)
@@ -127,10 +126,8 @@ def trial_seed(base_seed: int, theta: float, n: int, k: int, trial: int) -> np.r
     little-endian 32-bit words, 0 as one word. The pool and the stream are
     the tuple's; only the coercion of Python ints is skipped. The arguments
     pass the package's input checks (DomainError), and -0.0 is read as 0.0,
-    as a campaign reads it. A campaign builds no SeedSequence per trial:
-    _trial_keys derives its Philox key from SeedSequence.pool of the cell's
-    words and two re-implemented steps, mix_entropy's for the trial's words
-    and generate_state.
+    as a campaign reads it. A campaign derives the same keys without a
+    SeedSequence per trial (_trial_keys).
     """
     base_seed, theta = _check_seed(base_seed, "base_seed"), _check_theta(theta)
     trial = _check_int(trial, "trial", 0)
@@ -143,8 +140,6 @@ def _uint32_words(*values: int) -> list[int]:
     words = []
     for value in values:
         value = int(value)
-        if value < 0:
-            raise ValueError("expected non-negative integer")
         words.append(value & 0xFFFFFFFF)
         while value := value >> 32:
             words.append(value & 0xFFFFFFFF)
@@ -160,7 +155,7 @@ def _cell_words(base_seed: int, theta: float, n: int, k: int) -> list[int]:
 # mix_entropy's j-th hashmix xors with INIT_A * MULT_A**j and multiplies by
 # INIT_A * MULT_A**(j + 1); generate_state's i-th word likewise with INIT_B, MULT_B.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_MULT_A_POWERS = np.array([pow(_MULT_A, j, 2**32) for j in range(9)], dtype=np.uint32)
+_MULT_A_POWERS = np.array([pow(_MULT_A, j, 2**32) for j in range(5)], dtype=np.uint32)
 _STATE_HASH = np.array([0x8B51F9DD * pow(0x58F38DED, i, 2**32) % 2**32 for i in range(5)],
                        dtype=np.uint32)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
@@ -178,15 +173,17 @@ def _mix_word(pool: np.ndarray, word: np.ndarray, hashes: np.ndarray) -> np.ndar
 
 def _trial_keys(base_seed: int, n: int, cells, trials) -> np.ndarray:
     """Philox key of trial_seed(base_seed, theta, n, k, trial) for each (theta, k) cell and
-    each trial index below 2**64: a (cells, trials, 2) uint64 array.
+    each trial index below 2**32: a (cells, trials, 2) uint64 array.
 
-    A key is SeedSequence(entropy).generate_state(2, np.uint64). A trial's
-    entropy is its cell's words, at least the pool size of 4, then its own
-    one or two words, so numpy mixes each cell's words once, in
-    SeedSequence(cell words).pool, with 4 hashmix calls per word. Two steps
-    run here for every trial at once: mix_entropy's for each trial word
-    (_mix_word), and generate_state. tests/test_bench.py holds the keys to
-    SeedSequence's own, so a change in numpy's mixing shows there.
+    This is the one account of how a campaign trial's key is derived. A key
+    is SeedSequence(entropy).generate_state(2, np.uint64). A trial's entropy
+    is its cell's words, at least the pool size of 4, then the trial index
+    as one word (BenchGrid caps trials below 2**32), so numpy mixes each
+    cell's words once, in SeedSequence(cell words).pool, with 4 hashmix
+    calls per word. Two steps run here for every trial at once:
+    mix_entropy's for the trial word (_mix_word), and generate_state.
+    tests/test_bench.py holds the keys to SeedSequence's own, so a change in
+    numpy's mixing shows there.
     """
     pools, hashes = [], []
     for theta, k in cells:
@@ -195,13 +192,7 @@ def _trial_keys(base_seed: int, n: int, cells, trials) -> np.ndarray:
         hashes.append(_INIT_A * pow(_MULT_A, 4 * len(words), 2**32) % 2**32)
     pool = np.array(pools)[:, None, :]
     hashes = (np.array(hashes, dtype=np.uint32)[:, None] * _MULT_A_POWERS)[:, None, :]
-    trials = np.asarray(trials, dtype=np.uint64)
-    pool = _mix_word(pool, trials.astype(np.uint32), hashes[..., :5])  # the low words
-    high = trials >> 32
-    if high.any():
-        # a trial past 2**32 - 1 has a second word, which takes the next four constants
-        mixed = _mix_word(pool, high.astype(np.uint32), hashes[..., 4:])
-        pool = np.where(high[None, :, None] > 0, mixed, pool)
+    pool = _mix_word(pool, np.asarray(trials, dtype=np.uint32), hashes)
     state = (pool ^ _STATE_HASH[:4]) * _STATE_HASH[1:]
     state ^= state >> 16
     # generate_state's uint64 words: pairs of uint32 words read little-endian
@@ -251,12 +242,10 @@ def _run_cells(job: tuple) -> list[BenchRecord]:
         theta: _shot_weights(analytic_distribution(reg, PhaseModel.single(theta)).probs)
         for theta in dict.fromkeys(theta for theta, _ in cells)
     }
-    # Every trial's Philox key is built in one pass, and its counts are
-    # drawn with it when _fit reads them, through sample_shots' core:
-    # counts / k are the bits of histogram_to_probs(sample_shots(...,
-    # trial_seed(...))).probs, with no SeedSequence, ShotHistogram or
-    # OutcomeDistribution per trial.
-    keys = _trial_keys(base_seed, n, cells, np.arange(trials)).tolist()
+    # Each trial's counts are drawn when _fit reads them, with the key
+    # _trial_keys derives, through sample_shots' core (_draws): counts / k
+    # are the bits of histogram_to_probs(sample_shots(..., trial_seed(...))).probs.
+    keys = _trial_keys(base_seed, n, cells, np.arange(trials, dtype=np.uint32)).tolist()
     draws = [
         (weights[theta], k, key) for (theta, k), cell_keys in zip(cells, keys) for key in cell_keys
     ]

@@ -1,7 +1,7 @@
 """Command-line front end: pmf dumps, simulation, fitting, Fisher tables, benchmarks.
 
 Exit codes: 0 success, 1 usage error (bad flags, malformed inputs,
-precondition violations), 2 computation or fit error.
+precondition violations), 2 computation, fit or allocation failure.
 """
 
 from __future__ import annotations
@@ -197,6 +197,6 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FitError, np.linalg.LinAlgError) as exc:
+    except (FitError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

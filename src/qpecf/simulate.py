@@ -150,18 +150,23 @@ def _shot_weights(probs: np.ndarray) -> np.ndarray:
     return weights
 
 
+# The seed of each _draws call's Philox, whose key every draw replaces. A
+# Philox given a key alone would fill an unused SeedSequence from OS entropy.
+_DRAW_SEED = np.random.SeedSequence(0)
+
+
 def _draws(draws):
     """Counts of each (weights, k, key) draw: k outcomes in one multinomial draw.
 
-    key is a seed's Philox key, seed.generate_state(2, np.uint64). Each draw
-    re-keys one Philox at counter 0 through its state setter, so its counts
-    are those of Generator(Philox(seed)); each call builds its own, so
-    threads share none. This is the one place the random stream is defined:
-    sample_shots and the campaign trials both draw through it. A campaign's
-    keys come from bench._trial_keys, which reads SeedSequence.pool and
-    re-implements two steps: mix_entropy's past the pool, and generate_state.
+    This is the one account of how counts are drawn: sample_shots and the
+    campaign trials both draw through it. key is a seed's Philox key,
+    seed.generate_state(2, np.uint64); a campaign's keys come from
+    bench._trial_keys. Each call builds one Philox from _DRAW_SEED and
+    re-keys it at counter 0 through its state setter for each draw, so a
+    draw's counts are those of Generator(Philox(seed)). Threads share only
+    _DRAW_SEED, which generate_state only reads.
     """
-    bits = np.random.Philox(key=0)
+    bits = np.random.Philox(_DRAW_SEED)
     generator = np.random.Generator(bits)
     state = bits.state
     for weights, k, key in draws:
@@ -175,10 +180,8 @@ def sample_shots(dist: OutcomeDistribution, k: int, seed) -> ShotHistogram:
 
     seed is an int >= 0 or a numpy SeedSequence; an int seed and a
     SeedSequence built from it give the same counts, those of
-    Generator(Philox(seed)). The key is numpy's own, seed.generate_state(2,
-    np.uint64), where a campaign trial's key comes from SeedSequence.pool
-    and two re-implemented steps (_draws). The counter-based Philox
-    generator keeps streams reproducible regardless of how calls are
+    Generator(Philox(seed)), drawn as _draws describes. The counter-based
+    Philox generator keeps streams reproducible regardless of how calls are
     scheduled across processes. An entry below 0 that OutcomeDistribution
     tolerates gets no counts (_shot_weights).
     """

@@ -11,6 +11,7 @@ import pytest
 from conftest import family_z, on_bin_error_bound, src_env
 from test_pmf import FISHER_REFERENCE
 
+import qpecf.cli
 from qpecf.bench import CSV_HEADER
 from qpecf.formatting import sig12
 from qpecf.model import PhaseModel, RegisterSpec
@@ -407,6 +408,29 @@ class TestBenchCommand:
         csv_path = tmp_path / "c.csv"
         assert_exits_one(cli("bench", "--config", str(config), "--out-csv", str(csv_path)))
         assert not csv_path.exists()
+
+    def test_trial_count_past_one_stream_word_exits_one(self, tmp_path):
+        # checked before any array is built: the count alone would ask for TiBs
+        config = tmp_path / "grid.json"
+        write_grid(config, shot_values=(50,), n_values=(2,), trials=10**12)
+        csv_path = tmp_path / "c.csv"
+        proc = cli("bench", "--config", str(config), "--out-csv", str(csv_path))
+        assert_exits_one(proc)
+        assert "trials must be <= 4294967295" in proc.stderr
+        assert not csv_path.exists()
+
+    def test_allocation_failure_exits_two(self, tmp_path, monkeypatch, capsys):
+        # in process, with run_grid stubbed: a real allocation this large
+        # may get the process killed rather than raise
+        def run_grid(grid, workers):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+        monkeypatch.setattr(qpecf.cli, "run_grid", run_grid)
+        config = tmp_path / "grid.json"
+        write_grid(config, shot_values=(50,), n_values=(2,), trials=2)
+        assert qpecf.cli.main(["bench", "--config", str(config), "--out-csv", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 8.00 GiB for an array\n"
 
     def test_insufficient_scaling_span_exits_two_with_csv_written(self, tmp_path):
         config = tmp_path / "grid.json"

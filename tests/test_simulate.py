@@ -1,5 +1,7 @@
 """Statevector simulation and shot sampling against the analytic model."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from conftest import oracle_pmf_vector, random_phase_model
@@ -185,6 +187,15 @@ class TestSampling:
         interleaved = [(next(first), next(second)) for _ in draws]
         assert [a.tolist() for a, _ in interleaved] == [c.tolist() for c in solo]
         assert [b.tolist() for _, b in interleaved] == [c.tolist() for c in solo[::-1]]
+
+    def test_threads_draw_the_serial_counts(self):
+        # _draws' calls share only their seed sequence, which no draw writes
+        dist = analytic_distribution(RegisterSpec(3), PhaseModel.single(0.3))
+        seeds = range(200)
+        serial = [sample_shots(dist, 10**6, s).counts.tolist() for s in seeds]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda s: sample_shots(dist, 10**6, s).counts.tolist(), seeds))
+        assert threaded == serial
 
     def test_zero_shots_rejected(self):
         dist = OutcomeDistribution(RegisterSpec(2), np.full(4, 0.25))
