@@ -120,35 +120,21 @@ def circular_error(theta_hat: float, theta_true: float) -> float:
 def trial_seed(base_seed: int, theta: float, n: int, k: int, trial: int) -> np.random.SeedSequence:
     """Seed for one trial, a pure function of the cell coordinates.
 
-    theta enters through its float64 bit pattern, so any representable phase
-    hashes uniquely. The entropy is the uint32 words SeedSequence would make
-    of the tuple (base_seed, theta_bits, n, k, trial): each int in
-    little-endian 32-bit words, 0 as one word. The pool and the stream are
-    the tuple's; only the coercion of Python ints is skipped. The arguments
-    pass the package's input checks (DomainError), and -0.0 is read as 0.0,
-    as a campaign reads it. A campaign derives the same keys without a
-    SeedSequence per trial (_trial_keys).
+    The seed is SeedSequence((base_seed, theta_bits, n, k, trial)), theta
+    entering through its float64 bit pattern, so any representable phase
+    hashes uniquely. The arguments pass the package's input checks
+    (DomainError), and -0.0 is read as 0.0, as a campaign reads it. A
+    campaign derives the same keys without a SeedSequence per trial
+    (_trial_keys).
     """
     base_seed, theta = _check_seed(base_seed, "base_seed"), _check_theta(theta)
-    trial = _check_int(trial, "trial", 0)
-    words = _cell_words(base_seed, theta, RegisterSpec(n).n, _check_shots(k)) + _uint32_words(trial)
-    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    cell = _cell(base_seed, theta, RegisterSpec(n).n, _check_shots(k))
+    return np.random.SeedSequence((*cell, _check_int(trial, "trial", 0)))
 
 
-def _uint32_words(*values: int) -> list[int]:
-    """SeedSequence's uint32 words for non-negative ints, concatenated."""
-    words = []
-    for value in values:
-        value = int(value)
-        words.append(value & 0xFFFFFFFF)
-        while value := value >> 32:
-            words.append(value & 0xFFFFFFFF)
-    return words
-
-
-def _cell_words(base_seed: int, theta: float, n: int, k: int) -> list[int]:
-    """The uint32 words a cell's trial entropy starts with: at least 4, one per coordinate."""
-    return _uint32_words(base_seed, int(np.float64(theta).view(np.uint64)), n, k)
+def _cell(base_seed: int, theta: float, n: int, k: int) -> tuple[int, ...]:
+    """A cell's coordinates as seed entropy: theta as its float64 bits."""
+    return base_seed, int(np.float64(theta).view(np.uint64)), n, k
 
 
 # numpy's SeedSequence constants, fixed so that seeded streams reproduce.
@@ -161,38 +147,34 @@ _STATE_HASH = np.array([0x8B51F9DD * pow(0x58F38DED, i, 2**32) % 2**32 for i in 
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
-def _mix_word(pool: np.ndarray, word: np.ndarray, hashes: np.ndarray) -> np.ndarray:
-    """mix_entropy's step for one entropy word past the pool: the word,
-    hashmixed with the next four constants, is mixed into each pool word."""
-    value = (word[None, :, None] ^ hashes[..., :4]) * hashes[..., 1:]
-    value ^= value >> 16
-    pool = _MIX_L * pool - _MIX_R * value
-    pool ^= pool >> 16
-    return pool
-
-
 def _trial_keys(base_seed: int, n: int, cells, trials) -> np.ndarray:
     """Philox key of trial_seed(base_seed, theta, n, k, trial) for each (theta, k) cell and
     each trial index below 2**32: a (cells, trials, 2) uint64 array.
 
     This is the one account of how a campaign trial's key is derived. A key
-    is SeedSequence(entropy).generate_state(2, np.uint64). A trial's entropy
-    is its cell's words, at least the pool size of 4, then the trial index
-    as one word (BenchGrid caps trials below 2**32), so numpy mixes each
-    cell's words once, in SeedSequence(cell words).pool, with 4 hashmix
-    calls per word. Two steps run here for every trial at once:
-    mix_entropy's for the trial word (_mix_word), and generate_state.
-    tests/test_bench.py holds the keys to SeedSequence's own, so a change in
-    numpy's mixing shows there.
+    is SeedSequence(entropy).generate_state(2, np.uint64). SeedSequence
+    makes each int of its entropy tuple little-endian uint32 words, 0 as one
+    word. A trial's entropy is its cell's words, at least the pool size of
+    4, then the trial index as one word (BenchGrid caps trials below 2**32),
+    so numpy mixes each cell's words once, in SeedSequence(cell).pool, with
+    4 hashmix calls per word. Two steps run here for every trial at once:
+    mix_entropy's for the trial word, and generate_state.
+    tests/test_bench.py holds the keys to SeedSequence's own, so a miscounted
+    cell or a change in numpy's mixing shows there.
     """
     pools, hashes = [], []
     for theta, k in cells:
-        words = _cell_words(base_seed, theta, n, k)
-        pools.append(np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool)
-        hashes.append(_INIT_A * pow(_MULT_A, 4 * len(words), 2**32) % 2**32)
-    pool = np.array(pools)[:, None, :]
+        cell = _cell(base_seed, theta, n, k)
+        pools.append(np.random.SeedSequence(cell).pool)
+        words = sum((max(c.bit_length(), 1) + 31) // 32 for c in cell)
+        hashes.append(_INIT_A * pow(_MULT_A, 4 * words, 2**32) % 2**32)
     hashes = (np.array(hashes, dtype=np.uint32)[:, None] * _MULT_A_POWERS)[:, None, :]
-    pool = _mix_word(pool, np.asarray(trials, dtype=np.uint32), hashes)
+    # mix_entropy's step for the trial word: the word, hashmixed with the
+    # next four constants, is mixed into each pool word
+    value = (np.asarray(trials, dtype=np.uint32)[None, :, None] ^ hashes[..., :4]) * hashes[..., 1:]
+    value ^= value >> 16
+    pool = _MIX_L * np.array(pools)[:, None, :] - _MIX_R * value
+    pool ^= pool >> 16
     state = (pool ^ _STATE_HASH[:4]) * _STATE_HASH[1:]
     state ^= state >> 16
     # generate_state's uint64 words: pairs of uint32 words read little-endian
@@ -262,9 +244,11 @@ def run_grid(grid: BenchGrid, workers: int = 1) -> list[BenchRecord]:
     Cells that share n are fit together: each such group is one job, whose
     trials stream through one _fit call and so share its chunks. With
     workers > 1, each group is split into min(cells, workers) contiguous
-    runs, and the jobs are fanned out to spawned processes. Records are
-    identical for any grouping and worker count, because seeds derive from
-    cell coordinates alone and a fit does not depend on its chunk.
+    runs, and the jobs are fanned out to spawned processes. Each of them
+    imports the caller's __main__ module, so such a call must come from an
+    importable file, not from `python -` on stdin. Records are identical for
+    any grouping and worker count, because seeds derive from cell
+    coordinates alone and a fit does not depend on its chunk.
     """
     workers = _check_int(workers, "workers", 1)
     cells = list(product(grid.phases, grid.n_values, grid.shot_values))

@@ -71,7 +71,7 @@ class ShotHistogram:
 
     reg: RegisterSpec
     counts: np.ndarray = field(repr=False)
-    shots: int = 0
+    shots: int
     # Private: True keeps counts, an int64 array qpecf just made and shares with no one.
     _: KW_ONLY
     _owned: InitVar[bool] = False

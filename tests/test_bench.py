@@ -142,11 +142,14 @@ class TestTrialSeed:
 
     def test_vectorised_keys_match_seed_sequence(self):
         # the campaign's keys re-implement two steps of SeedSequence's
-        # mixing, so a drift in numpy's shows here: cells of one to three
-        # words per coordinate, and trials across the one word a campaign takes
+        # mixing and its word count of a cell, so a drift in numpy's or a
+        # miscount shows here: coordinates of one, two and four words (0 and
+        # 2**64 - 1 at the edges of the count), and trials across the one
+        # word a campaign takes
         cells = list(product((0.0, 0.999), (1, 2**32, 2**63 - 1)))
         trials = [0, 1, 2**31, 2**32 - 1]
-        for base_seed, n in product((7, 2**32 + 5, 2**63 - 1), (2, 30)):
+        base_seeds = (0, 7, 2**32 + 5, 2**63 - 1, 2**64 - 1, 2**96 + 1)
+        for base_seed, n in product(base_seeds, (2, 30)):
             keys = _trial_keys(base_seed, n, cells, trials)
             assert keys.shape == (len(cells), len(trials), 2) and keys.dtype == np.uint64
             for ((theta, k), trial), key in zip(product(cells, trials), keys.reshape(-1, 2)):

@@ -97,6 +97,10 @@ class TestModelTypes:
         assert model.thetas == (0.2, 0.7)
         assert model.weights == (0.75, 0.25)
 
+    def test_model_needs_a_component(self):
+        with pytest.raises(DomainError, match="at least one component"):
+            PhaseModel(())
+
     def test_model_rejects_bad_weight_sum(self):
         with pytest.raises(DomainError):
             PhaseModel.from_pairs([(0.1, 0.5), (0.2, 0.6)])

@@ -40,6 +40,10 @@ class TestSimUnitary:
         with pytest.raises(DomainError):
             SimUnitary((0.1,), (1.0, 0.0))
 
+    def test_needs_an_eigenphase(self):
+        with pytest.raises(DomainError, match="at least one eigenphase"):
+            SimUnitary((), ())
+
 
 class TestCircuitStages:
     def test_state_norm_preserved_each_stage(self):
@@ -262,6 +266,11 @@ class TestHistogram:
         dist = OutcomeDistribution(RegisterSpec(3), pmf_vector(RegisterSpec(3), PhaseModel.single(0.77)))
         probs = histogram_to_probs(sample_shots(dist, 997, 5)).probs
         assert abs(probs.sum() - 1.0) < 1e-12
+
+    def test_shots_has_no_default(self):
+        # a histogram's shot count cannot be guessed, so it has no default
+        with pytest.raises(TypeError, match="shots"):
+            ShotHistogram(RegisterSpec(2), np.array([1, 0, 0, 0]))
 
     def test_count_sum_must_match_shots(self):
         with pytest.raises(DomainError):
